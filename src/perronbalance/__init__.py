@@ -10,18 +10,13 @@ among trees.
 
 from .algebra import (
     IntPoly,
-    RatPoly,
     RationalFunction,
     RationalInterval,
     ResolventData,
     SqrtRat,
-    char_and_adjugate,
     isolate_largest_root,
-    nonneg_on_ray,
-    sign_on_interval,
     sturm_count,
     substitute_t,
-    taylor_shift,
 )
 from .graphs import (
     Graph,
@@ -61,11 +56,9 @@ from .kernels import (
 )
 from .tails import (
     TailContext,
-    build_tail_context,
     check_gamma_lower,
     check_gamma_upper,
     infinite_tail_eigendata,
-    j_hat,
     lambda_sandwich_audit,
 )
 

@@ -157,12 +157,6 @@ class IntPoly:
             acc = acc * x + c
         return Fraction(acc)
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def sign_at(self, x: Rat) -> int:
         """Exact sign of p(x) at a rational point, integer arithmetic only.
 
@@ -261,10 +255,6 @@ class IntPoly:
         return poly_to_text([Fraction(c) for c in self.coeffs], var)
 
 
-X = IntPoly([0, 1])
-ONE = IntPoly([1])
-
-
 def poly_to_text(coeffs: Sequence[Fraction], var: str = "x") -> str:
     """Serialize ascending coefficients as "c0 + c1*x + c2*x^2 + ..."."""
     if not coeffs:
@@ -279,86 +269,6 @@ def poly_to_text(coeffs: Sequence[Fraction], var: str = "x") -> str:
         else:
             parts.append("%s*%s^%d" % (c, var, k))
     return " + ".join(parts)
-
-
-def poly_from_text(text: str, var: str = "x") -> list:
-    """Parse the serialization produced by poly_to_text; returns Fractions."""
-    coeffs: dict[int, Fraction] = {}
-    for term in text.split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        if "*" in term:
-            cpart, vpart = term.split("*", 1)
-            vpart = vpart.strip()
-            if vpart == var:
-                k = 1
-            elif vpart.startswith(var + "^"):
-                k = int(vpart[len(var) + 1:])
-            else:
-                raise ValueError("bad term %r" % term)
-            coeffs[k] = coeffs.get(k, Fraction(0)) + Fraction(cpart.strip())
-        else:
-            coeffs[0] = coeffs.get(0, Fraction(0)) + Fraction(term)
-    n = max(coeffs) + 1 if coeffs else 0
-    return [coeffs.get(k, Fraction(0)) for k in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# rational-coefficient polynomials (thin wrapper used for exact Taylor shifts)
-# ---------------------------------------------------------------------------
-
-class RatPoly:
-    """Polynomial with exact rational coefficients, ascending order."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "RatPoly(%s)" % (list(self.coeffs),)
-
-    def eval(self, x: Rat) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def clear_denominators(self) -> tuple[IntPoly, int]:
-        """Return (q, scale) with q = scale * self, scale a positive integer."""
-        scale = 1
-        for c in self.coeffs:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        return IntPoly([int(c * scale) for c in self.coeffs]), scale
-
-    @staticmethod
-    def from_int(p: IntPoly) -> "RatPoly":
-        return RatPoly(p.coeffs)
-
-
-def taylor_shift(p: RatPoly, a: Rat) -> RatPoly:
-    """Exact p(x + a) for rational a."""
-    a = Fraction(a)
-    c = [Fraction(x) for x in p.coeffs]
-    n = len(c)
-    for j in range(n - 1):
-        for i in range(n - 2, j - 1, -1):
-            c[i] += a * c[i + 1]
-    return RatPoly(c)
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +304,11 @@ class RationalInterval:
     def mid_float(self) -> float:
         return float(self.mid)
 
-    def contains(self, x: Rat) -> bool:
-        return self.lo <= x <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
     def strictly_positive(self) -> bool:
         return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
 
     def add(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(self.lo + other.lo, self.hi + other.hi)
@@ -703,43 +607,28 @@ def refine_root(p: IntPoly, iv: RationalInterval, eps: Rat) -> RationalInterval:
 # positivity certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RayVerdict:
-    """Outcome of a nonnegativity check on [a, infinity)."""
+def ray_verdict(q: IntPoly, lo: Fraction, hi: Fraction) -> tuple:
+    """Certify q >= 0 on the ray [x0, infinity) whose start x0 is only known
+    to lie in [lo, hi].
 
-    kind: str                     # "coefficients" | "sturm" | "disproved"
-    witness: Fraction | None = None
-
-    @property
-    def proved(self) -> bool:
-        return self.kind in ("coefficients", "sturm")
-
-
-def nonneg_on_ray(p: RatPoly, a: Rat) -> RayVerdict:
-    """Certify p(x) >= 0 for all x >= a, or produce an exact counterexample.
-
-    The cheap test checks the coefficient signs of the shifted polynomial;
-    the fallback certifies via a Sturm root count on the ray.  A disproof
-    carries a rational witness with p(witness) < 0 exactly.
+    Returns (kind, witness).  "coefficients": the coefficients of q shifted
+    to lo are nonnegative.  "sturm": q(lo) > 0 and no root above lo, or q
+    >= 0 at sample points between its roots above lo (tangencies).  "fail":
+    q(witness) < 0 exactly at a rational witness >= hi, so the inequality is
+    false on the true ray.  "undecided": the sign trouble may lie inside
+    [lo, hi]; tighten the enclosure of x0 and ask again.
     """
-    a = Fraction(a)
-    q, _ = p.clear_denominators()
-    if q.is_zero():
-        return RayVerdict("coefficients")
-    if q.all_coeffs_nonneg_shifted(a):
-        return RayVerdict("coefficients")
-    sa = q.sign_at(a)
-    if sa < 0:
-        return RayVerdict("disproved", witness=a)
-    if sa > 0 and count_roots_above(q, a) == 0:
-        return RayVerdict("sturm")
-    witness = find_negative_point_on_ray(q, a)
+    if q.all_coeffs_nonneg_shifted(lo):
+        return "coefficients", None
+    s = q.sign_at(lo)
+    if s > 0 and count_roots_above(q, lo) == 0:
+        return "sturm", None
+    witness = find_negative_point_on_ray(q, hi)
     if witness is not None:
-        return RayVerdict("disproved", witness=witness)
-    # p >= 0 on the ray but with roots (tangencies): certify sign between them
-    if _nonneg_with_tangencies(q, a):
-        return RayVerdict("sturm")
-    raise ArithmeticError("undecided ray sign check")
+        return "fail", witness
+    if s >= 0 and _nonneg_with_tangencies(q, lo):
+        return "sturm", None
+    return "undecided", None
 
 
 def find_negative_point_on_ray(q: IntPoly, a: Fraction) -> Fraction | None:
@@ -919,62 +808,6 @@ def substitute_t(f: RationalFunction) -> RationalFunction:
     return RationalFunction(nhat, dhat.shifted_degree(dn - dd), "t")
 
 
-def eval_interval(obj, iv: RationalInterval) -> RationalInterval:
-    """Enclosure of the image of a polynomial or rational function on iv."""
-    if isinstance(obj, IntPoly):
-        return obj.eval_interval(iv)
-    if isinstance(obj, RationalFunction):
-        return obj.eval_interval(iv)
-    raise TypeError(type(obj))
-
-
-@dataclass(frozen=True)
-class SignVerdict:
-    kind: str                      # "positive" | "negative" | "indeterminate"
-    witness: Fraction | None = None
-
-
-def sign_on_interval(f: RationalFunction, interval: RationalInterval) -> SignVerdict:
-    """Certified constant sign of f on a closed rational interval.
-
-    Requires the denominator to be root-free on the interval (checked with a
-    Sturm count).  An indeterminate verdict carries a point where the sign
-    differs from the sign at the left endpoint.
-    """
-    a, b = interval.lo, interval.hi
-    den = f.den
-    if den.sign_at(a) == 0 or den.sign_at(b) == 0 or \
-            (a != b and sturm_count(den, interval) > 0):
-        raise ZeroDivisionError("denominator has a root in the interval")
-    num = f.num
-    sa = num.sign_at(a) * den.sign_at(a)
-    if a == b:
-        if sa > 0:
-            return SignVerdict("positive")
-        if sa < 0:
-            return SignVerdict("negative")
-        return SignVerdict("indeterminate", witness=a)
-    nroots = sturm_count(num, interval) if not num.is_zero() else 1
-    if sa != 0 and nroots == 0:
-        return SignVerdict("positive" if sa > 0 else "negative")
-    # find a witness where the sign differs
-    steps = 64
-    for k in range(steps + 1):
-        x = a + (b - a) * Fraction(k, steps)
-        sx = num.sign_at(x) * den.sign_at(x)
-        if sx != sa or sx == 0:
-            return SignVerdict("indeterminate", witness=x)
-    # roots of even multiplicity without sign change: report the first root
-    cuts = _root_separating_points(num, a)
-    for x in cuts:
-        if x > b:
-            break
-        sx = num.sign_at(x) * den.sign_at(x)
-        if sx != sa:
-            return SignVerdict("indeterminate", witness=x)
-    return SignVerdict("indeterminate", witness=interval.mid)
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomial and adjugate
 # ---------------------------------------------------------------------------
@@ -1012,35 +845,6 @@ class ResolventData:
                     if self.adjugate[i][j] != self.adjugate[j][i]:
                         return False
         return True
-
-
-def char_and_adjugate(A: Sequence[Sequence[int]]) -> ResolventData:
-    """Exact characteristic polynomial and adjugate of xI - A by the
-    Faddeev-LeVerrier recurrence over the integers."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("matrix must be square")
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    M = [row[:] for row in ident]
-    cs = [1]                      # cs[k] multiplies x^(n-k)
-    mats = [[row[:] for row in M]]
-    for k in range(1, n + 1):
-        AM = [[sum(A[i][t] * M[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        tr = sum(AM[i][i] for i in range(n))
-        if tr % k:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
-        c = -(tr // k)
-        cs.append(c)
-        M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-        if k < n:
-            mats.append([row[:] for row in M])
-    char = IntPoly([cs[n - k] for k in range(n + 1)])
-    # adj(xI - A) = sum_k mats[k] x^(n-1-k)
-    adj = tuple(
-        tuple(IntPoly([mats[n - 1 - d][i][j] for d in range(n)]) for j in range(n))
-        for i in range(n))
-    return ResolventData(char, adj)
 
 
 def bareiss_det(A: Sequence[Sequence[int]]) -> int:
@@ -1258,15 +1062,3 @@ def sqrt_interval(x: Rat, eps: Rat = Fraction(1, 2 ** 40)) -> RationalInterval:
         if hi - lo <= eps and lo * lo <= x <= hi * hi:
             return RationalInterval(lo, hi)
         bits *= 2
-
-
-def r_of_lambda(lam: Rat, eps: Rat = Fraction(1, 2 ** 40)) -> RationalInterval:
-    """Enclosure of the larger root of t^2 - lam*t + 1 for rational lam > 2.
-
-    This is the growth rate of eigenvector entries along a pendant path.
-    """
-    lam = Fraction(lam)
-    if lam <= 2:
-        raise ValueError("requires lam > 2")
-    poly = IntPoly([lam.denominator, -lam.numerator, lam.denominator])
-    return isolate_largest_root(poly, eps, hint=(float(lam) + math.sqrt(float(lam) ** 2 - 4)) / 2)

@@ -25,19 +25,18 @@ ray, certified here by shifted-coefficient signs with a Sturm fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     IntPoly,
     RationalInterval,
-    count_roots_above,
-    find_negative_point_on_ray,
     isolate_largest_root,
+    ray_verdict,
     refine_root,
 )
-from .graphs import Graph, RootedKernel, _bits
+from .graphs import RootedKernel, _bits
 from .spectral import resolvent_data, _power_iteration_hint
 
 LAMBDA_EPS = Fraction(1, 2 ** 30)
@@ -204,38 +203,20 @@ def check_pair(ctx: KernelContext, u_mask: int, v_mask: int,
     eigenvalue, so coefficient positivity after shifting is sound (and
     conservative).  The Sturm fallback distinguishes a failed sufficient
     condition from a genuinely false inequality; failures carry an exact
-    rational witness.
+    rational witness.  An undecided verdict tightens both attachment
+    eigenvalues and asks again.
     """
     beta = Fraction(beta)
-    lu = ctx.lambda_U(u_mask)
-    lv = ctx.lambda_U(v_mask)
-    lam_t = RationalInterval(max(lu.lo, lv.lo), max(lu.hi, lv.hi))
+    lu, lv = ctx.lambda_U(u_mask), ctx.lambda_U(v_mask)
     q, _ = ctx.q_poly(u_mask, v_mask, beta)
     eps = LAMBDA_EPS
     for _ in range(8):
-        lo = lam_t.lo
-        if q.all_coeffs_nonneg_shifted(lo):
-            return PairVerdict(u_mask, v_mask, beta, "coefficients", lo)
-        if q.sign_at(lo) > 0 and count_roots_above(q, lo) == 0:
-            return PairVerdict(u_mask, v_mask, beta, "sturm", lo)
-        witness = find_negative_point_on_ray(q, lam_t.hi)
-        if witness is not None:
-            return PairVerdict(u_mask, v_mask, beta, "fail", lo, witness=witness)
-        if q.sign_at(lo) < 0:
-            # negative only below the true shift point: tighten and retry
-            eps = eps / 2 ** 10
-            lu = ctx.lambda_U(u_mask, eps)
-            lv = ctx.lambda_U(v_mask, eps)
-            lam_t = RationalInterval(max(lu.lo, lv.lo), max(lu.hi, lv.hi))
-            continue
-        # nonnegative with tangencies beyond the shift point
-        from .algebra import _nonneg_with_tangencies
-        if _nonneg_with_tangencies(q, lo):
-            return PairVerdict(u_mask, v_mask, beta, "sturm", lo)
+        lo = max(lu.lo, lv.lo)
+        kind, witness = ray_verdict(q, lo, max(lu.hi, lv.hi))
+        if kind != "undecided":
+            return PairVerdict(u_mask, v_mask, beta, kind, lo, witness=witness)
         eps = eps / 2 ** 10
-        lu = ctx.lambda_U(u_mask, eps)
-        lv = ctx.lambda_U(v_mask, eps)
-        lam_t = RationalInterval(max(lu.lo, lv.lo), max(lu.hi, lv.hi))
+        lu, lv = ctx.lambda_U(u_mask, eps), ctx.lambda_U(v_mask, eps)
     raise ArithmeticError("pair check undecided after refinement")
 
 

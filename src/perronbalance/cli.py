@@ -16,7 +16,6 @@ to certified algebraic enclosures of the limit ratios, never to decimals.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,16 +34,6 @@ from .graphs import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("PERRONBALANCE_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _parse_beta(text: str):
@@ -235,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="perronbalance",
         description="certified extremal analysis of the Perron-vector "
                     "balance ratio")
-    ap.add_argument("--jobs", type=int, default=_default_jobs(),
-                    help="worker processes for kernel sweeps "
-                         "(env PERRONBALANCE_JOBS)")
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="worker processes for kernel sweeps")
     ap.add_argument("--out", help="output directory for artifacts")
     ap.add_argument("--format", choices=("json", "csv", "md"), default="md")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -51,12 +51,6 @@ class Graph:
             adj[v] |= 1 << u
         return Graph(n, tuple(adj))
 
-    def with_edge(self, u: int, v: int) -> "Graph":
-        adj = list(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return Graph(self.n, tuple(adj))
-
     def add_vertex(self, neighbors: int = 0) -> "Graph":
         adj = [row | ((neighbors >> v & 1) << self.n) for v, row in enumerate(self.adj)]
         adj.append(neighbors)
@@ -410,17 +404,38 @@ def _is_acyclic_connected(g: Graph) -> bool:
     return g.edge_count() == g.n - 1 and g.is_connected()
 
 
-def _tree_code(g: Graph, root: Optional[int]) -> bytes:
-    """Canonical code of a tree (rooted or free) via sorted subtree encoding."""
+def _tree_canon(g: Graph, root: Optional[int], with_order: bool) -> tuple:
+    """Canonical code of a tree (rooted or free) via sorted subtree
+    encoding, and with_order a DFS order with children sorted by subtree
+    code (else None).  A free tree is rooted at the center with the least
+    code."""
+    codes: dict[tuple, bytes] = {}
+
     def encode(v: int, parent: int) -> bytes:
         subs = sorted(encode(u, v) for u in _bits(g.adj[v]) if u != parent)
-        return b"(" + b"".join(subs) + b")"
+        code = b"(" + b"".join(subs) + b")"
+        if with_order:
+            codes[(v, parent)] = code
+        return code
 
-    if root is not None:
-        return b"R" + encode(root, -1)
-    # free tree: root at the center (one or two middle vertices)
-    centers = _tree_centers(g)
-    return b"T" + min(encode(c, -1) for c in centers)
+    if root is None:
+        code, root = min((encode(c, -1), c) for c in _tree_centers(g))
+        code = b"T" + code
+    else:
+        code = b"R" + encode(root, -1)
+    if not with_order:
+        return code, None
+    order: list = []
+
+    def walk(v: int, parent: int):
+        order.append(v)
+        kids = sorted((u for u in _bits(g.adj[v]) if u != parent),
+                      key=lambda u: codes[(u, v)])
+        for u in kids:
+            walk(u, v)
+
+    walk(root, -1)
+    return code, order
 
 
 def _tree_centers(g: Graph) -> list:
@@ -444,9 +459,9 @@ def _tree_centers(g: Graph) -> list:
     return [v for v in range(g.n) if not removed[v]]
 
 
-def _graph_code(g: Graph, root: Optional[int]) -> bytes:
-    """Canonical code by refinement followed by minimization over the
-    orderings consistent with the stable coloring."""
+def _graph_canon(g: Graph, root: Optional[int]) -> tuple:
+    """Canonical code and vertex order by refinement followed by
+    minimization over the orderings consistent with the stable coloring."""
     n = g.n
     colors = [0] * n
     if root is not None:
@@ -456,21 +471,18 @@ def _graph_code(g: Graph, root: Optional[int]) -> bytes:
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
     ordered_cells = [cells[c] for c in sorted(cells)]
-    best = None
+    best = order = None
     for perm_parts in itertools.product(*[itertools.permutations(cell) for cell in ordered_cells]):
-        order = [v for part in perm_parts for v in part]
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
+        cand = [v for part in perm_parts for v in part]
         bits = 0
         for j in range(1, n):
-            vj = order[j]
+            vj = cand[j]
             for i in range(j):
-                bits = bits << 1 | (g.adj[order[i]] >> vj & 1)
+                bits = bits << 1 | (g.adj[cand[i]] >> vj & 1)
         if best is None or bits < best:
-            best = bits
+            best, order = bits, cand
     tag = b"G" if root is None else b"g"
-    return tag + n.to_bytes(1, "big") + best.to_bytes((n * n + 7) // 8, "big")
+    return tag + n.to_bytes(1, "big") + best.to_bytes((n * n + 7) // 8, "big"), order
 
 
 def canonical_form(g: Graph, root: Optional[int] = None) -> bytes:
@@ -481,36 +493,8 @@ def canonical_form(g: Graph, root: Optional[int] = None) -> bytes:
     these sizes.
     """
     if _is_acyclic_connected(g):
-        return _tree_code(g, root)
-    return _graph_code(g, root)
-
-
-def _tree_canonical_order(g: Graph, root: Optional[int]) -> list:
-    """DFS order of a tree with children sorted by subtree code."""
-    codes: dict[tuple, bytes] = {}
-
-    def encode(v: int, parent: int) -> bytes:
-        subs = sorted(encode(u, v) for u in _bits(g.adj[v]) if u != parent)
-        code = b"(" + b"".join(subs) + b")"
-        codes[(v, parent)] = code
-        return code
-
-    if root is None:
-        centers = _tree_centers(g)
-        root = min(centers, key=lambda c: encode(c, -1))
-    else:
-        encode(root, -1)
-    order: list = []
-
-    def walk(v: int, parent: int):
-        order.append(v)
-        kids = sorted((u for u in _bits(g.adj[v]) if u != parent),
-                      key=lambda u: codes[(u, v)])
-        for u in kids:
-            walk(u, v)
-
-    walk(root, -1)
-    return order
+        return _tree_canon(g, root, False)[0]
+    return _graph_canon(g, root)[0]
 
 
 def canonical_relabel(g: Graph, root: Optional[int] = None) -> Graph:
@@ -518,35 +502,14 @@ def canonical_relabel(g: Graph, root: Optional[int] = None) -> Graph:
 
     When a root is given it lands on vertex 0 of the result.
     """
-    n = g.n
     if _is_acyclic_connected(g):
-        order = _tree_canonical_order(g, root)
+        order = _tree_canon(g, root, True)[1]
     else:
-        colors = [0] * n if root is None else [0 if v == root else 1 for v in range(n)]
-        colors = _refine_colors(g, colors)
-        cells: dict[int, list] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        ordered_cells = [cells[c] for c in sorted(cells)]
-        best = None
-        order = None
-        for perm_parts in itertools.product(*[itertools.permutations(cell) for cell in ordered_cells]):
-            cand = [v for part in perm_parts for v in part]
-            bits = 0
-            for j in range(1, n):
-                vj = cand[j]
-                for i in range(j):
-                    bits = bits << 1 | (g.adj[cand[i]] >> vj & 1)
-            if best is None or bits < best:
-                best, order = bits, cand
-    perm = [0] * n
+        order = _graph_canon(g, root)[1]
+    perm = [0] * g.n
     for i, v in enumerate(order):
         perm[v] = i
     return g.relabel(perm)
-
-
-def is_isomorphic(a: Graph, b: Graph) -> bool:
-    return canonical_form(a) == canonical_form(b)
 
 
 # ---------------------------------------------------------------------------

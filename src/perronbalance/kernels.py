@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .algebra import SqrtRat
@@ -36,10 +37,8 @@ from .graphs import (
     canonical_form,
     complete_graph,
     diamond_graph,
-    enumerate_connected_graphs,
     enumerate_graph_kernels,
     enumerate_tree_kernels,
-    enumerate_trees,
     star_graph,
     write_graph6,
 )
@@ -53,7 +52,6 @@ from .spectral import (
     gamma_refiner,
     lambda_le_2_graphs,
     min_gamma_table,
-    threshold_enclosure,
     two_sqrt_d_plus_3_exceeds,
 )
 from .tails import TailContext, check_gamma_lower, check_gamma_upper, cond8_monotone_floor
@@ -69,10 +67,6 @@ def beta_tr_upper() -> Fraction:
 
 def beta_star_upper() -> Fraction:
     return BETA_STAR.enclosure(BETA_EPS).hi
-
-
-def certified_above(refine, threshold, eps0: Fraction = Fraction(1, 10 ** 6)) -> bool:
-    return not certified_below(refine, threshold, eps0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +266,13 @@ def _graph_stage_one(kernel: RootedKernel, beta: Fraction,
     return KernelOutcome(kernel.id_string(), "survivor", rep)
 
 
-def _graph_stage_worker(args) -> KernelOutcome:
-    g6, root, beta_str, stop = args
-    from .graphs import parse_graph6
-    kernel = RootedKernel(parse_graph6(g6), root)
-    return _graph_stage_one(kernel, Fraction(beta_str), stop)
+def _map_kernels(one, kernels: Sequence[RootedKernel], jobs: int) -> list:
+    """one(kernel) for every kernel, in order; jobs > 1 fans out to worker
+    processes."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(one, kernels, chunksize=8))
+    return list(map(one, kernels))
 
 
 _STAGE_CACHE: dict = {}
@@ -302,13 +298,9 @@ def graph_kernel_stage(beta: Fraction = BETA_GRAPH_STAGE,
     t0 = time.monotonic()
     if kernels is None:
         kernels = enumerate_graph_kernels()
-    if jobs > 1:
-        work = [(write_graph6(k.graph), k.root, str(beta), stop_on_failure)
-                for k in kernels]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_graph_stage_worker, work, chunksize=8))
-    else:
-        outcomes = [_graph_stage_one(k, beta, stop_on_failure) for k in kernels]
+    outcomes = _map_kernels(partial(_graph_stage_one, beta=beta,
+                                    stop_on_failure=stop_on_failure),
+                            kernels, jobs)
     outcomes.sort(key=lambda o: o.kernel_id)
     leftovers = {}
     for o in outcomes:
@@ -421,13 +413,6 @@ def _tree_stage_one(kernel: RootedKernel, beta: Fraction,
     return KernelOutcome(kernel.id_string(), cls, rep, elimination=record)
 
 
-def _tree_stage_worker(args) -> KernelOutcome:
-    g6, root, beta_str, conjectured, stop = args
-    from .graphs import parse_graph6
-    kernel = RootedKernel(parse_graph6(g6), root)
-    return _tree_stage_one(kernel, Fraction(beta_str), conjectured, stop)
-
-
 def tree_kernel_stage(beta: Optional[Fraction] = None,
                       stop_on_failure: bool = False,
                       kernels: Optional[Sequence[RootedKernel]] = None,
@@ -452,14 +437,10 @@ def tree_kernel_stage(beta: Optional[Fraction] = None,
     if kernels is None:
         kernels = enumerate_tree_kernels()
     conjectured = conjectured_tree_kernel().canonical()
-    if jobs > 1:
-        work = [(write_graph6(k.graph), k.root, str(beta), conjectured,
-                 stop_on_failure) for k in kernels]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_tree_stage_worker, work, chunksize=8))
-    else:
-        outcomes = [_tree_stage_one(k, beta, conjectured, stop_on_failure)
-                    for k in kernels]
+    outcomes = _map_kernels(partial(_tree_stage_one, beta=beta,
+                                    conjectured=conjectured,
+                                    stop_on_failure=stop_on_failure),
+                            kernels, jobs)
     outcomes.sort(key=lambda o: o.kernel_id)
     leftovers = {}
     for o in outcomes:
@@ -625,7 +606,7 @@ def lambda_le_2_link(kind: str) -> LinkResult:
             if kind == "trees" and name in ("Cycle", "E6", "E7", "E8",
                                             "E6hat", "E7hat", "E8hat"):
                 continue
-            above = certified_above(gamma_refiner(g), threshold)
+            above = not certified_below(gamma_refiner(g), threshold)
             certified.append((name, n, above))
             ok = ok and above
     # monotonicity spot check (floating point, display-level)
@@ -684,7 +665,7 @@ def star_link() -> LinkResult:
     """
     ok = True
     for n in range(10, 21):
-        above = certified_above(gamma_refiner(star_graph(n)), BETA_TR)
+        above = not certified_below(gamma_refiner(star_graph(n)), BETA_TR)
         ok = ok and above
     ints_ok = all(4 * (n - 1) >= (15 - n) ** 2 for n in range(10, 15))
     half15_ok = (SqrtRat(Fraction(15, 2), 0, 3) - BETA_TR).sign() > 0

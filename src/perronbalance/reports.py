@@ -2,8 +2,9 @@
 Markdown, and CSV.
 
 JSON documents carry a "type" field and validate against the schema file
-shipped in data/report.schema.json; the generated_at timestamp is the only
-field that varies between identical runs.
+shipped in data/report.schema.json; the generated_at timestamp and the
+elapsed_seconds timings of stage reports and certificates are the only
+fields that vary between identical runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from datetime import datetime, timezone
 from importlib import resources
 
 from .kernels import ProofCertificate, StageReport
-from .spectral import GammaValue, TableRow
+from .spectral import GammaValue
 
 
 def schema_text() -> str:
@@ -138,28 +139,6 @@ def certificate_markdown(cert: ProofCertificate) -> str:
     lines.append("_elapsed: %.1f s_" % cert.elapsed_seconds)
     lines.append("")
     return "\n".join(lines)
-
-
-def extension_report_markdown(report) -> str:
-    """One-kernel summary of an extension verification."""
-    from .bounds import mask_vertices
-    lines = [
-        "### Kernel `%s` (root %d), beta = %s" % (report.kernel_id,
-                                                  report.root, report.beta),
-        "",
-        "%s; guard %s (%s)." % ("**passed**" if report.passed else "**FAILED**",
-                                report.guard, report.guard_note),
-        "",
-        "| U | V | verdict | shift point |",
-        "|---|---|---|---|",
-    ]
-    for v in report.verdicts:
-        row = "| %s | %s | %s | %s |" % (
-            list(mask_vertices(v.u_mask)), list(mask_vertices(v.v_mask)),
-            v.kind + ("" if v.witness is None else " (witness %s)" % v.witness),
-            v.shift_point)
-        lines.append(row)
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,11 @@ from typing import Callable, Union
 
 from .algebra import (
     IntPoly,
-    NoRealRootError,
     RationalInterval,
     ResolventData,
     SqrtRat,
-    count_roots_above,
     isolate_largest_root,
     refine_root,
-    sqrt_interval,
 )
 from .graphs import (
     Graph,
@@ -42,7 +39,6 @@ from .graphs import (
     enumerate_trees,
     fork_graph,
     path_graph,
-    star_graph,
     write_graph6,
 )
 
@@ -159,39 +155,47 @@ def _column_vertex(g: Graph) -> int:
     return degs.index(best)
 
 
-def perron_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> PerronData:
-    """Perron vector enclosure from an adjugate column.
+def _refine_column(g: Graph, lam_eps: Fraction, accept):
+    """Evaluate the adjugate column of a maximum-degree vertex on an
+    eigenvalue enclosure that starts at width lam_eps and shrinks by 16 per
+    round, until accept(lam, weights, exact) returns a result.
 
-    At the top eigenvalue the adjugate is a positive rank-one matrix, so the
-    column of any vertex is a valid positive eigenvector; the column of a
-    maximum-degree vertex is used.  The eigenvalue enclosure is refined
-    until every entry is strictly positive with relative width <= eps.
+    accept is called only once every weight is strictly positive; exact
+    says the eigenvalue is rational and hit exactly, so the weights are
+    exact and accept must return.  At the top eigenvalue the adjugate is a
+    positive rank-one matrix, so the column of any vertex is a valid
+    positive eigenvector.
     """
     if not g.is_connected():
         raise ValueError("graph is disconnected")
     rd = resolvent_data(g)
     j = _column_vertex(g)
     col = [rd.adjugate[i][j] for i in range(g.n)]
-    lam_eps = DEFAULT_EPS
     lam = lambda_enclosure(g, lam_eps)
     for _ in range(220):
         weights = [p.eval_interval(lam) for p in col]
         if all(w.strictly_positive() for w in weights):
-            rel_ok = all(w.width / w.lo <= eps for w in weights)
-            if rel_ok:
-                return PerronData(lam, tuple(weights),
-                                  "adjugate column of vertex %d, unnormalized" % j)
+            got = accept(lam, weights, lam.width == 0)
+            if got is not None:
+                return got
         if lam.width == 0:
-            # exact rational eigenvalue: entries are exact; positivity must
-            # hold unless the wrong column was taken
-            weights = [p.eval_interval(lam) for p in col]
-            if all(w.strictly_positive() for w in weights):
-                return PerronData(lam, tuple(weights),
-                                  "adjugate column of vertex %d, unnormalized" % j)
             raise ArithmeticError("adjugate column not positive at exact eigenvalue")
         lam_eps = lam_eps * Fraction(1, 16)
         lam = refine_root(rd.char_poly, lam, lam_eps)
-    raise ArithmeticError("failed to refine Perron enclosure")
+    raise ArithmeticError("failed to refine the adjugate-column enclosure")
+
+
+def perron_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> PerronData:
+    """Perron vector enclosure from the adjugate column of a maximum-degree
+    vertex, refined until every entry has relative width <= eps."""
+    def accept(lam, weights, exact):
+        if exact or all(w.width / w.lo <= eps for w in weights):
+            return PerronData(lam, tuple(weights),
+                              "adjugate column of vertex %d, unnormalized"
+                              % _column_vertex(g))
+        return None
+
+    return _refine_column(g, DEFAULT_EPS, accept)
 
 
 @dataclass(frozen=True)
@@ -206,46 +210,25 @@ class GammaValue:
         return self.value.mid_float()
 
 
-def _gamma_interval_from_column(col, lam: RationalInterval) -> RationalInterval:
-    ws = [p.eval_interval(lam) for p in col]
-    if not all(w.strictly_positive() for w in ws):
-        raise ArithmeticError("column not positive")
-    s = ws[0]
-    for w in ws[1:]:
-        s = s.add(w)
-    sq = ws[0].square()
-    for w in ws[1:]:
-        sq = sq.add(w.square())
-    return s.square().div(sq)
-
-
 def gamma_enclosure(g: Graph, eps: Fraction = Fraction(1, 10 ** 8)) -> GammaValue:
     """Certified enclosure of gamma(G) with width <= eps.
 
     Scale-invariant in the Perron normalization, so the unnormalized
     adjugate column is used directly.
     """
-    if not g.is_connected():
-        raise ValueError("graph is disconnected")
-    rd = resolvent_data(g)
-    j = _column_vertex(g)
-    col = [rd.adjugate[i][j] for i in range(g.n)]
-    lam_eps = Fraction(1, 2 ** 30)
-    lam = lambda_enclosure(g, lam_eps)
-    gid = write_graph6(g)
-    for _ in range(220):
-        try:
-            iv = _gamma_interval_from_column(col, lam)
-            if iv.width <= eps:
-                return GammaValue(iv, gid, "certified")
-        except (ArithmeticError, ZeroDivisionError):
-            pass
-        if lam.width == 0:
-            iv = _gamma_interval_from_column(col, lam)
-            return GammaValue(iv, gid, "certified")
-        lam_eps = lam_eps * Fraction(1, 16)
-        lam = refine_root(rd.char_poly, lam, lam_eps)
-    raise ArithmeticError("failed to refine gamma enclosure")
+    def accept(lam, ws, exact):
+        s = ws[0]
+        for w in ws[1:]:
+            s = s.add(w)
+        sq = ws[0].square()
+        for w in ws[1:]:
+            sq = sq.add(w.square())
+        iv = s.square().div(sq)
+        if exact or iv.width <= eps:
+            return GammaValue(iv, write_graph6(g), "certified")
+        return None
+
+    return _refine_column(g, Fraction(1, 2 ** 30), accept)
 
 
 def gamma_refiner(g: Graph) -> Callable[[Fraction], RationalInterval]:
@@ -265,14 +248,18 @@ def threshold_enclosure(threshold: Threshold, eps: Fraction) -> RationalInterval
 def certified_below(refine: Callable[[Fraction], RationalInterval],
                     threshold: Threshold,
                     eps0: Fraction = Fraction(1, 10 ** 6)) -> bool:
-    """Decide value < threshold by joint refinement of both enclosures."""
+    """Decide value < threshold by joint refinement of both enclosures.
+
+    A value equal to a rational threshold is not below it once both
+    enclosures are the same point.
+    """
     eps = eps0
     for _ in range(60):
         iv = refine(eps)
         th = threshold_enclosure(threshold, eps)
         if iv.hi < th.lo:
             return True
-        if iv.lo > th.hi:
+        if iv.lo > th.hi or (iv.width == 0 and iv == th):
             return False
         eps = eps / 2 ** 8
     raise ArithmeticError("comparison undecided at maximal refinement")
@@ -298,14 +285,6 @@ def sp_infinite_gamma(p: int) -> SqrtRat:
     a = Fraction((p - 1) * (p - 1), 2 * (p - 3))
     b = Fraction(p - 1, p - 3)
     return SqrtRat(a, b, p - 2)
-
-
-def kp_infinite_lambda(p: int) -> SqrtRat:
-    return SqrtRat(Fraction(p - 3, 2), Fraction(p - 1, 2 * (p - 2)), p * p - 4)
-
-
-def sp_infinite_lambda(p: int) -> SqrtRat:
-    return SqrtRat(0, Fraction(p - 1, p - 2), p - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ are algebraic are handled by outer rational enclosures, refined on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -38,7 +39,7 @@ from .algebra import (
     substitute_t,
 )
 from .graphs import Graph, attach_fork, attach_path, write_graph6
-from .spectral import _power_iteration_hint, lambda_enclosure, resolvent_data
+from .spectral import lambda_enclosure, resolvent_data
 
 T_EPS = Fraction(1, 2 ** 40)
 
@@ -50,12 +51,16 @@ def _t_poly_of_charpoly(p: IntPoly) -> IntPoly:
     return f.num
 
 
+def _r_poly(lam: Fraction) -> IntPoly:
+    """t^2 - lam t + 1 cleared of denominators; for lam > 2 its larger root
+    r(lam) is the growth rate of Perron weights along a pendant path."""
+    return IntPoly([lam.denominator, -lam.numerator, lam.denominator])
+
+
 def r_enclosure_of_lambda(lam: Fraction, eps: Fraction = T_EPS) -> RationalInterval:
-    """Enclosure of the larger root of t^2 - lam t + 1 = 0, rational lam > 2."""
+    """Enclosure of r(lam), the larger root of t^2 - lam t + 1, rational lam > 2."""
     lam = Fraction(lam)
-    poly = IntPoly([lam.denominator, -lam.numerator, lam.denominator])
-    import math
-    return isolate_largest_root(poly, eps,
+    return isolate_largest_root(_r_poly(lam), eps,
                                 hint=(float(lam) + math.sqrt(max(0.0, float(lam) ** 2 - 4))) / 2)
 
 
@@ -148,11 +153,6 @@ class TailContext:
         raise ArithmeticError("failed to enclose the limiting ratio")
 
 
-def j_hat(ctx: TailContext) -> RationalFunction:
-    """The limiting-profile ratio as an exact rational function of t."""
-    return ctx.J_hat
-
-
 @dataclass(frozen=True)
 class TailEigendata:
     t_inf: RationalInterval
@@ -166,11 +166,6 @@ def infinite_tail_eigendata(ctx: TailContext,
     gamma = ctx.gamma_inf(eps)
     lam = ctx.lam_inf(eps)
     return TailEigendata(ctx.t_inf, lam, gamma)
-
-
-def build_tail_context(base: Graph, v: int, o: Optional[int] = None,
-                       **kw) -> TailContext:
-    return TailContext(base, v, o, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +318,7 @@ def _exact_gap_positive(ctx: TailContext, f: RationalFunction, target: SqrtRat,
     # (num - target*den)(num - conj(target)*den)
     tsum = Fraction(2 * target.a)
     tprod = Fraction(target.a * target.a - target.b * target.b * target.m)
-    import math as _math
-    lcm = tsum.denominator * tprod.denominator // _math.gcd(
+    lcm = tsum.denominator * tprod.denominator // math.gcd(
         tsum.denominator, tprod.denominator)
     w2 = ((num * num) * lcm - (num * den) * int(tsum * lcm)
           + (den * den) * int(tprod * lcm))
@@ -357,12 +351,6 @@ def _exact_gap_positive(ctx: TailContext, f: RationalFunction, target: SqrtRat,
     x = (left.hi + right.lo) / 2
     gap = SqrtRat(Fraction(num.eval(x)) / Fraction(den.eval(x)), 0, target.m) - target
     return gap.sign() > 0 if above else gap.sign() < 0
-
-
-def _scale_to_int(f: RationalFunction) -> IntPoly:
-    """Numerator of a rational function times a positive constant; only used
-    for root counting, where scaling is irrelevant."""
-    return f.num
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +429,9 @@ def check_gamma_upper(ctx: TailContext, k: int, lambda1: Fraction,
         "two-vertex window bound", ok, "rational-upper",
         "(S+1)^2/(T+1) - %s > 0 on [%s, %s]" % (beta_hi, lambda1, lambda2)))
 
-    # r' = r(lambda1)
-    rp_poly = IntPoly([lambda1.denominator, -lambda1.numerator, lambda1.denominator])
+    # r' = r(lambda1), isolated without a hint: its endpoints are printed in
+    # the certificate, and a hint would move them
+    rp_poly = _r_poly(lambda1)
     r_prime = isolate_largest_root(rp_poly, T_EPS)
 
     def refine_left(eps):
@@ -465,13 +454,13 @@ def check_gamma_upper(ctx: TailContext, k: int, lambda1: Fraction,
         "jhat' >= 0 on [%s, %s]" % (t_inf.lo, r_prime.hi)))
 
     # (vi), (vii): augmented ratios above beta on (t_inf, r')
-    t = ctx._t
+    t, onet = ctx._t, ctx._one
     cconst = RationalFunction.constant(c, "t")
     for name, extra1, extra2 in (
             ("augmented ratio at weight c", cconst, cconst * cconst),
             ("augmented ratio at weight c*t", cconst * t, cconst * cconst * t * t)):
-        num = ctx.S_hat + one_t(ctx) + extra1
-        ratio = (num * num) / (ctx.T_hat + one_t(ctx) + extra2)
+        num = ctx.S_hat + onet + extra1
+        ratio = (num * num) / (ctx.T_hat + onet + extra2)
         ok = _rf_nonneg_on_enclosed(ratio - RationalFunction.constant(beta_hi, "t"),
                                     t_inf, r_prime, refine_left, refine_right)
         conds.append(ConditionResult(name, ok, "rational-upper",
@@ -479,7 +468,6 @@ def check_gamma_upper(ctx: TailContext, k: int, lambda1: Fraction,
                                      % (beta_hi, t_inf.lo, r_prime.hi)))
 
     # (viii) the k-dependent lower bound on the branch weight
-    onet = one_t(ctx)
     geo1 = t / (t - onet)
     tk = RationalFunction(IntPoly([1]), IntPoly([0] * k + [1]), "t")
     factor = onet - ((t + onet) / (t - onet)) * tk
@@ -508,10 +496,6 @@ def check_gamma_upper(ctx: TailContext, k: int, lambda1: Fraction,
               "c_flag": "c = 1 accepted" if c == 1 else ""}
     return TailCertificate("branching-tail-above-limit",
                            write_graph6(ctx.base), params, tuple(conds))
-
-
-def one_t(ctx: TailContext) -> RationalFunction:
-    return ctx._one
 
 
 def cond8_monotone_floor(ctx: TailContext, k0: int) -> bool:

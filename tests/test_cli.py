@@ -151,15 +151,3 @@ def test_prove_cli_subprocess_graphs(tmp_path):
 
 def test_schema_is_itself_valid():
     jsonschema.Draft202012Validator.check_schema(SCHEMA)
-
-
-def test_extension_report_markdown():
-    from fractions import Fraction
-    from perronbalance.bounds import KernelContext, family_all_subsets, verify_extension
-    from perronbalance.graphs import RootedKernel, active_vertices
-    k = RootedKernel(attach_path(complete_graph(3), 0, 3), 0)
-    fam = family_all_subsets(active_vertices(k, "graph").vertices)
-    rep = verify_extension(KernelContext(k), fam, Fraction(21, 4))
-    md = reports.extension_report_markdown(rep)
-    assert "FAILED" in md and "witness" in md
-    assert md.count("|") > 20

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from perronbalance import reports
 from perronbalance.bounds import mask_vertices
 from perronbalance.graphs import (
     RootedKernel,
@@ -225,6 +226,41 @@ def test_elimination_case3_survivor_shape():
     va = active_vertices(kernel, "tree").vertices
     remaining, examined = active_vertex_elimination(kernel, va, beta_tr_upper())
     assert remaining          # never empties: the kernel survives
+
+
+# -- worker processes ----------------------------------------------------------------
+# kernels= is passed explicitly: the stage cache is keyed on (beta, mode), not
+# on jobs, so a full-enumeration rerun would return the first report.
+
+def _stage_doc(report) -> dict:
+    doc = reports.stage_json(report)
+    del doc["generated_at"], doc["elapsed_seconds"]
+    return doc
+
+
+def _direct_pair(enumerated, special) -> list:
+    codes = {k.canonical() for k in special}
+    return [k for k in enumerated if k.canonical() not in codes][:2]
+
+
+def test_graph_stage_jobs_parity():
+    special = exceptional_graph_kernels() + (conjectured_graph_kernel(),)
+    kernels = list(special) + _direct_pair(enumerate_graph_kernels(), special)
+    one = graph_kernel_stage(kernels=kernels, jobs=1)
+    two = graph_kernel_stage(kernels=kernels, jobs=2)
+    assert one.classification_counts() == {"direct": 2, "exceptional": 4,
+                                           "survivor": 1}
+    assert _stage_doc(two) == _stage_doc(one)
+
+
+def test_tree_stage_jobs_parity():
+    special = special_tree_kernels()
+    kernels = list(special) + _direct_pair(enumerate_tree_kernels(), special)
+    one = tree_kernel_stage(kernels=kernels, jobs=1)
+    two = tree_kernel_stage(kernels=kernels, jobs=2)
+    assert one.classification_counts() == {"direct": 2, "exceptional": 2,
+                                           "survivor": 1}
+    assert _stage_doc(two) == _stage_doc(one)
 
 
 # -- branch checks ---------------------------------------------------------------------

@@ -364,3 +364,9 @@ def test_certified_below_refines():
     assert certified_below(gamma_refiner(g), Fraction(21, 4))
     assert not certified_below(gamma_refiner(g), BETA_STAR)
     assert not certified_below(gamma_refiner(g), Fraction(5))
+
+
+def test_certified_below_exact_equality():
+    # rational values hit exactly: the enclosures collapse to the threshold
+    assert not certified_below(gamma_refiner(complete_graph(4)), 4)
+    assert not certified_below(gamma_refiner(star_graph(5)), Fraction(9, 2))

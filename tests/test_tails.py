@@ -34,12 +34,10 @@ from perronbalance.spectral import (
 )
 from perronbalance.tails import (
     TailContext,
-    build_tail_context,
     check_gamma_lower,
     check_gamma_upper,
     cond8_monotone_floor,
     infinite_tail_eigendata,
-    j_hat,
     lambda_sandwich_audit,
     r_enclosure_of_lambda,
 )
@@ -81,10 +79,10 @@ def test_context_rejects_small_eigenvalue():
 
 
 def test_j_hat_exact_coefficients(k4_ctx, s5_ctx):
-    jk = j_hat(k4_ctx)
+    jk = k4_ctx.J_hat
     assert jk.num == IntPoly([4, 8, 9, 3, -3, -3, -1, 1])
     assert jk.den == IntPoly([6, -6, -19, 23, -7, 7, -5, 1])
-    js = j_hat(s5_ctx)
+    js = s5_ctx.J_hat
     assert js.num == IntPoly([9, 12, 10, 4, 1])
     assert js.den == IntPoly([9, 0, -2, 0, 1])
 
@@ -290,8 +288,3 @@ def test_lambda_monotone_chain_below_limit():
         if prev is not None:
             assert lam.lo > prev.hi
         prev = lam
-
-
-def test_build_tail_context_alias():
-    ctx = build_tail_context(complete_graph(4), 1)
-    assert ctx.v == 1
