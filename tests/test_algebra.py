@@ -59,11 +59,14 @@ def test_char_poly_clique_with_pendant():
     assert rd.char_poly == expect
 
 
+def test_char_and_adjugate_trivial():
+    rd = resolvent_data(Graph(1, (0,)))
+    assert rd.char_poly == IntPoly([0, 1])
+    assert rd.adjugate[0][0] == IntPoly([1])
+    assert rd.verify([[0]])
+
+
 def test_resolvent_identity_random_graphs():
-    single = resolvent_data(Graph(1, (0,)))
-    assert single.char_poly == IntPoly([0, 1])
-    assert single.adjugate[0][0] == IntPoly([1])
-    assert single.verify([[0]])
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(2, 10)
