@@ -44,6 +44,16 @@ class IntPoly:
                 raise TypeError("IntPoly coefficients must be int, got %r" % type(c))
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _from_ints(cls, cs: list) -> "IntPoly":
+        """Trusted constructor for the ring operations: cs is a fresh list
+        of ints, trimmed here without the per-coefficient type check."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
+
     # -- basic structure ----------------------------------------------------
 
     @property
@@ -79,20 +89,20 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return IntPoly._from_ints(out)
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             out[i] -= c
-        return IntPoly(out)
+        return IntPoly._from_ints(out)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
+        return IntPoly._from_ints([-c for c in self.coeffs])
 
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
+            return IntPoly._from_ints([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
@@ -101,7 +111,7 @@ class IntPoly:
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return IntPoly(out)
+        return IntPoly._from_ints(out)
 
     __rmul__ = __mul__
 
@@ -190,7 +200,7 @@ class IntPoly:
         for j in range(n - 1):
             for i in range(n - 2, j - 1, -1):
                 c[i] += a * c[i + 1]
-        return IntPoly(c)
+        return IntPoly._from_ints(c)
 
     def shift_scaled(self, q: Rat) -> "IntPoly":
         """Integer polynomial whose coefficients have the same signs as those
@@ -208,7 +218,7 @@ class IntPoly:
         if d < 0:
             return self
         scaled = [self.coeffs[k] * b ** (d - k) for k in range(d + 1)]
-        return IntPoly(scaled).shift_int(a)
+        return IntPoly._from_ints(scaled).shift_int(a)
 
     def all_coeffs_nonneg_shifted(self, q: Rat) -> bool:
         return all(c >= 0 for c in self.shift_scaled(q).coeffs)

@@ -21,12 +21,25 @@ minimized over lam >= max(lam_U, lam_V), where lam_U is the top eigenvalue
 of H plus one new vertex joined to U.  Clearing denominators turns each
 pair check into the nonnegativity of one integer polynomial Q_{U,V} on a
 ray, certified here by shifted-coefficient signs with a Sturm fallback.
+
+Each pair costs one polynomial product.  The adjugate is symmetric, so
+
+    P^2 * c_{U,V}  = 1_U^T adj^2 1_V = sum_{j in V} R_U[j],
+    R_U[j]         = sum_{i in U} adj^2[i][j],
+
+with the entries of adj^2 built once per kernel and the rows R_U once per
+boundary set, as are P s_U + P and P^2 Bt_{o,U}.  The characteristic
+polynomial of H plus a vertex joined to U is the bordered determinant
+x*P(x) - 1_U^T adj 1_U, so no resolvent of the larger graph is formed.  The
+first isolation of lam_U is shared across kernels through a module-level
+cache keyed on the canonical form of H+U and the width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
@@ -36,7 +49,7 @@ from .algebra import (
     ray_verdict,
     refine_root,
 )
-from .graphs import RootedKernel, _bits
+from .graphs import RootedKernel, _bits, canonical_form
 from .spectral import resolvent_data, _power_iteration_hint
 
 LAMBDA_EPS = Fraction(1, 2 ** 30)
@@ -60,8 +73,25 @@ def mask_vertices(mask: int) -> tuple:
     return tuple(_bits(mask))
 
 
+# First isolation of each attachment eigenvalue, shared by every kernel
+# context: keyed on (canonical form of H+U, eps), because the enclosure
+# depends on the float hint and cospectral graphs can get different ones.
+_FIRST_LAMBDA: dict = {}
+_FIRST_LAMBDA_COUNTS = {"hits": 0, "misses": 0}
+
+
+def first_lambda_cache_info() -> dict:
+    """Hit and miss counts and size of the shared first-isolation cache."""
+    return dict(_FIRST_LAMBDA_COUNTS, size=len(_FIRST_LAMBDA))
+
+
 class KernelContext:
-    """Per-kernel cache of the resolvent polynomials and attachment data."""
+    """Per-kernel cache of the resolvent polynomials and attachment data.
+
+    Every pair quantity is assembled from data built once per kernel (the
+    adjugate and, entry by entry, its square) or once per boundary set, so
+    a pair check costs one polynomial product.
+    """
 
     def __init__(self, kernel: RootedKernel):
         self.kernel = kernel
@@ -71,10 +101,11 @@ class KernelContext:
         self.char = self.resolvent.char_poly
         self._pbt: dict[int, tuple] = {}
         self._ps: dict[int, IntPoly] = {}
-        self._pc: dict[tuple, IntPoly] = {}
+        self._adj2: dict[tuple, IntPoly] = {}
+        self._row: dict[tuple, IntPoly] = {}
+        self._q: dict[int, tuple] = {}
         self._lam: dict[int, RationalInterval] = {}
         self._lam_eps: dict[int, Fraction] = {}
-        self._lam_poly: dict[int, IntPoly] = {}
 
     # -- resolvent polynomials ------------------------------------------------
 
@@ -102,46 +133,79 @@ class KernelContext:
             self._ps[mask] = got
         return got
 
+    def _adj2_entry(self, i: int, j: int) -> IntPoly:
+        """Entry (i, j) of adj^2; the adjugate is symmetric, so is its square."""
+        key = (i, j) if i <= j else (j, i)
+        got = self._adj2.get(key)
+        if got is None:
+            adj = self.resolvent.adjugate
+            got = sum((adj[i][u] * adj[u][j] for u in range(self.graph.n)),
+                      IntPoly())
+            self._adj2[key] = got
+        return got
+
+    def _adj2_row(self, mask: int, j: int) -> IntPoly:
+        """R_U[j] = sum over i in U of adj^2[i][j]."""
+        got = self._row.get((mask, j))
+        if got is None:
+            got = sum((self._adj2_entry(i, j) for i in _bits(mask)), IntPoly())
+            self._row[(mask, j)] = got
+        return got
+
     def c_poly(self, u_mask: int, v_mask: int) -> IntPoly:
-        """P^2 * c_{U,V}: inner product of the two partial column sums."""
+        """P^2 * c_{U,V} = 1_U^T adj^2 1_V: the inner product of the two
+        partial column sums, as a sum of cached rows."""
         if not u_mask or not v_mask:
             raise ValueError("empty boundary set")
-        key = (u_mask, v_mask) if u_mask <= v_mask else (v_mask, u_mask)
-        got = self._pc.get(key)
-        if got is None:
-            a = self.pbt_column(key[0])
-            b = self.pbt_column(key[1])
-            got = sum((x * y for x, y in zip(a, b)), IntPoly())
-            self._pc[key] = got
-        return got
+        rows = [self._adj2_row(u_mask, j).coeffs for j in _bits(v_mask)]
+        return IntPoly(map(sum, zip_longest(*rows, fillvalue=0)))
 
     # -- attachment eigenvalues -------------------------------------------------
 
     def _attachment_poly(self, mask: int) -> IntPoly:
-        got = self._lam_poly.get(mask)
-        if got is None:
-            gu = self.graph.add_vertex(mask)
-            got = resolvent_data(gu).char_poly
-            self._lam_poly[mask] = got
-        return got
+        """Characteristic polynomial of H plus one vertex joined to the set:
+        the bordered determinant x*P(x) - 1_U^T adj 1_U."""
+        col = self.pbt_column(mask)
+        inner = sum((col[i] for i in _bits(mask)), IntPoly())
+        return self.char.shifted_degree(1) - inner
 
     def lambda_U(self, mask: int, eps: Fraction = LAMBDA_EPS) -> RationalInterval:
-        """Top eigenvalue of H with one new vertex joined to the set."""
+        """Top eigenvalue of H with one new vertex joined to the set.
+
+        The first isolation at each eps comes from the shared cache; a
+        tighter eps later refines this context's own enclosure.
+        """
         if not mask:
             raise ValueError("empty boundary set")
         cur = self._lam.get(mask)
         if cur is None or self._lam_eps[mask] > eps:
-            poly = self._attachment_poly(mask)
             if cur is None:
                 gu = self.graph.add_vertex(mask)
-                cur = isolate_largest_root(poly, eps, hint=_power_iteration_hint(gu))
+                key = (canonical_form(gu), eps)
+                cur = _FIRST_LAMBDA.get(key)
+                if cur is None:
+                    _FIRST_LAMBDA_COUNTS["misses"] += 1
+                    cur = isolate_largest_root(self._attachment_poly(mask), eps,
+                                               hint=_power_iteration_hint(gu))
+                    _FIRST_LAMBDA[key] = cur
+                else:
+                    _FIRST_LAMBDA_COUNTS["hits"] += 1
             else:
-                cur = refine_root(poly, cur, eps)
+                cur = refine_root(self._attachment_poly(mask), cur, eps)
             self._lam[mask] = cur
             self._lam_eps[mask] = eps
         return cur
 
     # -- the certificate polynomial ---------------------------------------------
+
+    def _q_terms(self, mask: int) -> tuple:
+        """Per-set factors of the pair polynomial: (P s_U + P, P^2 Bt_{o,U})."""
+        got = self._q.get(mask)
+        if got is None:
+            got = (self.s_poly(mask) + self.char,
+                   self.pbt_column(mask)[self.root] * self.char)
+            self._q[mask] = got
+        return got
 
     def q_poly(self, u_mask: int, v_mask: int, beta: Fraction) -> tuple:
         """The pair polynomial, scaled integer form.
@@ -157,13 +221,11 @@ class KernelContext:
         beta = Fraction(beta)
         if beta < 0:
             raise ValueError("beta must be nonnegative")
-        p = self.char
-        a = (self.s_poly(u_mask) + p) * (self.s_poly(v_mask) + p)
-        bo_u = self.pbt_column(u_mask)[self.root] * p
-        bo_v = self.pbt_column(v_mask)[self.root] * p
+        a_u, bo_u = self._q_terms(u_mask)
+        a_v, bo_v = self._q_terms(v_mask)
         b = (self.c_poly(u_mask, v_mask) * 2) + bo_u + bo_v
         scale = 2 * beta.denominator
-        q = a * scale - b * beta.numerator
+        q = (a_u * a_v) * scale - b * beta.numerator
         return q, scale
 
 

@@ -9,13 +9,16 @@ Subcommands:
   curves        the two pairwise-bound comparison curves for a worked kernel
 
 Exit codes: 0 success / certificate PASS, 1 proof FAIL or unmet
-expectations, 2 input error.  Named targets beta-star and beta-tr resolve
-to certified algebraic enclosures of the limit ratios, never to decimals.
+expectations, 2 input error, 3 arithmetic error (for instance a comparison
+left undecided at maximal refinement).  Named targets beta-star and beta-tr
+resolve to certified algebraic enclosures of the limit ratios, never to
+decimals.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +37,9 @@ from .graphs import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_ARITHMETIC = 3
+
+DECIMAL_PLACES = 20
 
 
 def _parse_beta(text: str):
@@ -78,6 +84,20 @@ def _read_graph(spec: str) -> Graph:
     return parse_graph6(spec)
 
 
+def _interval_text(iv) -> str:
+    """Exact endpoints for a point enclosure; otherwise decimals rounded
+    outward, so the printed interval still contains the exact one."""
+    if iv.width == 0:
+        return "[%s, %s]" % (iv.lo, iv.hi)
+    scale = 10 ** DECIMAL_PLACES
+    ends = []
+    for num in (math.floor(iv.lo * scale), math.ceil(iv.hi * scale)):
+        whole, frac = divmod(abs(num), scale)
+        ends.append("%s%d.%0*d" % ("-" if num < 0 else "", whole,
+                                   DECIMAL_PLACES, frac))
+    return "[%s, %s]" % tuple(ends)
+
+
 def _write_out(args, name: str, text: str) -> Path:
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -100,7 +120,7 @@ def cmd_gamma(args) -> int:
     print("graph6   %s" % args.graph if ";" not in args.graph else "")
     print("lambda   [%s, %s]" % (lam.lo, lam.hi))
     print("lambda ~ %.10f" % lam.mid_float())
-    print("gamma    [%s, %s]" % (gv.value.lo, gv.value.hi))
+    print("gamma    %s" % _interval_text(gv.value))
     print("gamma  ~ %.10f" % gv.midpoint())
     if args.format == "json" or args.out:
         from .graphs import write_graph6
@@ -277,6 +297,9 @@ def main(argv=None) -> int:
     except (Graph6Error, ValueError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except ArithmeticError as exc:
+        print("arithmetic error: %s" % exc, file=sys.stderr)
+        return EXIT_ARITHMETIC
 
 
 if __name__ == "__main__":

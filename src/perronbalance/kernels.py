@@ -210,9 +210,10 @@ class StageReport:
 
 def _classify_single(g: Graph, beta: Fraction, limit: SqrtRat) -> LeftoverGraph:
     from .graphs import canonical_relabel
-    gv = gamma_enclosure(g, Fraction(1, 10 ** 6))
-    below_beta = certified_below(gamma_refiner(g), beta)
-    below_limit = certified_below(gamma_refiner(g), limit)
+    eps = Fraction(1, 10 ** 6)
+    gv = gamma_enclosure(g, eps)
+    below_beta = certified_below(gamma_refiner(g), beta, eps, first=gv.value)
+    below_limit = certified_below(gamma_refiner(g), limit, eps, first=gv.value)
     return LeftoverGraph(write_graph6(canonical_relabel(g)),
                          gv.value.lo, gv.value.hi, below_beta, below_limit)
 

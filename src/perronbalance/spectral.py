@@ -155,10 +155,14 @@ def _column_vertex(g: Graph) -> int:
     return degs.index(best)
 
 
-def _refine_column(g: Graph, lam_eps: Fraction, accept):
+def _refine_column(g: Graph, lam_eps: Fraction, accept,
+                   lam: RationalInterval | None = None):
     """Evaluate the adjugate column of a maximum-degree vertex on an
     eigenvalue enclosure that starts at width lam_eps and shrinks by 16 per
     round, until accept(lam, weights, exact) returns a result.
+
+    lam, when given, is the starting enclosure lambda_enclosure(g, lam_eps)
+    already computed by the caller.
 
     accept is called only once every weight is strictly positive; exact
     says the eigenvalue is rational and hit exactly, so the weights are
@@ -171,7 +175,8 @@ def _refine_column(g: Graph, lam_eps: Fraction, accept):
     rd = resolvent_data(g)
     j = _column_vertex(g)
     col = [rd.adjugate[i][j] for i in range(g.n)]
-    lam = lambda_enclosure(g, lam_eps)
+    if lam is None:
+        lam = lambda_enclosure(g, lam_eps)
     for _ in range(220):
         weights = [p.eval_interval(lam) for p in col]
         if all(w.strictly_positive() for w in weights):
@@ -210,11 +215,17 @@ class GammaValue:
         return self.value.mid_float()
 
 
-def gamma_enclosure(g: Graph, eps: Fraction = Fraction(1, 10 ** 8)) -> GammaValue:
+GAMMA_LAMBDA_EPS = Fraction(1, 2 ** 30)
+
+
+def gamma_enclosure(g: Graph, eps: Fraction = Fraction(1, 10 ** 8),
+                    lam: RationalInterval | None = None) -> GammaValue:
     """Certified enclosure of gamma(G) with width <= eps.
 
     Scale-invariant in the Perron normalization, so the unnormalized
-    adjugate column is used directly.
+    adjugate column is used directly.  The eigenvalue enclosure starts at
+    lam, which must be lambda_enclosure(g, GAMMA_LAMBDA_EPS), computed here
+    when not given.
     """
     def accept(lam, ws, exact):
         s = ws[0]
@@ -228,7 +239,7 @@ def gamma_enclosure(g: Graph, eps: Fraction = Fraction(1, 10 ** 8)) -> GammaValu
             return GammaValue(iv, write_graph6(g), "certified")
         return None
 
-    return _refine_column(g, Fraction(1, 2 ** 30), accept)
+    return _refine_column(g, GAMMA_LAMBDA_EPS, accept, lam)
 
 
 def gamma_refiner(g: Graph) -> Callable[[Fraction], RationalInterval]:
@@ -247,15 +258,17 @@ def threshold_enclosure(threshold: Threshold, eps: Fraction) -> RationalInterval
 
 def certified_below(refine: Callable[[Fraction], RationalInterval],
                     threshold: Threshold,
-                    eps0: Fraction = Fraction(1, 10 ** 6)) -> bool:
+                    eps0: Fraction = Fraction(1, 10 ** 6),
+                    first: RationalInterval | None = None) -> bool:
     """Decide value < threshold by joint refinement of both enclosures.
 
-    A value equal to a rational threshold is not below it once both
-    enclosures are the same point.
+    first, when given, is refine(eps0) already computed by the caller, and
+    serves as the first round.  A value equal to a rational threshold is not
+    below it once both enclosures are the same point.
     """
     eps = eps0
-    for _ in range(60):
-        iv = refine(eps)
+    for k in range(60):
+        iv = first if k == 0 and first is not None else refine(eps)
         th = threshold_enclosure(threshold, eps)
         if iv.hi < th.lo:
             return True
@@ -442,10 +455,10 @@ def min_gamma_table(n: int, kind: str, threshold: Threshold,
     rows = []
     below = 0
     for g in items:
-        gv = gamma_enclosure(g, eps)
-        lam = lambda_enclosure(g, Fraction(1, 2 ** 30))
+        lam = lambda_enclosure(g, GAMMA_LAMBDA_EPS)
+        gv = gamma_enclosure(g, eps, lam)
         rows.append(TableRow(write_graph6(canonical_relabel(g)), gv, lam))
-        if certified_below(gamma_refiner(g), threshold, eps):
+        if certified_below(gamma_refiner(g), threshold, eps, first=gv.value):
             below += 1
     rows.sort(key=lambda r: (r.gamma.value.mid, r.graph6))
     return tuple(rows), below

@@ -13,6 +13,7 @@ from perronbalance.bounds import (
     check_pair,
     family_all_subsets,
     family_singletons,
+    first_lambda_cache_info,
     mask_vertices,
     subset_mask,
     verify_extension,
@@ -24,6 +25,7 @@ from perronbalance.graphs import (
     attach_path,
     complete_graph,
     enumerate_graph_kernels,
+    enumerate_tree_kernels,
     star_graph,
 )
 from perronbalance.spectral import (
@@ -121,6 +123,50 @@ def test_c_poly_symmetry_and_cauchy_schwarz():
         cv = c.c_poly(v, v).eval(lam)
         cuv = c.c_poly(u, v).eval(lam)
         assert cuv * cuv <= cu * cv
+
+
+def test_attachment_poly_is_bordered_determinant():
+    kernels = (list(enumerate_graph_kernels())[:8]
+               + list(enumerate_tree_kernels())[:4])
+    for k in kernels:
+        c = KernelContext(k)
+        for mask in range(1, 1 << k.graph.n):
+            want = resolvent_data(k.graph.add_vertex(mask)).char_poly
+            assert c._attachment_poly(mask) == want
+
+
+def test_c_poly_is_pbt_inner_product():
+    for k in list(enumerate_graph_kernels())[:2]:
+        c = KernelContext(k)
+        n = k.graph.n
+        masks = range(1, 1 << n)
+        for um in masks:
+            a = c.pbt_column(um)
+            for vm in masks:
+                b = c.pbt_column(vm)
+                want = IntPoly()
+                for u in range(n):
+                    want = want + a[u] * b[u]
+                assert c.c_poly(um, vm) == want
+
+
+def test_lambda_u_shared_across_relabelled_kernels():
+    k = list(enumerate_graph_kernels())[5]
+    perm = [5, 3, 0, 4, 1, 2]
+    k2 = RootedKernel(k.graph.relabel(perm), perm[k.root])
+    mask = subset_mask([0, 2, 3])
+    mask2 = subset_mask(perm[v] for v in (0, 2, 3))
+    assert k2.graph.add_vertex(mask2) != k.graph.add_vertex(mask)
+    eps = Fraction(1, 2 ** 33)            # a key no other check uses
+    before = first_lambda_cache_info()
+    iv = KernelContext(k).lambda_U(mask, eps)
+    mid = first_lambda_cache_info()
+    iv2 = KernelContext(k2).lambda_U(mask2, eps)
+    after = first_lambda_cache_info()
+    assert iv2 == iv and iv.width <= eps
+    assert mid["misses"] == before["misses"] + 1
+    assert after["hits"] == mid["hits"] + 1
+    assert after["misses"] == mid["misses"]
 
 
 def test_lambda_u_worked_example(ctx):

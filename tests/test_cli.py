@@ -48,6 +48,37 @@ def test_gamma_json_valid(tmp_path, capsys):
     jsonschema.validate(doc, SCHEMA)
 
 
+def test_gamma_short_endpoints(capsys):
+    # P6: exact endpoints have hundreds of digits; the printed ones are
+    # 20-place decimals rounded outward
+    from fractions import Fraction
+    from perronbalance.graphs import path_graph, write_graph6
+    from perronbalance.spectral import gamma_enclosure
+    g = path_graph(6)
+    assert run_cli(["gamma", write_graph6(g)]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("gamma    "))
+    assert len(line) <= 60
+    lo, hi = (Fraction(t) for t in line.split("[")[1].rstrip("]").split(", "))
+    exact = gamma_enclosure(g, Fraction(1, 10 ** 8)).value
+    assert lo <= exact.lo and exact.hi <= hi
+    assert exact.lo - lo < Fraction(1, 10 ** 20)
+    assert hi - exact.hi < Fraction(1, 10 ** 20)
+
+
+def test_arithmetic_error_exit_code(monkeypatch, capsys):
+    from perronbalance import spectral
+
+    def undecided(*args, **kwargs):
+        raise ArithmeticError("comparison undecided at maximal refinement")
+
+    monkeypatch.setattr(spectral, "gamma_enclosure", undecided)
+    assert run_cli(["gamma", "C~"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "undecided" in err
+
+
 def test_exit_codes(capsys):
     assert run_cli(["gamma", "thisisnotagraph"]) == 2
     assert run_cli(["gamma", "A?"]) == 2          # disconnected two vertices
