@@ -186,10 +186,18 @@ class IntPoly:
         return _sign(acc)
 
     def eval_interval(self, iv: "RationalInterval") -> "RationalInterval":
-        acc = RationalInterval(Fraction(0), Fraction(0))
-        for c in reversed(self.coeffs):
-            acc = acc.mul_interval(iv).add_scalar(c)
-        return acc
+        """Interval Horner enclosure of p over iv.
+
+        Runs on integer numerators over the common denominator of the
+        endpoints (horner_interval) and gives exactly the endpoints of
+        rational interval Horner, acc -> acc*iv + c from acc = [0, 0].
+        """
+        if not self.coeffs:
+            return RationalInterval(Fraction(0), Fraction(0))
+        lo, hi, den = iv.numerators()
+        a, b = horner_interval(self.coeffs, lo, hi, den)
+        scale = den ** self.degree
+        return RationalInterval(Fraction(a, scale), Fraction(b, scale))
 
     # -- shifts ---------------------------------------------------------------
 
@@ -265,6 +273,29 @@ class IntPoly:
         return poly_to_text([Fraction(c) for c in self.coeffs], var)
 
 
+def horner_interval(coeffs: Sequence[int], lo: int, hi: int,
+                    den: int) -> tuple:
+    """Interval Horner on integer numerators.
+
+    For ascending coefficients of degree m = len(coeffs) - 1 and the
+    interval [lo/den, hi/den], den > 0, returns integers (a, b) such that
+    [a/den^m, b/den^m] is exactly the rational interval Horner enclosure.
+    After k steps the accumulator is [a, b]/den^(k-1): the product with
+    [lo, hi]/den is the min and max of four integer products (den^k > 0
+    keeps their order), and adding c adds c*den^k to both ends.  The
+    endpoints may have any sign and need not be dyadic.
+    """
+    a = b = 0
+    s = 1
+    for c in reversed(coeffs):
+        p, q, r, t = a * lo, a * hi, b * lo, b * hi
+        cs = c * s
+        a = min(p, q, r, t) + cs
+        b = max(p, q, r, t) + cs
+        s *= den
+    return a, b
+
+
 def poly_to_text(coeffs: Sequence[Fraction], var: str = "x") -> str:
     """Serialize ascending coefficients as "c0 + c1*x + c2*x^2 + ..."."""
     if not coeffs:
@@ -314,11 +345,16 @@ class RationalInterval:
     def mid_float(self) -> float:
         return float(self.mid)
 
+    def numerators(self) -> tuple:
+        """(lo_num, hi_num, den): the endpoints over den = lcm of their
+        denominators."""
+        dl, dh = self.lo.denominator, self.hi.denominator
+        den = math.lcm(dl, dh)
+        return (self.lo.numerator * (den // dl),
+                self.hi.numerator * (den // dh), den)
+
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
-
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
 
     def add(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(self.lo + other.lo, self.hi + other.hi)

@@ -169,12 +169,22 @@ class KernelContext:
         inner = sum((col[i] for i in _bits(mask)), IntPoly())
         return self.char.shifted_degree(1) - inner
 
-    def lambda_U(self, mask: int, eps: Fraction = LAMBDA_EPS) -> RationalInterval:
-        """Top eigenvalue of H with one new vertex joined to the set.
+    def lambda_U(self, mask: int, eps: Fraction | None = None) -> RationalInterval:
+        """Top eigenvalue of H with one new vertex joined to the set, with
+        width at most eps, which is capped at LAMBDA_EPS.
 
-        The first isolation at each eps comes from the shared cache; a
-        tighter eps later refines this context's own enclosure.
+        Without eps, the context's enclosure of the set is returned as it
+        stands (never wider than LAMBDA_EPS), at the cost of one lookup.  The
+        first isolation at each eps comes from the shared cache; a tighter
+        eps later refines this context's own enclosure.
         """
+        if eps is None:
+            cur = self._lam.get(mask)
+            if cur is not None:
+                return cur
+            eps = LAMBDA_EPS
+        elif eps > LAMBDA_EPS:
+            eps = LAMBDA_EPS
         if not mask:
             raise ValueError("empty boundary set")
         cur = self._lam.get(mask)

@@ -24,6 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, kernels, reports, spectral
+from .algebra import refine_root
 from .graphs import (
     Graph,
     Graph6Error,
@@ -115,8 +116,10 @@ def cmd_gamma(args) -> int:
     if not g.is_connected():
         print("input error: graph is disconnected", file=sys.stderr)
         return EXIT_INPUT
-    lam = spectral.lambda_enclosure(g, args.eps)
-    gv = spectral.gamma_enclosure(g, args.eps)
+    lam = spectral.lambda_enclosure(g, spectral.GAMMA_LAMBDA_EPS)
+    gv = spectral.gamma_enclosure(g, args.eps, lam)
+    if args.eps < spectral.GAMMA_LAMBDA_EPS:
+        lam = refine_root(spectral.resolvent_data(g).char_poly, lam, args.eps)
     print("graph6   %s" % args.graph if ";" not in args.graph else "")
     print("lambda   [%s, %s]" % (lam.lo, lam.hi))
     print("lambda ~ %.10f" % lam.mid_float())

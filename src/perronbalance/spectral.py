@@ -11,6 +11,12 @@ isolated as the largest root of the characteristic polynomial, and the
 Perron vector is read off a column of the adjugate adj(lam*I - A), which is
 rank-one and entrywise positive at the top eigenvalue.
 
+Interval evaluation runs on integer numerators over the common denominator
+of the eigenvalue enclosure (algebra.horner_interval), with exactly the
+endpoints of rational interval Horner; the adjugate column is evaluated on
+one scale, so the gamma enclosure needs only sums of integers and two
+fractions.
+
 Floating point is used only to seed root searches.
 """
 
@@ -27,6 +33,7 @@ from .algebra import (
     RationalInterval,
     ResolventData,
     SqrtRat,
+    horner_interval,
     isolate_largest_root,
     refine_root,
 )
@@ -159,28 +166,35 @@ def _refine_column(g: Graph, lam_eps: Fraction, accept,
                    lam: RationalInterval | None = None):
     """Evaluate the adjugate column of a maximum-degree vertex on an
     eigenvalue enclosure that starts at width lam_eps and shrinks by 16 per
-    round, until accept(lam, weights, exact) returns a result.
+    round, until accept(lam, nums, scale, exact) returns a result.
 
     lam, when given, is the starting enclosure lambda_enclosure(g, lam_eps)
     already computed by the caller.
 
-    accept is called only once every weight is strictly positive; exact
-    says the eigenvalue is rational and hit exactly, so the weights are
-    exact and accept must return.  At the top eigenvalue the adjugate is a
-    positive rank-one matrix, so the column of any vertex is a valid
-    positive eigenvector.
+    nums holds one integer pair (a, b) per vertex: the weight enclosure is
+    [a/scale, b/scale], the same rationals as interval Horner on the
+    entry.  Every entry is evaluated over scale = den^(n-1), den the common
+    denominator of lam's endpoints.  accept is called only once every
+    weight is strictly positive (a > 0); exact says the eigenvalue is
+    rational and hit exactly, so the weights are exact and accept must
+    return.  At the top eigenvalue the adjugate is a positive rank-one
+    matrix, so the column of any vertex is a valid positive eigenvector.
     """
     if not g.is_connected():
         raise ValueError("graph is disconnected")
     rd = resolvent_data(g)
     j = _column_vertex(g)
-    col = [rd.adjugate[i][j] for i in range(g.n)]
+    n = g.n
+    # leading zeros put every entry on the scale of degree n - 1
+    col = [rd.adjugate[i][j].coeffs for i in range(n)]
+    col = [cs + (0,) * (n - len(cs)) for cs in col]
     if lam is None:
         lam = lambda_enclosure(g, lam_eps)
     for _ in range(220):
-        weights = [p.eval_interval(lam) for p in col]
-        if all(w.strictly_positive() for w in weights):
-            got = accept(lam, weights, lam.width == 0)
+        lo, hi, den = lam.numerators()
+        nums = [horner_interval(cs, lo, hi, den) for cs in col]
+        if all(a > 0 for a, _ in nums):
+            got = accept(lam, nums, den ** (n - 1), lam.width == 0)
             if got is not None:
                 return got
         if lam.width == 0:
@@ -193,9 +207,11 @@ def _refine_column(g: Graph, lam_eps: Fraction, accept,
 def perron_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> PerronData:
     """Perron vector enclosure from the adjugate column of a maximum-degree
     vertex, refined until every entry has relative width <= eps."""
-    def accept(lam, weights, exact):
-        if exact or all(w.width / w.lo <= eps for w in weights):
-            return PerronData(lam, tuple(weights),
+    def accept(lam, nums, scale, exact):
+        if exact or all(Fraction(b - a, a) <= eps for a, b in nums):
+            weights = tuple(RationalInterval(Fraction(a, scale), Fraction(b, scale))
+                            for a, b in nums)
+            return PerronData(lam, weights,
                               "adjugate column of vertex %d, unnormalized"
                               % _column_vertex(g))
         return None
@@ -227,14 +243,12 @@ def gamma_enclosure(g: Graph, eps: Fraction = Fraction(1, 10 ** 8),
     lam, which must be lambda_enclosure(g, GAMMA_LAMBDA_EPS), computed here
     when not given.
     """
-    def accept(lam, ws, exact):
-        s = ws[0]
-        for w in ws[1:]:
-            s = s.add(w)
-        sq = ws[0].square()
-        for w in ws[1:]:
-            sq = sq.add(w.square())
-        iv = s.square().div(sq)
+    def accept(lam, nums, scale, exact):
+        # on one scale: gamma in [S_lo^2/Q_hi, S_hi^2/Q_lo], S the sum of the
+        # numerators and Q the sum of their squares, all positive
+        s_lo, s_hi = sum(a for a, _ in nums), sum(b for _, b in nums)
+        q_lo, q_hi = sum(a * a for a, _ in nums), sum(b * b for _, b in nums)
+        iv = RationalInterval(Fraction(s_lo * s_lo, q_hi), Fraction(s_hi * s_hi, q_lo))
         if exact or iv.width <= eps:
             return GammaValue(iv, write_graph6(g), "certified")
         return None

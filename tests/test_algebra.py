@@ -315,6 +315,35 @@ def test_eval_interval_examples():
     assert p.eval_interval(root).contains_zero()
 
 
+def _interval_horner_reference(coeffs, lo, hi):
+    """Rational interval Horner: acc -> acc*[lo, hi] + c from [0, 0]."""
+    a = b = Fraction(0)
+    for c in reversed(coeffs):
+        ps = (a * lo, a * hi, b * lo, b * hi)
+        a, b = min(ps) + c, max(ps) + c
+    return a, b
+
+
+_NEG = st.fractions(min_value=-5, max_value=Fraction(-1, 1000), max_denominator=2 ** 45)
+_POS = st.fractions(min_value=Fraction(1, 1000), max_value=5, max_denominator=2 ** 45)
+_ANY = st.fractions(min_value=-5, max_value=5, max_denominator=10 ** 9)
+_INTERVALS = st.one_of(
+    st.tuples(_NEG, _NEG).map(sorted),          # negative
+    st.tuples(_NEG, _POS),                       # straddles zero
+    _ANY.map(lambda x: (x, x)),                  # single point
+    st.tuples(_ANY, _ANY).map(sorted),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=13), _INTERVALS)
+def test_eval_interval_matches_rational_horner(coeffs, ends):
+    lo, hi = ends
+    p = IntPoly(coeffs)
+    got = p.eval_interval(RationalInterval(lo, hi))
+    assert (got.lo, got.hi) == _interval_horner_reference(p.coeffs, lo, hi)
+
+
 def test_eval_interval_width_shrinks():
     p = resolvent_data(K3P3).char_poly
     w1 = p.eval_interval(RationalInterval(2, Fraction(21, 10))).width

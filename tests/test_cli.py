@@ -79,6 +79,33 @@ def test_arithmetic_error_exit_code(monkeypatch, capsys):
     assert err.count("\n") == 1 and "undecided" in err
 
 
+@pytest.mark.parametrize("eps", [None, "1/1099511627776"])
+def test_gamma_isolates_once(monkeypatch, capsys, eps):
+    from fractions import Fraction
+    from perronbalance import spectral
+    from perronbalance.algebra import count_roots_above
+    from perronbalance.graphs import path_graph, write_graph6
+    calls = []
+    real = spectral.lambda_enclosure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "lambda_enclosure", counting)
+    g = path_graph(6)
+    args = ["gamma", write_graph6(g)] + (["--eps", eps] if eps else [])
+    assert run_cli(args) == 0
+    assert len(calls) == 1
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("lambda   "))
+    lo, hi = (Fraction(t) for t in line.split("[")[1].rstrip("]").split(", "))
+    # the largest root of the characteristic polynomial lies in (lo, hi]
+    char = spectral.resolvent_data(g).char_poly
+    assert count_roots_above(char, lo) >= 1 and count_roots_above(char, hi) == 0
+    assert hi - lo <= Fraction(eps or Fraction(1, 10 ** 8))
+
+
 def test_exit_codes(capsys):
     assert run_cli(["gamma", "thisisnotagraph"]) == 2
     assert run_cli(["gamma", "A?"]) == 2          # disconnected two vertices

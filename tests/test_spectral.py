@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from perronbalance.algebra import RationalInterval, SqrtRat, sqrt_interval
+from perronbalance.algebra import RationalInterval, SqrtRat, refine_root, sqrt_interval
 from perronbalance.graphs import (
     Graph,
     attach_path,
@@ -15,6 +17,7 @@ from perronbalance.graphs import (
     diamond_graph,
     e_graph,
     enumerate_connected_graphs,
+    enumerate_trees,
     fork_graph,
     path_graph,
     star_graph,
@@ -128,7 +131,7 @@ def test_perron_residual_random():
         g = rand_connected(rng, rng.randint(2, 8))
         pd = perron_enclosure(g)
         assert pd.residual_contains_zero(g)
-        assert all(w.strictly_positive() for w in pd.weights)
+        assert all(w.lo > 0 for w in pd.weights)
 
 
 # -- gamma enclosures ---------------------------------------------------------------
@@ -188,6 +191,84 @@ def test_master_weight_lower_bound():
         # x_o^2 * gamma >= ||x||^2 certified with slack for interval width
         lhs = pd.weights[o].square().mul_interval(gv)
         assert lhs.hi >= norm2_sq.lo * (1 - 1e-6)
+
+
+def _reference_column(g, lam_eps, accept):
+    """The adjugate-column loop in plain Fraction interval arithmetic: the
+    column of the first maximum-degree vertex, evaluated by interval Horner
+    on an eigenvalue enclosure that shrinks by 16 per round."""
+    rd = resolvent_data(g)
+    degs = g.degrees()
+    j = degs.index(max(degs))
+    lam = lambda_enclosure(g, lam_eps)
+    for _ in range(220):
+        ws = []
+        for i in range(g.n):
+            a = b = Fraction(0)
+            for c in reversed(rd.adjugate[i][j].coeffs):
+                ps = (a * lam.lo, a * lam.hi, b * lam.lo, b * lam.hi)
+                a, b = min(ps) + c, max(ps) + c
+            ws.append((a, b))
+        if all(a > 0 for a, _ in ws):
+            got = accept(ws, lam.width == 0)
+            if got is not None:
+                return lam, got
+        lam_eps /= 16
+        lam = refine_root(rd.char_poly, lam, lam_eps)
+    raise AssertionError("reference loop did not settle")
+
+
+def _reference_gamma(g, eps):
+    def accept(ws, exact):
+        s = (sum(a for a, _ in ws), sum(b for _, b in ws))
+        sq = (sum(a * a for a, _ in ws), sum(b * b for _, b in ws))
+        quots = [x * x / y for x in s for y in sq]
+        iv = (min(quots), max(quots))
+        return iv if exact or iv[1] - iv[0] <= eps else None
+    return _reference_column(g, Fraction(1, 2 ** 30), accept)[1]
+
+
+def _reference_perron(g, eps=Fraction(1, 2 ** 40)):
+    def accept(ws, exact):
+        if exact or all((b - a) / a <= eps for a, b in ws):
+            return ws
+        return None
+    return _reference_column(g, Fraction(1, 2 ** 40), accept)
+
+
+def test_enclosures_match_fraction_reference():
+    graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    graphs += [t for n in range(7, 10) for t in enumerate_trees(n)]
+    for g in graphs:
+        gv = gamma_enclosure(g, Fraction(1, 10 ** 6)).value
+        assert (gv.lo, gv.hi) == _reference_gamma(g, Fraction(1, 10 ** 6))
+        pd = perron_enclosure(g)
+        lam, ws = _reference_perron(g)
+        assert pd.lam == lam
+        assert [(w.lo, w.hi) for w in pd.weights] == ws
+
+
+@st.composite
+def _connected_graphs(draw):
+    """A random spanning tree plus random extra edges, on 1..8 vertices."""
+    n = draw(st.integers(1, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    extra = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges |= {e for e, keep in zip(pairs, extra) if keep}
+    return Graph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_connected_graphs())
+@example(cycle_graph(7))
+@example(complete_graph(5))
+def test_gamma_equals_n_exactly_for_regular_graphs(g):
+    gv = gamma_enclosure(g).value
+    if len(set(g.degrees())) == 1:
+        assert gv == RationalInterval(g.n, g.n)
+    else:
+        assert gv.lo < g.n
 
 
 # -- vector inequalities --------------------------------------------------------------------
