@@ -22,7 +22,8 @@ of H plus one new vertex joined to U.  Clearing denominators turns each
 pair check into the nonnegativity of one integer polynomial Q_{U,V} on a
 ray, certified here by shifted-coefficient signs with a Sturm fallback.
 
-Each pair costs one polynomial product.  The adjugate is symmetric, so
+The pair data come from work done once per kernel or per boundary set.
+The adjugate is symmetric, so
 
     P^2 * c_{U,V}  = 1_U^T adj^2 1_V = sum_{j in V} R_U[j],
     R_U[j]         = sum_{i in U} adj^2[i][j],
@@ -33,13 +34,24 @@ polynomial of H plus a vertex joined to U is the bordered determinant
 x*P(x) - 1_U^T adj 1_U, so no resolvent of the larger graph is formed.  The
 first isolation of lam_U is shared across kernels through a module-level
 cache keyed on the canonical form of H+U and the width.
+
+Most pairs are settled without forming Q at all.  At a grid point x <= lo
+just below the shift point, the coefficient signs of Q(x + y) are read off
+one integer: a scaled value of Q at x + 2^(K-8), whose base-2^K digits are
+those coefficients (Kronecker substitution), with K chosen from a majorant
+that holds for every pair of the kernel.  The integer is assembled from the
+adjugate columns evaluated at that point, cached, and their sums over the
+two boundary sets, so a pair costs an inner product of two integer vectors.  Only a pair that
+fails this test builds Q_{U,V} and runs the full cascade.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from functools import lru_cache
+from itertools import combinations, zip_longest
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
@@ -85,12 +97,64 @@ def first_lambda_cache_info() -> dict:
     return dict(_FIRST_LAMBDA_COUNTS, size=len(_FIRST_LAMBDA))
 
 
+# Pair checks settled by the packed coefficient test, and those that ran the
+# full cascade (q_poly and ray_verdict).
+_PAIR_COUNTS = {"packed": 0, "cascade": 0}
+
+
+def pair_check_info() -> dict:
+    """How many check_pair calls the packed test settled and how many ran
+    the cascade."""
+    return dict(_PAIR_COUNTS)
+
+
+# The packed test shifts to x = floor(lo * 2^PACK_BITS) / 2^PACK_BITS <= lo.
+PACK_BITS = 8
+
+
+def scaled_eval(coeffs: Sequence[int], x: int, bits: int, m: int) -> int:
+    """2^(bits*m) * p(x / 2^bits), an integer, for ascending integer
+    coefficients of degree at most m."""
+    acc = 0
+    shift = bits * (m - len(coeffs) + 1)
+    for c in reversed(coeffs):
+        acc = acc * x + (c << shift)
+        shift += bits
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _digit_sign_bits(k: int, d: int) -> int:
+    """The top bit of each of the lowest d base-2^k digits."""
+    return ((1 << k * d) - 1) // ((1 << k) - 1) << (k - 1)
+
+
+def packed_nonneg(n: int, k: int, d: int) -> bool:
+    """Whether n = sum_{i<=d} s_i 2^(k*i) has every s_i >= 0, given that
+    every |s_i| < 2^(k-1).
+
+    Such a sum is the balanced base-2^k expansion of n, which is unique, and
+    |n| < 2^(k(d+1)-1).  If every s_i >= 0, the s_i are the plain base-2^k
+    digits of n, so n >= 0 and no digit has its top bit set.  Conversely, if
+    n >= 0 and none of the digits 0..d-1 has its top bit set, digit d is
+    below 2^(k-1) by the bound on n, so all plain digits lie in
+    [0, 2^(k-1)) and are the balanced ones.  Both tests are needed: a
+    negative s_d alone leaves the lower digits unchanged, and a negative
+    lower digit with a positive s_d leaves n > 0.
+    """
+    return n >= 0 and not n & _digit_sign_bits(k, d)
+
+
 class KernelContext:
     """Per-kernel cache of the resolvent polynomials and attachment data.
 
     Every pair quantity is assembled from data built once per kernel (the
-    adjugate and, entry by entry, its square) or once per boundary set, so
-    a pair check costs one polynomial product.
+    adjugate and, entry by entry, its square) or once per boundary set.  The
+    packed coefficient test (packed_pass) evaluates the adjugate columns
+    once per grid point and sums them over the two boundary sets, so a pair
+    it settles costs an inner product of two integer vectors and no
+    polynomial arithmetic; the pair polynomial itself (q_poly) is built only
+    for the pairs that need the full cascade.
     """
 
     def __init__(self, kernel: RootedKernel):
@@ -106,6 +170,10 @@ class KernelContext:
         self._q: dict[int, tuple] = {}
         self._lam: dict[int, RationalInterval] = {}
         self._lam_eps: dict[int, Fraction] = {}
+        self._majorants: dict[tuple, tuple] = {}
+        self._grid: dict[tuple, tuple] = {}
+        self._cols_x: dict[tuple, tuple] = {}
+        self._sets_x: dict[tuple, tuple] = {}
 
     # -- resolvent polynomials ------------------------------------------------
 
@@ -238,6 +306,130 @@ class KernelContext:
         q = (a_u * a_v) * scale - b * beta.numerator
         return q, scale
 
+    # -- the packed coefficient test --------------------------------------------
+
+    def _majorant(self, beta: Fraction) -> tuple:
+        """Coefficients of a majorant of |q| at beta, valid for every pair of
+        nonempty U, V: A (2*den(beta) A + 2*num(beta) S), where |p| is the
+        polynomial of absolute coefficients of p, S = sum_{i,u} |adj[i][u]|
+        and A = |P| + S.
+
+        Coefficientwise, |P s_W + P| <= A, |P^2 Bt_{o,W}| <= S |P| and
+        |P^2 c_{U,V}| <= sum_u (sum_i |adj[i][u]|)^2 <= S^2, so |q| <=
+        2*den A^2 + num (2 S^2 + 2 S |P|), which is the majorant.
+        """
+        key = (beta.numerator, beta.denominator)
+        got = self._majorants.get(key)
+        if got is None:
+            entries = [e.coeffs for row in self.resolvent.adjugate for e in row]
+            s = IntPoly._from_ints([sum(map(abs, cs)) for cs in
+                                    zip_longest(*entries, fillvalue=0)])
+            a = IntPoly._from_ints([abs(c) for c in self.char.coeffs]) + s
+            got = (a * (a * (2 * beta.denominator)
+                        + s * (2 * beta.numerator))).coeffs
+            self._majorants[key] = got
+        return got
+
+    def _grid_point(self, beta: Fraction, a: int) -> tuple:
+        """(X, K, 2^(n*PACK_BITS) P(X / 2^PACK_BITS)) for the grid point
+        a / 2^PACK_BITS, where X = 2^K + a and K is a digit width sound for
+        every pair of the kernel at this beta."""
+        key = (beta.numerator, beta.denominator, a)
+        got = self._grid.get(key)
+        if got is None:
+            n = self.graph.n
+            k = scaled_eval(self._majorant(beta), 1 + abs(a), PACK_BITS,
+                            2 * n).bit_length() + 1
+            x = (1 << k) + a
+            got = (x, k, scaled_eval(self.char.coeffs, x, PACK_BITS, n))
+            self._grid[key] = got
+        return got
+
+    def _column_at(self, v: int, x: int) -> tuple:
+        """Column v of the adjugate at x / 2^PACK_BITS, each entry times
+        2^((n-1)*PACK_BITS) (the adjugate is symmetric: row v)."""
+        key = (v, x)
+        got = self._cols_x.get(key)
+        if got is None:
+            m = self.graph.n - 1
+            got = tuple(scaled_eval(e.coeffs, x, PACK_BITS, m)
+                        for e in self.resolvent.adjugate[v])
+            self._cols_x[key] = got
+        return got
+
+    def _set_sum(self, mask: int, x: int, px: int) -> tuple:
+        """(T, A) at x / 2^PACK_BITS: T[u] is P*Bt_{u,U} times
+        2^((n-1)*PACK_BITS), A is P s_U + P times 2^(n*PACK_BITS), given P
+        there as px."""
+        cols = [self._column_at(v, x) for v in _bits(mask)]
+        t = cols[0] if len(cols) == 1 else tuple(map(sum, zip(*cols)))
+        return t, (sum(t) << PACK_BITS) + px
+
+    def _set_at(self, mask: int, x: int, px: int) -> tuple:
+        """_set_sum, cached per set and point."""
+        key = (mask, x)
+        got = self._sets_x.get(key)
+        if got is None:
+            got = self._set_sum(mask, x, px)
+            self._sets_x[key] = got
+        return got
+
+    def packed_pass(self, u_mask: int, v_mask: int, beta: Fraction,
+                    lo: Fraction) -> bool:
+        """Whether q(x + y), q the pair polynomial of q_poly, has all its
+        coefficients >= 0 as a polynomial in y, at the grid point
+        x = a/b = floor(lo*b)/b, b = 2^PACK_BITS.
+
+        The result is symmetric in U and V, but only the first set's data at
+        x are cached: check_pair puts first the set whose attachment
+        eigenvalue gives lo, which every pair of that set with a lower
+        eigenvalue shares, while the second set's data at x serve about one
+        pair and are summed from the cached adjugate columns.
+
+        Since x <= lo, a pass proves the same at lo: q(lo + y) is q(x + y)
+        shifted by lo - x >= 0, and shifting a polynomial with nonnegative
+        coefficients by a nonnegative amount keeps them nonnegative.
+
+        The test.  Let D = 2n >= deg q, write q(x + y) = sum_k r_k y^k and
+        put s_k = b^(D-k) r_k, a positive multiple of r_k (an integer: r_k
+        is a sum of q_j C(j,k) a^(j-k) / b^(j-k), j <= D).  For X = 2^K + a,
+
+            N = b^D q(X/b) = b^D q(x + 2^K/b) = sum_{k<=D} s_k 2^(K*k),
+
+        and if every |s_k| < 2^(K-1), packed_nonneg(N, K, D) decides whether
+        every s_k >= 0.  N is built from the integers T_W[u] =
+        b^(n-1) (P*Bt_{u,W})(X/b) and P_X = b^n P(X/b):
+
+            b^n (P s_W + P)(X/b)       = b * sum_u T_W[u] + P_X,
+            b^D (P^2 Bt_{o,W})(X/b)    = b * T_W[o] * P_X,
+            b^D (P^2 c_{U,V})(X/b)     = b^2 * sum_u T_U[u] T_V[u].
+
+        The digit width.  For any polynomial p of degree <= D,
+
+            sum_k |s_k| <= sum_k b^(D-k) sum_{j>=k} |p_j| C(j,k) |a|^(j-k)
+                           / b^(j-k)
+                         = sum_j |p_j| b^(D-j) (1 + |a|)^j
+                         = b^D |p|((1 + |a|)/b),
+
+        |p| the polynomial of absolute coefficients.  Every q of the kernel
+        at this beta has |q| <= _majorant(beta) coefficientwise, because
+        absolute values of sums and products are majorized by the sums and
+        products of the absolute values.  K is one more than the bit length
+        of b^D times that majorant at (1 + |a|)/b; then every |s_k| <
+        2^(K-1) for every nonempty U, V, whatever family the caller checks.
+        """
+        if beta < 0:
+            raise ValueError("beta must be nonnegative")
+        a = (lo.numerator << PACK_BITS) // lo.denominator
+        x, k, px = self._grid_point(beta, a)
+        tu, au = self._set_at(u_mask, x, px)
+        tv, av = self._set_sum(v_mask, x, px)
+        o = self.root
+        packed = (2 * beta.denominator * au * av
+                  - beta.numerator * ((sum(map(mul, tu, tv)) << 2 * PACK_BITS + 1)
+                                      + ((tu[o] + tv[o]) * px << PACK_BITS)))
+        return packed_nonneg(packed, k, 2 * self.graph.n)
+
 
 @dataclass(frozen=True)
 class PairVerdict:
@@ -277,9 +469,19 @@ def check_pair(ctx: KernelContext, u_mask: int, v_mask: int,
     condition from a genuinely false inequality; failures carry an exact
     rational witness.  An undecided verdict tightens both attachment
     eigenvalues and asks again.
+
+    The packed test at a grid point just below the shift point settles most
+    pairs first; its pass is exactly the cascade's "coefficients" verdict at
+    the same shift point, and a pair it does not settle runs the cascade.
     """
     beta = Fraction(beta)
     lu, lv = ctx.lambda_U(u_mask), ctx.lambda_U(v_mask)
+    lo = max(lu.lo, lv.lo)
+    first, second = (u_mask, v_mask) if lu.lo >= lv.lo else (v_mask, u_mask)
+    if ctx.packed_pass(first, second, beta, lo):
+        _PAIR_COUNTS["packed"] += 1
+        return PairVerdict(u_mask, v_mask, beta, "coefficients", lo)
+    _PAIR_COUNTS["cascade"] += 1
     q, _ = ctx.q_poly(u_mask, v_mask, beta)
     eps = LAMBDA_EPS
     for _ in range(8):
@@ -330,7 +532,6 @@ def family_all_subsets(vertices: Iterable[int]) -> tuple:
     vs = sorted(vertices)
     masks = []
     for r in range(1, len(vs) + 1):
-        from itertools import combinations
         for c in combinations(vs, r):
             masks.append(subset_mask(c))
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))

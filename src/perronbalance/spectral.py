@@ -89,9 +89,10 @@ def resolvent_data(g: Graph) -> ResolventData:
             M[i][i] += c
         if k < n:
             mats.append([row[:] for row in M])
-    char = IntPoly([cs[n - k] for k in range(n + 1)])
+    char = IntPoly._from_ints([cs[n - k] for k in range(n + 1)])
     adj = tuple(
-        tuple(IntPoly([mats[n - 1 - d][i][j] for d in range(n)]) for j in range(n))
+        tuple(IntPoly._from_ints([mats[n - 1 - d][i][j] for d in range(n)])
+              for j in range(n))
         for i in range(n))
     return ResolventData(char, adj)
 

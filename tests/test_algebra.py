@@ -24,6 +24,7 @@ from perronbalance.algebra import (
     sturm_count,
     substitute_t,
 )
+from perronbalance.bounds import packed_nonneg, scaled_eval
 from perronbalance.graphs import (
     Graph,
     attach_path,
@@ -140,6 +141,52 @@ def test_scaled_integer_shift_sign_pattern():
         signs = [(c > 0) - (c < 0) for c in true]
         got = [(c > 0) - (c < 0) for c in scaled.coeffs]
         assert got[:len(signs)] == signs
+
+
+@st.composite
+def _shift_sign_cases(draw):
+    """(p, a, t, D): an integer p of degree <= D <= 28 and the point a/2^t,
+    t = 0 for an integer point.  Most cases are built from a chosen sign
+    pattern of the shifted coefficients: all nonnegative, only the leading
+    one negative, or one or two others negative."""
+    t = draw(st.integers(0, 8))
+    b = 1 << t
+    a = draw(st.integers(-6 * b, 6 * b))
+    d = draw(st.integers(0, 28))
+    pattern = draw(st.sampled_from(("random", "nonneg", "leading", "lower")))
+    if pattern == "random":
+        coeffs = draw(st.lists(st.integers(-10 ** 9, 10 ** 9),
+                               min_size=d + 1, max_size=d + 1))
+    else:
+        g = draw(st.lists(st.integers(1, 10 ** 6), min_size=d + 1, max_size=d + 1))
+        if pattern == "leading":
+            g[d] = -g[d]
+        elif pattern == "lower":
+            for i in draw(st.lists(st.integers(0, d), min_size=1, max_size=2)):
+                g[i] = -g[i]
+        # b^d p(x) = sum g_k b^(d-k) (b x - a)^k, so p(a/b + y) = sum g_k y^k
+        p = IntPoly()
+        for k, gk in enumerate(g):
+            p = p + IntPoly([-a, b]) ** k * (gk * b ** (d - k))
+        coeffs = list(p.coeffs)
+    extra = draw(st.integers(0, 28 - d)) if draw(st.booleans()) else 0
+    return IntPoly(coeffs), a, t, d + extra
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shift_sign_cases())
+def test_packed_shift_sign_matches_coefficients(case):
+    p, a, t, d = case
+    x = Fraction(a, 2 ** t)
+    k = scaled_eval([abs(c) for c in p.coeffs], 1 + abs(a), t, d).bit_length() + 1
+    big_x = (1 << k) + a
+    packed = scaled_eval(p.coeffs, big_x, t, d)
+    assert packed_nonneg(packed, k, d) == p.all_coeffs_nonneg_shifted(x)
+    # the digits are the shifted coefficients times 2^(t(D-j)), all within K
+    digits = [c * 2 ** (t * (d - j))
+              for j, c in enumerate(fraction_taylor_shift(p.coeffs, x))]
+    assert all(s.denominator == 1 and abs(s) < 2 ** (k - 1) for s in digits)
+    assert packed == sum(int(s) << k * j for j, s in enumerate(digits))
 
 
 # -- Sturm counting -------------------------------------------------------------

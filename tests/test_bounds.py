@@ -1,13 +1,15 @@
 """The kernel-extension bounding engine against the worked 6-vertex example
 and structural invariants of the resolvent machinery."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from perronbalance.algebra import IntPoly, RationalInterval
+from perronbalance.algebra import IntPoly, RationalInterval, ray_verdict
 from perronbalance.bounds import (
+    PACK_BITS,
     KernelContext,
     bound_curves,
     check_pair,
@@ -15,6 +17,7 @@ from perronbalance.bounds import (
     family_singletons,
     first_lambda_cache_info,
     mask_vertices,
+    pair_check_info,
     subset_mask,
     verify_extension,
 )
@@ -27,6 +30,12 @@ from perronbalance.graphs import (
     enumerate_graph_kernels,
     enumerate_tree_kernels,
     star_graph,
+)
+from perronbalance.kernels import (
+    BETA_GRAPH_STAGE,
+    beta_tr_upper,
+    exceptional_graph_kernels,
+    special_tree_kernels,
 )
 from perronbalance.spectral import (
     gamma_enclosure,
@@ -246,6 +255,82 @@ def test_check_pair_monotone_in_beta(ctx):
                 if prev_pass:
                     assert v.passed
                 prev_pass = v.passed
+
+
+# -- the packed coefficient test --------------------------------------------------
+
+def _packed_cases():
+    """(context, family, beta): three 6-vertex graph kernels and the 7-vertex
+    two-step kernel with all nonempty subsets, the special 10-vertex tree
+    kernels and the 14-vertex S5 branch-point graph with singletons."""
+    graph = list(enumerate_graph_kernels())[:2] + [exceptional_graph_kernels()[1]]
+    k = exceptional_graph_kernels()[0]
+    leaf = next(v for v in range(k.graph.n) if k.graph.degree(v) == 1)
+    graph.append(RootedKernel(k.graph.add_vertex(1 << leaf), k.root))
+    for k in graph:
+        yield KernelContext(k), family_all_subsets(range(k.graph.n)), BETA_GRAPH_STAGE
+    g = attach_path(star_graph(5), 0, 7)
+    v = g.n - 1
+    g = g.add_vertex(1 << v).add_vertex(1 << v)
+    for k in special_tree_kernels() + (RootedKernel(g, 0),):
+        yield KernelContext(k), family_singletons(range(k.graph.n)), beta_tr_upper()
+
+
+def test_packed_pass_matches_shifted_coefficients():
+    grid = 2 ** PACK_BITS
+    seen = set()
+    for c, fam, beta in _packed_cases():
+        lam_h = lambda_enclosure(c.graph).lo
+        for i, um in enumerate(fam):
+            for vm in fam[i:]:
+                q, _ = c.q_poly(um, vm, beta)
+                shift = max(c.lambda_U(um).lo, c.lambda_U(vm).lo)
+                # the pair's shift point, and points below it where the
+                # coefficient test fails more often
+                for lo in (shift, (shift + lam_h) / 2, lam_h - Fraction(1, 3)):
+                    x = Fraction(math.floor(lo * grid), grid)
+                    got = c.packed_pass(um, vm, beta, lo)
+                    assert got == q.all_coeffs_nonneg_shifted(x)
+                    assert c.packed_pass(vm, um, beta, lo) == got
+                    if got:
+                        assert q.all_coeffs_nonneg_shifted(lo)
+                    seen.add(got)
+    assert seen == {True, False}
+
+
+def test_check_pair_fresh_context_matches_cascade():
+    k4p2 = RootedKernel(attach_path(complete_graph(4), 0, 2), 0)
+    cases = [(RootedKernel(K3P3, 0), b)
+             for b in (Fraction(21, 4), Fraction(41, 8), Fraction(0))]
+    cases += [(k4p2, Fraction(21, 4)), (special_tree_kernels()[0], beta_tr_upper())]
+    kinds = set()
+    for k, beta in cases:
+        fam = family_all_subsets(active_vertices(k, "graph").vertices)
+        for i, um in enumerate(fam):
+            for vm in fam[i:]:
+                got = check_pair(KernelContext(k), um, vm, beta)
+                ref = KernelContext(k)
+                lu, lv = ref.lambda_U(um), ref.lambda_U(vm)
+                q, _ = ref.q_poly(um, vm, beta)
+                kind, witness = ray_verdict(q, max(lu.lo, lv.lo), max(lu.hi, lv.hi))
+                assert kind != "undecided"
+                assert (got.kind, got.shift_point, got.witness) == \
+                    (kind, max(lu.lo, lv.lo), witness)
+                kinds.add(kind)
+    assert kinds == {"coefficients", "fail"}
+
+
+def test_pair_check_info_counts_every_check():
+    k = RootedKernel(attach_path(complete_graph(4), 0, 2), 0)
+    fam = family_all_subsets(active_vertices(k, "graph").vertices)
+    before = pair_check_info()
+    rep = verify_extension(KernelContext(k), fam, Fraction(21, 4))
+    after = pair_check_info()
+    packed = after["packed"] - before["packed"]
+    cascade = after["cascade"] - before["cascade"]
+    assert packed + cascade == len(rep.verdicts)
+    assert cascade >= len(rep.failing_pairs) >= 1
+    assert packed >= 1
 
 
 # -- resolvent sanity on random kernels ---------------------------------------------
