@@ -516,6 +516,22 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
     A float hint (for instance from power iteration) only seeds the search;
     all certifications are exact.  Returns a degenerate interval when the
     largest root is rational and gets hit exactly.
+
+    p is replaced by its primitive part, so its leading coefficient is
+    positive and p(x) -> +infinity as x -> +infinity.  With a hint:
+
+    - A root c at the rounded hint is the largest root iff no root lies
+      above c.  p.certifies_no_roots_above(c) proves that first: p(c + y)
+      has nonnegative coefficients, one of them positive, so p(c + y) > 0
+      for every y > 0.  A Sturm count decides only when that test fails.
+    - Otherwise the hint is widened to a dyadic bracket [a, b] with
+      p(a) < 0, which puts a root in (a, infinity), and the same
+      coefficient test at b, which puts no root in (b, infinity).
+
+    Without a hint, or when no bracket is found, Sturm bisection from the
+    Cauchy bound gives the bracket.  Either way the largest root lies in
+    (lo, hi] and no root lies above hi, which is what _refine_largest
+    requires.
     """
     if p.degree < 1:
         raise NoRealRootError("constant polynomial has no roots")
@@ -527,8 +543,9 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
     if hint is not None and math.isfinite(hint):
         # exact hit for near-integer hints (regular graphs, cycles, ...)
         cand = round(hint)
-        if abs(hint - cand) < 1e-6 and p.sign_at(cand) == 0 \
-                and count_roots_above(p, cand) == 0:
+        if abs(hint - cand) < 1e-6 and p.sign_at(cand) == 0 and (
+                p.certifies_no_roots_above(cand)
+                or count_roots_above(p, cand) == 0):
             return RationalInterval.point(Fraction(cand))
         # try geometric widening around the hint before falling back to Sturm
         for w_exp in (-20, -10, -4, 0):
@@ -559,9 +576,7 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
             if hi - lo <= Fraction(1, 4):
                 break
 
-    # refine [lo, hi] keeping the largest root inside
-    exact = _refine_largest(p, lo, hi, eps)
-    return exact
+    return _refine_largest(p, lo, hi, eps)
 
 
 def _dyadic_below(x: Fraction, bits: int = 30) -> Fraction:
@@ -575,39 +590,61 @@ def _dyadic_above(x: Fraction, bits: int = 30) -> Fraction:
 
 
 def _refine_largest(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> RationalInterval:
-    """Shrink [lo, hi] around the largest root to width <= eps.
+    """Shrink [lo, hi] around the largest real root of p to width <= eps and
+    certify that the result contains no other root.
 
-    Invariant: the largest real root of p lies in (lo, hi].  The left edge
-    moves on a negative sign of p; the right edge moves only when a
-    shifted-coefficient certificate proves no roots above the midpoint.
-    On exit the interval provably contains exactly one root.
+    Requires p primitive, so its leading coefficient is positive, and the
+    largest real root in (lo, hi].  Then no root lies above hi and p > 0 on
+    (hi, infinity).  Each step keeps the invariant, and each decision is the
+    one a Sturm count of the roots above mid would make:
+
+    (a) p(mid) < 0.  Since p(x) -> +infinity, a root lies in (mid, infinity),
+        so in (mid, hi]: set lo = mid.  An exact zero at hi is the largest
+        root for the same reason.  Neither needs a count.
+    (b) p(mid) = 0.  mid is the largest root iff no root lies above it.
+        That is proved by (c), or by p.certifies_no_roots_above(mid); a
+        Sturm count decides only when both fail.  If a root lies above,
+        set lo = mid.
+    (c) Once p'.certifies_no_roots_above(lo) holds, p' > 0 on (lo, infinity),
+        so p is strictly increasing there and has at most one root in it.
+        For every later mid > lo, p(mid) > 0 then leaves no root above mid,
+        so hi = mid on the sign alone, and the closing check "exactly one
+        root in (lo, hi]" needs no count.  The test is made at entry and
+        again each time lo moves, until it holds.  It holds whenever every
+        root of p', real or not, has real part below lo: the real factors
+        of p'(lo + y) are then y + a and y^2 + b*y + c with a, b, c > 0,
+        whose product has positive coefficients.  For a characteristic
+        polynomial every root is real, and the test holds once lo passes
+        the largest root of p', which lies below the largest root of p.
+
+    Until (c) holds, Sturm still runs: a step with p(mid) > 0 sets hi = mid
+    when p.certifies_no_roots_above(mid) holds and otherwise asks a count,
+    and the closing check is a Sturm count, followed by Sturm bisection
+    until the interval isolates one root.  By the above, that can happen
+    only while some root of p' has real part at or above lo: for a p with
+    nonreal roots possibly to the end, and otherwise when eps is coarser
+    than the distance from the bracket to the largest root of p'.
     """
-    if p.sign_at(hi) == 0 and count_roots_above(p, hi) == 0:
+    if p.sign_at(hi) == 0:
         return RationalInterval(hi, hi)
-    sturm_needed = False
+    dp = p.derivative()
+    rising = dp.certifies_no_roots_above(lo)
     while hi - lo > eps:
         mid = (lo + hi) / 2
         s = p.sign_at(mid)
-        if s == 0:
-            # mid is a root; largest iff nothing above
-            if count_roots_above(p, mid) == 0:
+        if s < 0:
+            lo = mid
+            rising = rising or dp.certifies_no_roots_above(lo)
+        elif rising or p.certifies_no_roots_above(mid) \
+                or count_roots_above(p, mid) == 0:
+            if s == 0:
                 return RationalInterval(mid, mid)
-            lo = mid
-            continue
-        if s < 0 and count_roots_above(p, mid) >= 1:
-            lo = mid
-        elif p.certifies_no_roots_above(mid):
             hi = mid
         else:
-            above = count_roots_above(p, mid)
-            if above >= 1:
-                lo = mid
-            else:
-                hi = mid
-            sturm_needed = True
-    # certify exactly one root in (lo, hi]
+            # a root lies above mid, so (c) cannot hold at mid
+            lo = mid
     iv = RationalInterval(lo, hi)
-    if sturm_count(p, iv) != 1:
+    if not rising and sturm_count(p, iv) != 1:
         # shrink further until separated
         for _ in range(200):
             mid = (lo + hi) / 2

@@ -296,7 +296,8 @@ class KernelContext:
         The scale 2*denominator(beta) is positive, so sign information on q
         transfers to Q directly.
         """
-        beta = Fraction(beta)
+        if not isinstance(beta, Fraction):
+            beta = Fraction(beta)
         if beta < 0:
             raise ValueError("beta must be nonnegative")
         a_u, bo_u = self._q_terms(u_mask)
@@ -474,7 +475,8 @@ def check_pair(ctx: KernelContext, u_mask: int, v_mask: int,
     pairs first; its pass is exactly the cascade's "coefficients" verdict at
     the same shift point, and a pair it does not settle runs the cascade.
     """
-    beta = Fraction(beta)
+    if not isinstance(beta, Fraction):
+        beta = Fraction(beta)
     lu, lv = ctx.lambda_U(u_mask), ctx.lambda_U(v_mask)
     lo = max(lu.lo, lv.lo)
     first, second = (u_mask, v_mask) if lu.lo >= lv.lo else (v_mask, u_mask)

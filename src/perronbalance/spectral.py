@@ -98,19 +98,23 @@ def resolvent_data(g: Graph) -> ResolventData:
 
 
 def _power_iteration_hint(g: Graph, iters: int = 80) -> float:
-    """Float estimate of the top eigenvalue via (A+I) power iteration."""
-    n = g.n
-    x = [1.0] * n
+    """Float estimate of the top eigenvalue via (A+I) power iteration.
+
+    The neighbour lists are decoded once.  Each entry of (A+I)x is summed
+    by an explicit loop, x[v] first and then the neighbours in ascending
+    order: float addition rounds, so the order fixes the hint bit for bit
+    (sum() of floats is compensated from Python 3.12 on and would round
+    differently).
+    """
+    x = [1.0] * g.n
+    nbrs = [g.neighbors(v) for v in range(g.n)]
     lam = 1.0
     for _ in range(iters):
         y = []
-        for v in range(n):
+        for v, nb in enumerate(nbrs):
             s = x[v]
-            mask = g.adj[v]
-            while mask:
-                low = mask & -mask
-                s += x[low.bit_length() - 1]
-                mask ^= low
+            for u in nb:
+                s += x[u]
             y.append(s)
         lam = max(abs(t) for t in y)
         if lam == 0:

@@ -1,6 +1,7 @@
 """Exact-arithmetic core: polynomials, Sturm counts, root isolation,
 shifts, rational functions, and the resolvent identities."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,12 +15,16 @@ from perronbalance.algebra import (
     RationalFunction,
     RationalInterval,
     SqrtRat,
+    _dyadic_above,
+    _dyadic_below,
+    _sturm_chain,
     bareiss_det,
     charpoly_by_interpolation,
     count_roots_above,
     isolate_largest_root,
     poly_to_text,
     ray_verdict,
+    root_bound,
     sqrt_interval,
     sturm_count,
     substitute_t,
@@ -271,6 +276,148 @@ def test_isolate_largest_is_isolating():
 def test_isolate_no_real_roots():
     with pytest.raises(NoRealRootError):
         isolate_largest_root(IntPoly([1, 0, 1]))
+
+
+def _sturm_only_isolate(p, eps, hint=None):
+    """Reference isolation: the bracket search of isolate_largest_root, and
+    every later decision made by a Sturm count."""
+    if p.degree < 1:
+        raise NoRealRootError("constant polynomial has no roots")
+    eps = Fraction(eps)
+    p = p.primitive()
+    lo = hi = None
+    if hint is not None and math.isfinite(hint):
+        cand = round(hint)
+        if abs(hint - cand) < 1e-6 and p.sign_at(cand) == 0 \
+                and count_roots_above(p, cand) == 0:
+            return RationalInterval.point(Fraction(cand))
+        for w_exp in (-20, -10, -4, 0):
+            w = Fraction(2) ** w_exp
+            a = _dyadic_below(Fraction(hint) - w)
+            b = _dyadic_above(Fraction(hint) + w)
+            sa = p.sign_at(a)
+            if sa == 0:
+                a -= Fraction(1, 2 ** 30)
+                sa = p.sign_at(a)
+            if sa < 0 and p.certifies_no_roots_above(b):
+                lo, hi = a, b
+                break
+    if lo is None:
+        M = Fraction(root_bound(p))
+        if count_roots_above(p, -M) == 0:
+            raise NoRealRootError("polynomial has no real roots")
+        lo, hi = -M, M
+        while hi - lo > Fraction(1, 4):
+            mid = (lo + hi) / 2
+            if count_roots_above(p, mid) >= 1:
+                lo = mid
+            else:
+                hi = mid
+    if p.sign_at(hi) == 0 and count_roots_above(p, hi) == 0:
+        return RationalInterval(hi, hi)
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        above = count_roots_above(p, mid)
+        if p.sign_at(mid) == 0 and above == 0:
+            return RationalInterval(mid, mid)
+        if above >= 1:
+            lo = mid
+        else:
+            hi = mid
+    for _ in range(200):
+        if sturm_count(p, RationalInterval(lo, hi)) == 1:
+            return RationalInterval(lo, hi)
+        mid = (lo + hi) / 2
+        if count_roots_above(p, mid) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    raise ArithmeticError("failed to separate largest root")
+
+
+def test_isolate_hint_on_smaller_root_is_not_a_point():
+    # (x - 1)(x - 3): the rounded hint 1 is a root, but not the largest
+    p = IntPoly([3, -4, 1])
+    iv = isolate_largest_root(p, Fraction(1, 2 ** 30), hint=1.0)
+    assert iv.width > 0 and iv.lo < 3 <= iv.hi
+    assert iv == _sturm_only_isolate(p, Fraction(1, 2 ** 30), hint=1.0)
+
+
+def test_isolate_bracket_holding_three_roots():
+    # roots 0, 1/4, 1/2 all lie in the bracket of the hint -2/5 widened by
+    # 1; p < 0 at lo = -2/5 does not make p increasing above lo, and the
+    # next midpoint has p > 0 with two roots above it
+    p = IntPoly([0, 1]) * IntPoly([-1, 4]) * IntPoly([-1, 2])
+    assert not p.derivative().certifies_no_roots_above(Fraction(-2, 5))
+    iv = isolate_largest_root(p, Fraction(1, 2 ** 30), hint=-0.4)
+    assert iv.lo < Fraction(1, 2) <= iv.hi
+    assert iv == _sturm_only_isolate(p, Fraction(1, 2 ** 30), hint=-0.4)
+
+
+def test_isolate_exact_hint_needs_no_sturm_chain():
+    k4 = resolvent_data(complete_graph(4)).char_poly      # (x - 3)(x + 1)^3
+    _sturm_chain.cache_clear()
+    assert isolate_largest_root(k4, Fraction(1, 2 ** 40), hint=3.0) == \
+        RationalInterval.point(3)
+    assert _sturm_chain.cache_info().misses == 0
+
+
+def test_isolate_sturm_fallback_for_nonreal_roots():
+    # roots 3 and 2 +- i/10: with a wide bracket at a coarse eps the final
+    # lo stays below the largest root of p' (about 2.66), so the p' test
+    # fails and the closing check is a Sturm count
+    p = IntPoly([-3, 1]) * IntPoly([401, -400, 100])
+    _sturm_chain.cache_clear()
+    iv = isolate_largest_root(p, 2, hint=3.4)
+    assert _sturm_chain.cache_info().misses == 1
+    assert not p.derivative().certifies_no_roots_above(iv.lo)
+    assert iv.width <= 2 and iv.lo < 3 <= iv.hi and sturm_count(p, iv) == 1
+    assert iv == _sturm_only_isolate(p, 2, hint=3.4)
+    # roots 1 and 2 +- i/10: both roots of p' lie above 1, so the p' test
+    # never holds and the refinement runs on Sturm counts throughout
+    p = IntPoly([-1, 1]) * IntPoly([401, -400, 100])
+    iv = isolate_largest_root(p, Fraction(1, 2 ** 30))
+    assert not p.derivative().certifies_no_roots_above(iv.lo)
+    assert iv.lo < 1 <= iv.hi and sturm_count(p, iv) == 1
+    assert iv == _sturm_only_isolate(p, Fraction(1, 2 ** 30))
+
+
+_ROOTS = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=3),
+                  max_size=5)
+# (d x - e)^2 + t with t >= 1: the nonreal pair (e +- i sqrt(t)) / d
+_PAIRS = st.lists(st.tuples(st.integers(1, 3), st.integers(-12, 12),
+                            st.integers(1, 9)), max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ROOTS, _PAIRS, st.sampled_from([1, 2, -3]),
+       st.sampled_from([Fraction(1, 2 ** 30), Fraction(1, 2 ** 8), Fraction(1, 3), 2]),
+       st.one_of(st.none(),
+                 st.floats(min_value=-8, max_value=8),
+                 st.integers(-6, 6).map(float),
+                 st.tuples(st.sampled_from(range(5)),
+                           st.sampled_from([0.0, 1e-9, -1e-7, 3e-4, 0.4, -0.6]))))
+def test_isolate_matches_sturm_only_reference(roots, pairs, scale, eps, hint):
+    p = IntPoly([scale])
+    for r in roots:
+        p = p * IntPoly([-r.numerator, r.denominator])
+    for d, e, t in pairs:
+        p = p * IntPoly([e * e + t, -2 * d * e, d * d])
+    if isinstance(hint, tuple):
+        # a hint near one of the real roots, not necessarily the largest
+        k, off = hint
+        hint = float(roots[k % len(roots)]) + off if roots else off
+    if p.degree < 1:
+        return
+    try:
+        want = _sturm_only_isolate(p, eps, hint)
+    except NoRealRootError:
+        with pytest.raises(NoRealRootError):
+            isolate_largest_root(p, eps, hint)
+        return
+    got = isolate_largest_root(p, eps, hint)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert got.width <= eps
 
 
 def test_perron_root_sign_change():

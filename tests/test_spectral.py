@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perronbalance.algebra import RationalInterval, SqrtRat, refine_root, sqrt_interval
+from perronbalance.algebra import (
+    RationalInterval,
+    SqrtRat,
+    _sturm_chain,
+    refine_root,
+    sqrt_interval,
+)
 from perronbalance.graphs import (
     Graph,
     attach_path,
@@ -29,6 +35,7 @@ from perronbalance.spectral import (
     BETA_TR,
     LAMBDA_K4_INF,
     LAMBDA_S5_INF,
+    _power_iteration_hint,
     beta_d,
     certified_below,
     gamma_enclosure,
@@ -68,6 +75,49 @@ def test_lambda_examples():
     assert lambda_enclosure(cycle_graph(4)) == RationalInterval(2, 2)
     iv = lambda_enclosure(attach_path(complete_graph(3), 0, 3))
     assert abs(iv.mid_float() - 2.2283) < 1e-4
+
+
+def _bitmask_power_hint(g, iters=80):
+    """Reference power iteration decoding the adjacency bitmasks on every
+    pass, neighbours in ascending order."""
+    x = [1.0] * g.n
+    lam = 1.0
+    for _ in range(iters):
+        y = []
+        for v in range(g.n):
+            s = x[v]
+            mask = g.adj[v]
+            while mask:
+                low = mask & -mask
+                s += x[low.bit_length() - 1]
+                mask ^= low
+            y.append(s)
+        lam = max(abs(t) for t in y)
+        if lam == 0:
+            return 0.0
+        x = [t / lam for t in y]
+    return lam - 1.0
+
+
+def _small_connected_graphs_and_trees(max_graph, max_tree):
+    for n in range(1, max_graph + 1):
+        yield from enumerate_connected_graphs(n)
+    for n in range(1, max_tree + 1):
+        yield from enumerate_trees(n)
+
+
+def test_power_hint_bit_identical_to_bitmask_reference():
+    for g in _small_connected_graphs_and_trees(7, 11):
+        assert _power_iteration_hint(g) == _bitmask_power_hint(g)
+
+
+def test_lambda_enclosure_builds_no_sturm_chain():
+    # the hint brackets, the exact-hit test and the p' monotonicity test
+    # certify every small connected graph and tree without Sturm counts
+    _sturm_chain.cache_clear()
+    for g in _small_connected_graphs_and_trees(6, 10):
+        lambda_enclosure(g)
+    assert _sturm_chain.cache_info().misses == 0
 
 
 def test_lambda_disconnected_rejected():
