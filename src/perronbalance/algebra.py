@@ -1,8 +1,9 @@
 """Exact univariate polynomial arithmetic and certified real-root tools.
 
 Everything in this module is exact: integer polynomials, rational
-intervals, Sturm sequences, Taylor shifts, and rational functions reduced
-over the integers.  Floating point appears only as a root-location hint;
+intervals, Taylor shifts, root counts by Descartes bisection with Sturm
+sequences as the fallback, and rational functions reduced over the
+integers.  Floating point appears only as a root-location hint;
 every returned enclosure or sign verdict is certified by integer or
 rational arithmetic.
 
@@ -495,6 +496,77 @@ def count_real_roots(p: IntPoly) -> int:
     return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
 
 
+# Bisection depth past which count_roots_in hands the count to sturm_count:
+# a multiple root, or roots closer than (hi - lo)/2^DESCARTES_DEPTH, keep
+# the Descartes bound above 1 on every subinterval around them.
+DESCARTES_DEPTH = 24
+
+# count_roots_in calls, bisection nodes visited, and Sturm fallbacks.
+_ROOT_COUNTS = {"descartes": 0, "nodes": 0, "sturm": 0}
+
+
+def root_count_info() -> dict:
+    """How many count_roots_in calls ran, how many bisection nodes they
+    visited, and how many fell back to sturm_count."""
+    return dict(_ROOT_COUNTS)
+
+
+def _sign_variations(coeffs: Sequence[int]) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def count_roots_in(p: IntPoly, interval: RationalInterval) -> int:
+    """Number of distinct real roots of p in the half-open interval (lo, hi],
+    as sturm_count, by Descartes bisection (Collins & Akritas 1976).
+
+    With lo = a/b, shift_scaled(lo) is b^d p(lo + x/b); scaling x by
+    w = (hi - lo)*b = u/v and clearing v^d gives p1, a positive multiple of
+    p(lo + (hi - lo) y), so the roots of p in (lo, hi) are those of p1 in
+    (0, 1).  For a polynomial q of degree d, the roots of q in (0, 1) are the
+    positive roots of (1 + y)^d q(1/(1 + y)) = reverse(q)(y + 1), counted
+    with multiplicity; by Descartes' rule of signs the sign variations of
+    its coefficients bound that number and have its parity, so 0 variations
+    mean no root and 1 means exactly one, a simple one.  A node with more
+    splits into 2^d q(y/2) and 2^d q((1 + y)/2), the two halves of (0, 1);
+    the midpoint is a root iff the right half vanishes at 0, and is counted
+    there once.  A root at lo is never counted (p1 vanishes at 0, outside
+    every open subinterval) and a root at hi is counted by sign_at(hi).
+    Bisection ends at a node of depth DESCARTES_DEPTH, and the whole count
+    is then sturm_count's.
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    _ROOT_COUNTS["descartes"] += 1
+    lo, hi = interval.lo, interval.hi
+    if lo == hi:
+        return 0
+    s = p.shift_scaled(lo).coeffs
+    w = (hi - lo) * lo.denominator
+    u, v = w.numerator, w.denominator
+    d = len(s) - 1
+    found = 1 if p.sign_at(hi) == 0 else 0
+    p1 = IntPoly._from_ints([c * u ** k * v ** (d - k) for k, c in enumerate(s)])
+    stack = [(p1, 0)]
+    while stack:
+        q, depth = stack.pop()
+        _ROOT_COUNTS["nodes"] += 1
+        reverse = IntPoly._from_ints(list(q.coeffs[::-1]))
+        var = _sign_variations(reverse.shift_int(1).coeffs)
+        if var < 2:
+            found += var
+            continue
+        if depth == DESCARTES_DEPTH:
+            _ROOT_COUNTS["sturm"] += 1
+            return sturm_count(p, interval)
+        left = IntPoly._from_ints([c << (d - k) for k, c in enumerate(q.coeffs)])
+        right = left.shift_int(1)
+        if right.coeffs[0] == 0:
+            found += 1
+        stack += [(left, depth + 1), (right, depth + 1)]
+    return found
+
+
 def root_bound(p: IntPoly) -> int:
     """Cauchy bound: all real roots lie in (-M, M)."""
     if p.degree < 0:
@@ -528,10 +600,11 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
       p(a) < 0, which puts a root in (a, infinity), and the same
       coefficient test at b, which puts no root in (b, infinity).
 
-    Without a hint, or when no bracket is found, Sturm bisection from the
-    Cauchy bound gives the bracket.  Either way the largest root lies in
-    (lo, hi] and no root lies above hi, which is what _refine_largest
-    requires.
+    Without a hint, or when no bracket is found, bisection from the Cauchy
+    bound M gives the bracket: every real root lies in (-M, M), so the
+    roots above mid are those count_roots_in finds in (mid, M].  Either
+    way the largest root lies in (lo, hi] and no root lies above hi, which
+    is what _refine_largest requires.
     """
     if p.degree < 1:
         raise NoRealRootError("constant polynomial has no roots")
@@ -547,7 +620,7 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
                 p.certifies_no_roots_above(cand)
                 or count_roots_above(p, cand) == 0):
             return RationalInterval.point(Fraction(cand))
-        # try geometric widening around the hint before falling back to Sturm
+        # try geometric widening around the hint before the bisection below
         for w_exp in (-20, -10, -4, 0):
             w = Fraction(1, 1) * Fraction(2) ** w_exp
             a = _dyadic_below(Fraction(hint) - w)
@@ -560,16 +633,14 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
                 lo, hi = a, b
                 break
     if lo is None:
-        chain = _sturm_chain(p.coeffs)
-        total = _variations_at(chain, Fraction(-M)) - _variations_at_inf(chain, True)
-        if total == 0:
+        top = Fraction(M)
+        if count_roots_in(p, RationalInterval(-top, top)) == 0:
             raise NoRealRootError("polynomial has no real roots")
-        lo, hi = Fraction(-M), Fraction(M)
+        lo, hi = -top, top
         # bisect for the largest root: keep count((mid, hi]) >= 1 on the right
         while True:
             mid = (lo + hi) / 2
-            above = _variations_at(chain, mid) - _variations_at_inf(chain, True)
-            if above >= 1:
+            if count_roots_in(p, RationalInterval(mid, top)) >= 1:
                 lo = mid
             else:
                 hi = mid

@@ -581,6 +581,18 @@ def _jsonable(obj):
     return str(obj)
 
 
+def table_minimum_certified(rows: Sequence) -> bool:
+    """Whether the first row of a min_gamma_table is certified below every
+    other row: its gamma enclosure lies strictly below each other one.
+
+    The rows come sorted on enclosure midpoints, so this is what makes
+    rows[0] the certified minimum.  The order of the other rows is not
+    certified; rows with equal or nearly equal ratios overlap.
+    """
+    top = rows[0].gamma.value.hi
+    return all(top < r.gamma.value.lo for r in rows[1:])
+
+
 LAMBDA2_CERTIFIED_CAP = 16
 LAMBDA2_SPOT_CAP = 10 ** 4
 
@@ -777,12 +789,14 @@ def prove_conjecture(kind: str, tamper_beta: Optional[Fraction] = None,
     links = []
     if kind == "graphs":
         rows6, below6 = min_gamma_table(6, "graph", BETA_STAR)
-        min_ok = rows6[0].graph6 == canon6(attach_path(complete_graph(4), 0, 2))
+        min_ok = (rows6[0].graph6 == canon6(attach_path(complete_graph(4), 0, 2))
+                  and table_minimum_certified(rows6))
         links.append(LinkResult(
             "exhaustive 6-vertex table", min_ok and below6 == 5,
             {"minimum": rows6[0].graph6, "count_below_limit": below6}))
         rows7, below7 = min_gamma_table(7, "graph", BETA_STAR)
-        min7_ok = rows7[0].graph6 == canon6(attach_path(complete_graph(4), 0, 3))
+        min7_ok = (rows7[0].graph6 == canon6(attach_path(complete_graph(4), 0, 3))
+                   and table_minimum_certified(rows7))
         links.append(LinkResult(
             "exhaustive 7-vertex table", min7_ok and below7 == 1,
             {"minimum": rows7[0].graph6, "count_below_limit": below7}))
@@ -838,7 +852,8 @@ def prove_conjecture(kind: str, tamper_beta: Optional[Fraction] = None,
         for n in range(8, 14):
             rows, below = min_gamma_table(n, "tree", BETA_TR)
             want_min = canon6(attach_path(star_graph(5), 0, n - 5))
-            okn = rows[0].graph6 == want_min and below == expected_counts[n]
+            okn = (rows[0].graph6 == want_min and below == expected_counts[n]
+                   and table_minimum_certified(rows))
             if n >= 11:
                 second = canon6(attach_path(star_graph(6), 0, n - 6))
                 got_below = [r.graph6 for r in rows[:below]]
@@ -851,7 +866,8 @@ def prove_conjecture(kind: str, tamper_beta: Optional[Fraction] = None,
         min14 = canon6(attach_path(star_graph(5), 0, 9))
         links.append(LinkResult(
             "exhaustive 14-vertex tree table",
-            below14 == 1 and rows14[0].graph6 == min14,
+            below14 == 1 and rows14[0].graph6 == min14
+            and table_minimum_certified(rows14),
             {"min": rows14[0].graph6, "below": below14}))
         links.append(lambda_le_2_link("trees"))
         links.append(star_link())

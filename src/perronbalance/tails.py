@@ -18,6 +18,11 @@ integer coefficients:
 
 Every verdict is certified with exact arithmetic; interval endpoints that
 are algebraic are handled by outer rational enclosures, refined on demand.
+Roots in an interval are counted by algebra.count_roots_in, Descartes
+bisection on integer Taylor shifts, which hands a count to a Sturm chain
+only when bisection cannot separate the roots: of the certificates' counts
+that is the double root of the conjugate product at t_inf, where the
+finite-path comparison is tangent to the limit.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ from .algebra import (
     RationalInterval,
     SqrtRat,
     count_roots_above,
+    count_roots_in,
     isolate_largest_root,
     refine_root,
-    sturm_count,
     substitute_t,
 )
 from .graphs import Graph, attach_fork, attach_path, write_graph6
@@ -176,18 +181,22 @@ def _rf_nonneg_on_closed(f: RationalFunction, a: Fraction, b: Fraction) -> bool:
     """Certify f >= 0 on [a, b] (strictly positive except possibly at a).
 
     Requires the reduced denominator to be root-free on [a, b]; the
-    numerator may vanish at a but not inside.
+    numerator may vanish at a but not inside.  Both root counts on (a, b]
+    are count_roots_in's: the condition (iv)-(viii) polynomials have degree
+    up to 26 and carry the rational upper end of the limit ratio, about
+    1,050 bits, which makes Sturm chains of them slow, while one Descartes
+    test of their Taylor shift to [a, b] settles each count.
     """
     if a > b:
         raise ValueError("empty interval")
     den, num = f.den, f.num
     iv = RationalInterval(a, b)
-    if den.sign_at(a) == 0 or (a != b and sturm_count(den, iv) > 0):
+    if den.sign_at(a) == 0 or (a != b and count_roots_in(den, iv) > 0):
         return False
     sden = den.sign_at(b)
     if num.is_zero():
         return True
-    if a != b and sturm_count(num, iv) > 0:
+    if a != b and count_roots_in(num, iv) > 0:
         return False
     if num.sign_at(a) * sden < 0:
         return False
@@ -311,7 +320,9 @@ def _exact_gap_positive(ctx: TailContext, f: RationalFunction, target: SqrtRat,
     construction, and a single counted root inside that endpoint's
     enclosure is therefore the endpoint itself.  Root counting stays
     rational via the conjugate product; sample signs are exact in the
-    quadratic field.
+    quadratic field.  The counts are count_roots_in's.  At a tangency the
+    conjugate product has a double root at t_inf, which Descartes bisection
+    cannot isolate, and that one count falls back to a Sturm chain.
     """
     num, den = f.num, f.den
     # roots of num - target*den are among the roots of the rational product
@@ -326,7 +337,7 @@ def _exact_gap_positive(ctx: TailContext, f: RationalFunction, target: SqrtRat,
     if left.hi >= right.lo:
         return False
     iv = RationalInterval(a, b)
-    if den.sign_at(a) == 0 or sturm_count(den, iv) > 0:
+    if den.sign_at(a) == 0 or count_roots_in(den, iv) > 0:
         return False
     # the tangent endpoint must really be the limit rate with f equal to
     # the target there (the target is the exact limit ratio)
@@ -341,9 +352,9 @@ def _exact_gap_positive(ctx: TailContext, f: RationalFunction, target: SqrtRat,
             return False
     except ZeroDivisionError:
         return False
-    inner = sturm_count(w2, RationalInterval(left.hi, right.lo))
-    edge_l = sturm_count(w2, RationalInterval(a, left.hi))
-    edge_r = sturm_count(w2, RationalInterval(right.lo, b))
+    inner = count_roots_in(w2, RationalInterval(left.hi, right.lo))
+    edge_l = count_roots_in(w2, RationalInterval(a, left.hi))
+    edge_r = count_roots_in(w2, RationalInterval(right.lo, b))
     allow_l = 1 if tangent_at == "left" else 0
     allow_r = 1 if tangent_at == "right" else 0
     if inner > 0 or edge_l > allow_l or edge_r > allow_r:

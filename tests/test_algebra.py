@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perronbalance.algebra import (
+    DESCARTES_DEPTH,
     IntPoly,
     NoRealRootError,
     RationalFunction,
@@ -21,10 +22,12 @@ from perronbalance.algebra import (
     bareiss_det,
     charpoly_by_interpolation,
     count_roots_above,
+    count_roots_in,
     isolate_largest_root,
     poly_to_text,
     ray_verdict,
     root_bound,
+    root_count_info,
     sqrt_interval,
     sturm_count,
     substitute_t,
@@ -238,6 +241,71 @@ def test_sturm_against_known_factorizations():
         b = a + Fraction(rng.randint(1, 10), 2)
         want = len({r for r in roots if a < r <= b})
         assert sturm_count(p, RationalInterval(a, b)) == want
+
+
+@st.composite
+def _interval_root_cases(draw):
+    """(p, lo, hi, roots): p the product of scale, (den x - num)^m over
+    chosen rational roots of multiplicity m <= 2, and nonreal pairs
+    (d x - e)^2 + t; roots holds the real roots.  lo is nonzero with
+    denominator 3, 5, 7 or 12 (or an integer), the width need not be
+    dyadic, and the interval may be a point.  The roots are lo, hi,
+    dyadic midpoints lo + w j/2^k, points inside, and points anywhere."""
+    lo = Fraction(draw(st.integers(-20, 20).filter(bool)),
+                  draw(st.sampled_from([1, 3, 5, 7, 12])))
+    w = draw(st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=Fraction(1, 11), max_value=6,
+                                    max_denominator=11)))
+    hi = lo + w
+    spots = st.one_of(
+        st.just(lo), st.just(hi),
+        st.tuples(st.integers(1, 4), st.integers(0, 7)).map(
+            lambda kj: lo + w * Fraction(2 * kj[1] % 2 ** kj[0] + 1, 2 ** kj[0])),
+        st.fractions(min_value=0, max_value=1, max_denominator=13).map(
+            lambda f: lo + w * f),
+        st.fractions(min_value=-25, max_value=25, max_denominator=9))
+    chosen = draw(st.lists(st.tuples(spots, st.integers(1, 2)), max_size=6))
+    p = IntPoly([draw(st.sampled_from([1, -1, 3]))])
+    for r, m in chosen:
+        p = p * IntPoly([-r.numerator, r.denominator]) ** m
+    for d, e, t in draw(st.lists(st.tuples(st.integers(1, 60), st.integers(-150, 150),
+                                           st.integers(1, 4)), max_size=2)):
+        p = p * IntPoly([e * e + t, -2 * d * e, d * d])
+    return p, lo, hi, {r for r, _ in chosen}
+
+
+def _descartes_case(roots, lo, hi):
+    p = IntPoly([1])
+    for r in roots:
+        p = p * IntPoly([-r.numerator, r.denominator])
+    return p, lo, hi, set(roots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_interval_root_cases())
+@example(_descartes_case([Fraction(2, 3), Fraction(5, 6)], Fraction(1, 3), Fraction(4, 3)))
+@example(_descartes_case([Fraction(1, 3), Fraction(1, 2)], Fraction(1, 3), Fraction(4, 3)))
+@example(_descartes_case([Fraction(-1, 5), Fraction(4, 15), Fraction(2, 5)],
+                         Fraction(-1, 5), Fraction(2, 5)))
+@example(_descartes_case([Fraction(3, 7)], Fraction(3, 7), Fraction(3, 7)))
+def test_count_roots_in_matches_sturm(case):
+    p, lo, hi, roots = case
+    iv = RationalInterval(lo, hi)
+    want = len({r for r in roots if lo < r <= hi})
+    assert sturm_count(p, iv) == want
+    assert count_roots_in(p, iv) == want
+
+
+def test_count_roots_in_falls_back_on_a_double_root():
+    # (3x - 1)^2 (x - 2): the double root 1/3 keeps two sign variations on
+    # every subinterval around it, so the count goes to sturm_count once
+    p = IntPoly([-1, 3]) ** 2 * IntPoly([-2, 1])
+    before = root_count_info()
+    assert count_roots_in(p, RationalInterval(Fraction(1, 5), 3)) == 2
+    after = root_count_info()
+    assert after["sturm"] - before["sturm"] == 1
+    assert after["descartes"] - before["descartes"] == 1
+    assert after["nodes"] - before["nodes"] > DESCARTES_DEPTH
 
 
 # -- root isolation ---------------------------------------------------------------

@@ -2,11 +2,13 @@
 branch checks, structural closure, and certificate assembly."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from perronbalance import reports
+from perronbalance.algebra import RationalInterval
 from perronbalance.bounds import mask_vertices
 from perronbalance.graphs import (
     RootedKernel,
@@ -38,10 +40,11 @@ from perronbalance.kernels import (
     special_tree_kernels,
     star_link,
     guard_link,
+    table_minimum_certified,
     tree_kernel_stage,
     two_step_verify,
 )
-from perronbalance.spectral import BETA_STAR, BETA_TR
+from perronbalance.spectral import BETA_STAR, BETA_TR, min_gamma_table
 
 
 def canon6(g):
@@ -314,6 +317,23 @@ def test_star_and_guard_links():
 
 
 # -- certificates ------------------------------------------------------------------------------
+
+def test_table_minimum_certified():
+    rows, _ = min_gamma_table(6, "graph", BETA_STAR)
+    assert table_minimum_certified(rows)
+    # the second row's enclosure widened down to the first row's upper end
+    first, second = rows[0], rows[1]
+    top = first.gamma.value.hi
+    assert second.gamma.value.lo > top
+    touching = replace(second, gamma=replace(
+        second.gamma, value=RationalInterval(top, second.gamma.value.hi)))
+    assert not table_minimum_certified((first, touching) + rows[2:])
+    # an overlap further down the table fails the check as well
+    overlap = replace(rows[-1], gamma=replace(
+        rows[-1].gamma, value=RationalInterval(first.gamma.value.mid,
+                                               rows[-1].gamma.value.hi)))
+    assert not table_minimum_certified(rows[:-1] + (overlap,))
+
 
 @pytest.mark.slow
 def test_prove_graphs(graph_stage):

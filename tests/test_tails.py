@@ -11,6 +11,8 @@ from perronbalance.algebra import (
     RationalFunction,
     RationalInterval,
     SqrtRat,
+    _sturm_chain,
+    root_count_info,
     substitute_t,
 )
 from perronbalance.graphs import (
@@ -247,6 +249,36 @@ def test_gamma_upper_s5(s5p4_ctx):
                              Fraction(234, 100), Fraction(3, 2))
     assert cert.passed
     assert cond8_monotone_floor(s5p4_ctx, 4)
+
+
+def _fallbacks_during(run):
+    before = root_count_info()
+    cert = run()
+    after = root_count_info()
+    assert after["descartes"] > before["descartes"]
+    return cert, after["sturm"] - before["sturm"]
+
+
+def test_gamma_upper_s5_counts_roots_without_sturm():
+    # a fresh context, so the counts are those of a cold certificate
+    ctx = TailContext(attach_path(star_graph(5), 0, 4), 8, o=0,
+                      exact_limit_ratio=BETA_TR)
+    _sturm_chain.cache_clear()
+    cert, fallbacks = _fallbacks_during(lambda: check_gamma_upper(
+        ctx, 4, Fraction(2312, 1000), Fraction(234, 100), Fraction(3, 2)))
+    assert cert.passed
+    assert fallbacks == 0
+    assert _sturm_chain.cache_info().misses == 0
+
+
+def test_gamma_lower_s5_falls_back_once_at_the_tangency():
+    # the conjugate product w2 of the value comparison has a double root at
+    # t_inf, which no Descartes bisection isolates
+    ctx = TailContext(star_graph(5), 0, exact_limit_ratio=BETA_TR)
+    cert, fallbacks = _fallbacks_during(lambda: check_gamma_lower(ctx, 1))
+    assert cert.passed
+    assert cert.conditions[0].branch == "value-comparison"
+    assert fallbacks == 1
 
 
 def test_gamma_upper_ordering_errors(k4p1_ctx):
