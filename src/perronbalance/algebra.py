@@ -465,35 +465,17 @@ def _variations_at(chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _variations_at_inf(chain, positive: bool) -> int:
-    signs = []
-    for q in chain:
-        if q.is_zero():
-            continue
-        s = _sign(q.leading)
-        if not positive and q.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
 def sturm_count(p: IntPoly, interval: RationalInterval) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi]."""
+    """Number of distinct real roots of p in the half-open interval (lo, hi],
+    from the Sturm chain of its squarefree part.
+
+    count_roots_in is the root counter; this is its fallback for the roots
+    that bisection cannot separate, a multiple root above all.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     chain = _sturm_chain(p.coeffs)
     return _variations_at(chain, interval.lo) - _variations_at(chain, interval.hi)
-
-
-def count_roots_above(p: IntPoly, a: Rat) -> int:
-    """Number of distinct real roots of p in (a, +infinity)."""
-    chain = _sturm_chain(p.coeffs)
-    return _variations_at(chain, Fraction(a)) - _variations_at_inf(chain, True)
-
-
-def count_real_roots(p: IntPoly) -> int:
-    chain = _sturm_chain(p.coeffs)
-    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
 
 
 # Bisection depth past which count_roots_in hands the count to sturm_count:
@@ -576,6 +558,18 @@ def root_bound(p: IntPoly) -> int:
     return 1 + (m + lead - 1) // lead
 
 
+def count_roots_above(p: IntPoly, a: Rat) -> int:
+    """Number of distinct real roots of p in (a, +infinity).
+
+    Every real root lies in (-M, M) with M = root_bound(p), so these are
+    the roots count_roots_in finds in (a, M], and none when a >= M.
+    """
+    M = root_bound(p)
+    if a >= M:
+        return 0
+    return count_roots_in(p, RationalInterval(a, M))
+
+
 class NoRealRootError(ValueError):
     pass
 
@@ -595,7 +589,8 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
     - A root c at the rounded hint is the largest root iff no root lies
       above c.  p.certifies_no_roots_above(c) proves that first: p(c + y)
       has nonnegative coefficients, one of them positive, so p(c + y) > 0
-      for every y > 0.  A Sturm count decides only when that test fails.
+      for every y > 0.  count_roots_above decides only when that test
+      fails.
     - Otherwise the hint is widened to a dyadic bracket [a, b] with
       p(a) < 0, which puts a root in (a, infinity), and the same
       coefficient test at b, which puts no root in (b, infinity).
@@ -667,15 +662,15 @@ def _refine_largest(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> Ra
     Requires p primitive, so its leading coefficient is positive, and the
     largest real root in (lo, hi].  Then no root lies above hi and p > 0 on
     (hi, infinity).  Each step keeps the invariant, and each decision is the
-    one a Sturm count of the roots above mid would make:
+    one a count of the roots above mid would make:
 
     (a) p(mid) < 0.  Since p(x) -> +infinity, a root lies in (mid, infinity),
         so in (mid, hi]: set lo = mid.  An exact zero at hi is the largest
         root for the same reason.  Neither needs a count.
     (b) p(mid) = 0.  mid is the largest root iff no root lies above it.
-        That is proved by (c), or by p.certifies_no_roots_above(mid); a
-        Sturm count decides only when both fail.  If a root lies above,
-        set lo = mid.
+        That is proved by (c), or by p.certifies_no_roots_above(mid);
+        count_roots_above decides only when both fail.  If a root lies
+        above, set lo = mid.
     (c) Once p'.certifies_no_roots_above(lo) holds, p' > 0 on (lo, infinity),
         so p is strictly increasing there and has at most one root in it.
         For every later mid > lo, p(mid) > 0 then leaves no root above mid,
@@ -688,13 +683,14 @@ def _refine_largest(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> Ra
         polynomial every root is real, and the test holds once lo passes
         the largest root of p', which lies below the largest root of p.
 
-    Until (c) holds, Sturm still runs: a step with p(mid) > 0 sets hi = mid
-    when p.certifies_no_roots_above(mid) holds and otherwise asks a count,
-    and the closing check is a Sturm count, followed by Sturm bisection
-    until the interval isolates one root.  By the above, that can happen
-    only while some root of p' has real part at or above lo: for a p with
-    nonreal roots possibly to the end, and otherwise when eps is coarser
-    than the distance from the bracket to the largest root of p'.
+    Until (c) holds, root counts still run: a step with p(mid) > 0 sets
+    hi = mid when p.certifies_no_roots_above(mid) holds and otherwise asks
+    count_roots_above, and the closing check is count_roots_in on (lo, hi],
+    followed by bisection on those counts until the interval isolates one
+    root.  By the above, that can happen only while some root of p' has
+    real part at or above lo: for a p with nonreal roots possibly to the
+    end, and otherwise when eps is coarser than the distance from the
+    bracket to the largest root of p'.
     """
     if p.sign_at(hi) == 0:
         return RationalInterval(hi, hi)
@@ -715,7 +711,7 @@ def _refine_largest(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> Ra
             # a root lies above mid, so (c) cannot hold at mid
             lo = mid
     iv = RationalInterval(lo, hi)
-    if not rising and sturm_count(p, iv) != 1:
+    if not rising and count_roots_in(p, iv) != 1:
         # shrink further until separated
         for _ in range(200):
             mid = (lo + hi) / 2
@@ -724,7 +720,7 @@ def _refine_largest(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> Ra
             else:
                 hi = mid
             iv = RationalInterval(lo, hi)
-            if sturm_count(p, iv) == 1:
+            if count_roots_in(p, iv) == 1:
                 break
         else:
             raise ArithmeticError("failed to separate largest root")
@@ -765,68 +761,55 @@ def ray_verdict(q: IntPoly, lo: Fraction, hi: Fraction) -> tuple:
     """Certify q >= 0 on the ray [x0, infinity) whose start x0 is only known
     to lie in [lo, hi].
 
-    Returns (kind, witness).  "coefficients": the coefficients of q shifted
-    to lo are nonnegative.  "sturm": q(lo) > 0 and no root above lo, or q
-    >= 0 at sample points between its roots above lo (tangencies).  "fail":
-    q(witness) < 0 exactly at a rational witness >= hi, so the inequality is
-    false on the true ray.  "undecided": the sign trouble may lie inside
+    Returns (kind, witness) from the first rung that decides.
+    "coefficients": the coefficients of q shifted to lo are nonnegative.
+    "fail": q(witness) < 0 exactly, at hi or at the first negative point
+    of _root_separating_points(q, hi); witness >= hi, so the inequality is
+    false on the true ray.  "sturm": q(lo) >= 0 and q > 0 at the points of
+    _root_separating_points(q, lo), one in each gap between the roots of q
+    above lo, so q >= 0 on [lo, infinity) and touches zero only at its
+    roots (tangencies).  The counts are count_roots_in's; the name "sturm"
+    is the one reports read.  "undecided": the sign trouble may lie inside
     [lo, hi]; tighten the enclosure of x0 and ask again.
     """
     if q.all_coeffs_nonneg_shifted(lo):
         return "coefficients", None
-    s = q.sign_at(lo)
-    if s > 0 and count_roots_above(q, lo) == 0:
-        return "sturm", None
-    witness = find_negative_point_on_ray(q, hi)
-    if witness is not None:
-        return "fail", witness
-    if s >= 0 and _nonneg_with_tangencies(q, lo):
+    if q.sign_at(hi) < 0:
+        return "fail", hi
+    for x in _root_separating_points(q, hi):
+        if q.sign_at(x) < 0:
+            return "fail", x
+    if q.sign_at(lo) >= 0 and all(
+            q.sign_at(x) > 0 for x in _root_separating_points(q, lo)):
         return "sturm", None
     return "undecided", None
 
 
-def find_negative_point_on_ray(q: IntPoly, a: Fraction) -> Fraction | None:
-    """A rational x >= a with q(x) < 0, or None if sampling finds none."""
-    if q.sign_at(a) < 0:
-        return a
-    pts = _root_separating_points(q, a)
-    for x in pts:
-        if q.sign_at(x) < 0:
-            return x
-    return None
-
-
 def _root_separating_points(q: IntPoly, a: Fraction) -> list:
-    """Rational sample points interleaving the roots of q in (a, inf)."""
-    n = count_roots_above(q, a)
-    if n == 0:
-        return [a + 1]
-    M = Fraction(root_bound(q))
-    lo, hi = a, M
-    cuts = [lo, hi]
-    # bisect until each root is in its own cell
-    frontier = [(lo, hi, n)]
-    for _ in range(4000):
-        if not frontier:
-            break
-        l, h, cnt = frontier.pop()
-        if cnt <= 1 or h - l < Fraction(1, 2 ** 40):
-            continue
-        m = (l + h) / 2
-        cuts.append(m)
-        cl = sturm_count(q, RationalInterval(l, m))
-        ch = cnt - cl
-        if cl > 1:
-            frontier.append((l, m, cl))
-        if ch > 1:
-            frontier.append((m, h, ch))
-    cuts = sorted(set(cuts))
-    return [(x + y) / 2 for x, y in zip(cuts, cuts[1:])] + [M + 1]
+    """Rational points above a, none a root of q, with one in each gap
+    between a and the distinct roots of q above it and one above them all.
 
-
-def _nonneg_with_tangencies(q: IntPoly, a: Fraction) -> bool:
-    pts = _root_separating_points(q, a)
-    return all(q.sign_at(x) >= 0 for x in pts) and q.sign_at(a) >= 0
+    (a, M] with M = max(root_bound(q), a + 1) is bisected into cells
+    (l, h] counted by count_roots_in, until the cell at a holds no root and
+    every other cell at most one.  A midpoint that is a root moves toward
+    h, which is not.  The right ends are the points: the one of the cell at
+    a lies below the first root, and the one of a cell holding a root lies
+    above it and below the next.
+    """
+    M = max(Fraction(root_bound(q)), a + 1)
+    cells = [(a, M, count_roots_in(q, RationalInterval(a, M)))]
+    points = []
+    while cells:
+        l, h, n = cells.pop()
+        if n > 1 or n == 1 and l == a:
+            m = (l + h) / 2
+            while q.sign_at(m) == 0:
+                m = (m + h) / 2
+            k = count_roots_in(q, RationalInterval(l, m))
+            cells += [(l, m, k), (m, h, n - k)]
+        else:
+            points.append(h)
+    return sorted(points)
 
 
 # ---------------------------------------------------------------------------
@@ -1192,27 +1175,3 @@ class SqrtRat:
             if iv.width <= eps:
                 return iv
             bits *= 2
-
-
-def sqrt_interval(x: Rat, eps: Rat = Fraction(1, 2 ** 40)) -> RationalInterval:
-    """Certified enclosure of sqrt(x) for rational x >= 0."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return RationalInterval.point(0)
-    eps = Fraction(eps)
-    bits = 8
-    while True:
-        scale = 1 << bits
-        n = x.numerator * scale * scale
-        lo_num = math.isqrt(n // x.denominator)
-        lo = Fraction(lo_num, scale)
-        while lo * lo > x:
-            lo -= Fraction(1, scale)
-        hi = lo + Fraction(2, scale)
-        while (hi - Fraction(1, scale)) ** 2 >= x:
-            hi -= Fraction(1, scale)
-        if hi - lo <= eps and lo * lo <= x <= hi * hi:
-            return RationalInterval(lo, hi)
-        bits *= 2

@@ -20,7 +20,8 @@ of H is at least
 minimized over lam >= max(lam_U, lam_V), where lam_U is the top eigenvalue
 of H plus one new vertex joined to U.  Clearing denominators turns each
 pair check into the nonnegativity of one integer polynomial Q_{U,V} on a
-ray, certified here by shifted-coefficient signs with a Sturm fallback.
+ray, certified here by shifted-coefficient signs, with a fallback that
+samples Q once between each two of its roots (algebra.ray_verdict).
 
 The pair data come from work done once per kernel or per boundary set.
 The adjugate is symmetric, so
@@ -466,7 +467,7 @@ def check_pair(ctx: KernelContext, u_mask: int, v_mask: int,
 
     The shift point is a certified rational lower bound of the attachment
     eigenvalue, so coefficient positivity after shifting is sound (and
-    conservative).  The Sturm fallback distinguishes a failed sufficient
+    conservative).  The ray_verdict fallback distinguishes a failed sufficient
     condition from a genuinely false inequality; failures carry an exact
     rational witness.  An undecided verdict tightens both attachment
     eigenvalues and asks again.

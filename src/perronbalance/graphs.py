@@ -305,17 +305,6 @@ def attach_fork(h: Graph, v: int, k: int, leaves: int) -> Graph:
     return g
 
 
-def bfs_layers(g: Graph, o: int) -> list:
-    """Vertex layers by distance from o; ties broken by ascending id."""
-    dist = g.distances_from(o)
-    if min(dist) < 0:
-        raise ValueError("graph is disconnected")
-    layers = [[] for _ in range(max(dist) + 1)]
-    for v in range(g.n):
-        layers[dist[v]].append(v)
-    return layers
-
-
 # -- named small graphs -------------------------------------------------------
 
 def complete_graph(n: int) -> Graph:

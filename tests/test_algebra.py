@@ -28,7 +28,6 @@ from perronbalance.algebra import (
     ray_verdict,
     root_bound,
     root_count_info,
-    sqrt_interval,
     sturm_count,
     substitute_t,
 )
@@ -199,6 +198,13 @@ def test_packed_shift_sign_matches_coefficients(case):
 
 # -- Sturm counting -------------------------------------------------------------
 
+def _sturm_above(p, a):
+    """Reference count of the distinct real roots of p in (a, infinity): the
+    Sturm chain on (a, M], every real root lying in (-M, M)."""
+    M = root_bound(p)
+    return sturm_count(p, RationalInterval(a, M)) if a < M else 0
+
+
 def test_sturm_count_examples():
     p = IntPoly([-2, 0, 1])
     assert sturm_count(p, RationalInterval(1, 2)) == 1
@@ -211,7 +217,7 @@ def test_sturm_negative_leading_regression():
     # chain members must only be rescaled by positive constants; this
     # root-free palindromic polynomial once miscounted
     p = IntPoly([2, -8, 5, -4, 17, 4, 52, 4, 17, -4, 5, -8, 2])
-    assert count_roots_above(p, Fraction(1)) == count_roots_above(p, Fraction(2)) + \
+    assert _sturm_above(p, Fraction(1)) == _sturm_above(p, Fraction(2)) + \
         sturm_count(p, RationalInterval(1, 2))
 
 
@@ -308,6 +314,17 @@ def test_count_roots_in_falls_back_on_a_double_root():
     assert after["nodes"] - before["nodes"] > DESCARTES_DEPTH
 
 
+@settings(max_examples=150, deadline=None)
+@given(_interval_root_cases())
+@example(_descartes_case([Fraction(1)], Fraction(3), Fraction(3)))
+def test_count_roots_above_matches_sturm(case):
+    # a ranges below, among and above the roots, up to past root_bound(p)
+    p, a, _, roots = case
+    want = len({r for r in roots if r > a})
+    assert _sturm_above(p, a) == want
+    assert count_roots_above(p, a) == want
+
+
 # -- root isolation ---------------------------------------------------------------
 
 def test_isolate_largest_examples():
@@ -331,14 +348,13 @@ def test_isolate_largest_is_isolating():
         try:
             iv = isolate_largest_root(p, Fraction(1, 2 ** 30))
         except NoRealRootError:
-            from perronbalance.algebra import count_real_roots
-            assert count_real_roots(p) == 0
+            assert _sturm_above(p, -root_bound(p)) == 0
             continue
         if iv.width == 0:
             assert p.sign_at(iv.lo) == 0
         else:
             assert sturm_count(p, iv) == 1
-        assert count_roots_above(p, iv.hi) == 0
+        assert _sturm_above(p, iv.hi) == 0
 
 
 def test_isolate_no_real_roots():
@@ -348,7 +364,8 @@ def test_isolate_no_real_roots():
 
 def _sturm_only_isolate(p, eps, hint=None):
     """Reference isolation: the bracket search of isolate_largest_root, and
-    every later decision made by a Sturm count."""
+    every later decision made by a Sturm count (_sturm_above for the roots
+    above a point)."""
     if p.degree < 1:
         raise NoRealRootError("constant polynomial has no roots")
     eps = Fraction(eps)
@@ -357,7 +374,7 @@ def _sturm_only_isolate(p, eps, hint=None):
     if hint is not None and math.isfinite(hint):
         cand = round(hint)
         if abs(hint - cand) < 1e-6 and p.sign_at(cand) == 0 \
-                and count_roots_above(p, cand) == 0:
+                and _sturm_above(p, cand) == 0:
             return RationalInterval.point(Fraction(cand))
         for w_exp in (-20, -10, -4, 0):
             w = Fraction(2) ** w_exp
@@ -372,20 +389,20 @@ def _sturm_only_isolate(p, eps, hint=None):
                 break
     if lo is None:
         M = Fraction(root_bound(p))
-        if count_roots_above(p, -M) == 0:
+        if _sturm_above(p, -M) == 0:
             raise NoRealRootError("polynomial has no real roots")
         lo, hi = -M, M
         while hi - lo > Fraction(1, 4):
             mid = (lo + hi) / 2
-            if count_roots_above(p, mid) >= 1:
+            if _sturm_above(p, mid) >= 1:
                 lo = mid
             else:
                 hi = mid
-    if p.sign_at(hi) == 0 and count_roots_above(p, hi) == 0:
+    if p.sign_at(hi) == 0 and _sturm_above(p, hi) == 0:
         return RationalInterval(hi, hi)
     while hi - lo > eps:
         mid = (lo + hi) / 2
-        above = count_roots_above(p, mid)
+        above = _sturm_above(p, mid)
         if p.sign_at(mid) == 0 and above == 0:
             return RationalInterval(mid, mid)
         if above >= 1:
@@ -396,7 +413,7 @@ def _sturm_only_isolate(p, eps, hint=None):
         if sturm_count(p, RationalInterval(lo, hi)) == 1:
             return RationalInterval(lo, hi)
         mid = (lo + hi) / 2
-        if count_roots_above(p, mid) >= 1:
+        if _sturm_above(p, mid) >= 1:
             lo = mid
         else:
             hi = mid
@@ -430,19 +447,20 @@ def test_isolate_exact_hint_needs_no_sturm_chain():
     assert _sturm_chain.cache_info().misses == 0
 
 
-def test_isolate_sturm_fallback_for_nonreal_roots():
+def test_isolate_nonreal_roots_counts_without_sturm_chain():
     # roots 3 and 2 +- i/10: with a wide bracket at a coarse eps the final
     # lo stays below the largest root of p' (about 2.66), so the p' test
-    # fails and the closing check is a Sturm count
+    # fails and the closing check is a root count, which Descartes
+    # bisection settles without a Sturm chain
     p = IntPoly([-3, 1]) * IntPoly([401, -400, 100])
     _sturm_chain.cache_clear()
     iv = isolate_largest_root(p, 2, hint=3.4)
-    assert _sturm_chain.cache_info().misses == 1
+    assert _sturm_chain.cache_info().misses == 0
     assert not p.derivative().certifies_no_roots_above(iv.lo)
     assert iv.width <= 2 and iv.lo < 3 <= iv.hi and sturm_count(p, iv) == 1
     assert iv == _sturm_only_isolate(p, 2, hint=3.4)
     # roots 1 and 2 +- i/10: both roots of p' lie above 1, so the p' test
-    # never holds and the refinement runs on Sturm counts throughout
+    # never holds and the refinement runs on root counts throughout
     p = IntPoly([-1, 1]) * IntPoly([401, -400, 100])
     iv = isolate_largest_root(p, Fraction(1, 2 ** 30))
     assert not p.derivative().certifies_no_roots_above(iv.lo)
@@ -465,6 +483,9 @@ _PAIRS = st.lists(st.tuples(st.integers(1, 3), st.integers(-12, 12),
                  st.integers(-6, 6).map(float),
                  st.tuples(st.sampled_from(range(5)),
                            st.sampled_from([0.0, 1e-9, -1e-7, 3e-4, 0.4, -0.6]))))
+# roots 29/10 and 3 both lie in the bracket, and the nonreal pair 3 +- i
+# keeps the p' test from holding, so the closing count separates them
+@example([Fraction(29, 10), Fraction(3)], [(1, 3, 1)], 1, 2, None)
 def test_isolate_matches_sturm_only_reference(roots, pairs, scale, eps, hint):
     p = IntPoly([scale])
     for r in roots:
@@ -536,6 +557,46 @@ def test_nonneg_on_ray_never_both():
             assert p.eval(witness) < 0 and witness >= a
         else:
             assert witness is None
+
+
+def test_ray_verdict_tangency_undecided_and_fail_between_roots():
+    # (x - 2)^2 (x + 1) touches zero at 2 and is positive elsewhere above 0
+    tangent = IntPoly([-2, 1]) ** 2 * IntPoly([1, 1])
+    assert ray_verdict(tangent, Fraction(0), Fraction(0)) == ("sturm", None)
+    # x - 1 changes sign at 1, inside [lo, hi] = [0, 2], and is positive above
+    assert ray_verdict(IntPoly([-1, 1]), Fraction(0), Fraction(2)) == ("undecided", None)
+    # (x - 3)(x - 4) is positive at hi = 2 and negative only between its roots
+    q = IntPoly([-3, 1]) * IntPoly([-4, 1])
+    kind, witness = ray_verdict(q, Fraction(2), Fraction(2))
+    assert q.sign_at(2) > 0 and kind == "fail" and 3 < witness < 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                          st.integers(1, 2)), max_size=5),
+       _PAIRS, st.sampled_from([1, -2]),
+       st.fractions(min_value=-6, max_value=6, max_denominator=4))
+@example([(Fraction(0), 1), (Fraction(1), 2)], [], 1, Fraction(0))
+@example([(Fraction(0), 1), (Fraction(1), 1)], [], 1, Fraction(0))
+@example([(Fraction(1), 1), (Fraction(2), 1)], [], 1, Fraction(0))
+@example([(Fraction(0), 1), (Fraction(1), 1), (Fraction(3), 1)], [], 1, Fraction(0))
+def test_ray_verdict_matches_root_multiplicities(roots, pairs, scale, a):
+    # above a, q changes sign exactly at its roots of odd multiplicity, and
+    # is positive far out iff its leading coefficient is; with lo = hi = a
+    # the verdict is never "undecided"
+    q = IntPoly([scale])
+    mult = {}
+    for r, m in roots:
+        q = q * IntPoly([-r.numerator, r.denominator]) ** m
+        mult[r] = mult.get(r, 0) + m
+    for d, e, t in pairs:
+        q = q * IntPoly([e * e + t, -2 * d * e, d * d])
+    nonneg = scale > 0 and all(m % 2 == 0 for r, m in mult.items() if r > a)
+    kind, witness = ray_verdict(q, a, a)
+    if nonneg:
+        assert kind in ("coefficients", "sturm")
+    else:
+        assert kind == "fail" and witness >= a and q.sign_at(witness) < 0
 
 
 # -- substitution lam = t + 1/t -----------------------------------------------------
@@ -652,9 +713,8 @@ def test_sqrt_rat_enclosure():
     iv = val.enclosure(Fraction(1, 10 ** 12))
     assert iv.width <= Fraction(1, 10 ** 12)
     assert abs(iv.mid_float() - (4 + 2 * 3 ** 0.5)) < 1e-10
-
-
-def test_sqrt_interval():
-    iv = sqrt_interval(2, Fraction(1, 10 ** 10))
-    assert iv.lo * iv.lo <= 2 <= iv.hi * iv.hi
-    assert iv.width <= Fraction(1, 10 ** 10)
+    for d in (2, 3, 10 ** 9 + 7):
+        iv = SqrtRat(0, 1, d).enclosure(Fraction(1, 10 ** 10))
+        assert iv.lo * iv.lo <= d <= iv.hi * iv.hi
+        assert iv.width <= Fraction(1, 10 ** 10)
+    assert SqrtRat(0, 1, 4).enclosure(Fraction(1, 10 ** 10)) == RationalInterval.point(2)

@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perronbalance.graphs import (
+    MAX_VERTICES,
     Graph,
     Graph6Error,
     RootedKernel,
@@ -13,7 +16,6 @@ from perronbalance.graphs import (
     attach_fork,
     attach_path,
     automorphism_count,
-    bfs_layers,
     bifork_graph,
     canonical_form,
     canonical_relabel,
@@ -93,6 +95,53 @@ def test_graph6_errors():
         parse_graph6("~~~~" + "~" * 700)  # too many vertices
 
 
+@st.composite
+def _graphs(draw, max_n=MAX_VERTICES):
+    """Any simple graph on 1..max_n vertices, connected or not."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    return Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+
+
+@st.composite
+def _trees(draw, max_n=MAX_VERTICES):
+    """A tree on 1..max_n vertices: vertex v > 0 hangs from some u < v."""
+    n = draw(st.integers(1, max_n))
+    return Graph.from_edges(n, [(v, draw(st.integers(0, v - 1))) for v in range(1, n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs())
+def test_graph6_and_edge_list_roundtrip_fuzz(g):
+    assert parse_graph6(write_graph6(g)) == g
+    assert parse_edge_list(write_edge_list(g)) == g
+
+
+def _assert_relabel_invariant(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    root = data.draw(st.one_of(st.none(), st.integers(0, g.n - 1)))
+    moved = g.relabel(perm)
+    assert canonical_form(moved) == canonical_form(g)
+    if root is not None:
+        assert canonical_form(moved, perm[root]) == canonical_form(g, root)
+
+
+# every ordering inside each colour class is tried for graphs that are not
+# trees, so a symmetric graph on many vertices would take very long
+@settings(max_examples=80, deadline=None)
+@given(_graphs(max_n=8), st.data())
+def test_canonical_form_relabel_invariance_fuzz(g, data):
+    _assert_relabel_invariant(g, data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_trees(), st.data())
+def test_canonical_form_tree_relabel_invariance_fuzz(g, data):
+    assert g.is_tree()
+    _assert_relabel_invariant(g, data)
+
+
 def test_edge_list_roundtrip():
     g = attach_path(complete_graph(4), 0, 2)
     assert parse_edge_list(write_edge_list(g)) == g
@@ -111,8 +160,8 @@ def test_attach_path_counts():
 def test_attach_path_star_tree():
     g = attach_path(star_graph(5), 0, 5)
     assert g.n == 10 and g.is_tree()
-    sizes = [len(l) for l in bfs_layers(g, 0)]
-    assert sizes == [1, 5, 1, 1, 1, 1]
+    dist = g.distances_from(0)
+    assert [dist.count(d) for d in range(max(dist) + 1)] == [1, 5, 1, 1, 1, 1]
 
 
 def test_attach_path_induced_subgraph_unchanged():
@@ -143,14 +192,6 @@ def test_attach_fork():
     assert g2.degree(end) == 2 + 1
     with pytest.raises(ValueError):
         attach_fork(complete_graph(4), 0, 3, 1)
-
-
-def test_bfs_layers():
-    assert [sorted(l) for l in bfs_layers(complete_graph(4), 2)] == [[2], [0, 1, 3]]
-    p5 = path_graph(5)
-    assert [l for l in bfs_layers(p5, 0)] == [[0], [1], [2], [3], [4]]
-    with pytest.raises(ValueError):
-        bfs_layers(Graph.from_edges(3, [(0, 1)]), 0)
 
 
 # -- canonical forms ---------------------------------------------------------------

@@ -12,7 +12,6 @@ from perronbalance.algebra import (
     SqrtRat,
     _sturm_chain,
     refine_root,
-    sqrt_interval,
 )
 from perronbalance.graphs import (
     Graph,
@@ -137,7 +136,7 @@ def test_lambda_sqrt_degree_bounds():
             continue
         d = g.degree(o)
         lam = lambda_enclosure(g, Fraction(1, 2 ** 30))
-        sq = sqrt_interval(d, Fraction(1, 2 ** 30))
+        sq = SqrtRat(0, 1, d).enclosure(Fraction(1, 2 ** 30))
         assert lam.hi >= sq.lo and lam.lo <= d
         checked += 1
     assert checked > 40
@@ -154,7 +153,7 @@ def test_perron_k4_symmetric():
 def test_perron_p3_ratio_sqrt2():
     pd = perron_enclosure(path_graph(3), Fraction(1, 10 ** 10))
     ratio = pd.weights[1].div(pd.weights[0])
-    s2 = sqrt_interval(2, Fraction(1, 10 ** 12))
+    s2 = SqrtRat(0, 1, 2).enclosure(Fraction(1, 10 ** 12))
     assert ratio.lo <= s2.hi and s2.lo <= ratio.hi
 
 
@@ -421,7 +420,7 @@ def test_degree_bound_on_small_graphs():
             gv = gamma_enclosure(g, Fraction(1, 10 ** 7)).value
             if d >= 3:
                 bound = beta_d(d)
-                sq = sqrt_interval(d, Fraction(1, 2 ** 30))
+                sq = SqrtRat(0, 1, d).enclosure(Fraction(1, 2 ** 30))
                 alt = sq.mul_scalar(2).add_scalar(3)
                 cutoff = min(bound.hi, alt.hi)
                 assert gv.hi >= cutoff - Fraction(1, 10 ** 5)
