@@ -713,6 +713,9 @@ def test_sqrt_rat_enclosure():
     iv = val.enclosure(Fraction(1, 10 ** 12))
     assert iv.width <= Fraction(1, 10 ** 12)
     assert abs(iv.mid_float() - (4 + 2 * 3 ** 0.5)) < 1e-10
+
+
+def test_sqrt_interval():
     for d in (2, 3, 10 ** 9 + 7):
         iv = SqrtRat(0, 1, d).enclosure(Fraction(1, 10 ** 10))
         assert iv.lo * iv.lo <= d <= iv.hi * iv.hi
