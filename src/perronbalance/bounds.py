@@ -62,7 +62,7 @@ from .algebra import (
     ray_verdict,
     refine_root,
 )
-from .graphs import RootedKernel, _bits, canonical_form
+from .graphs import RootedKernel, _bits, extension_code
 from .spectral import resolvent_data, _power_iteration_hint
 
 LAMBDA_EPS = Fraction(1, 2 ** 30)
@@ -89,6 +89,8 @@ def mask_vertices(mask: int) -> tuple:
 # First isolation of each attachment eigenvalue, shared by every kernel
 # context: keyed on (canonical form of H+U, eps), because the enclosure
 # depends on the float hint and cospectral graphs can get different ones.
+# The code comes from graphs.extension_code, which reads it from the
+# connected-graph enumeration when H is one of its representatives.
 _FIRST_LAMBDA: dict = {}
 _FIRST_LAMBDA_COUNTS = {"hits": 0, "misses": 0}
 
@@ -259,11 +261,11 @@ class KernelContext:
         cur = self._lam.get(mask)
         if cur is None or self._lam_eps[mask] > eps:
             if cur is None:
-                gu = self.graph.add_vertex(mask)
-                key = (canonical_form(gu), eps)
+                key = (extension_code(self.graph, mask), eps)
                 cur = _FIRST_LAMBDA.get(key)
                 if cur is None:
                     _FIRST_LAMBDA_COUNTS["misses"] += 1
+                    gu = self.graph.add_vertex(mask)
                     cur = isolate_largest_root(self._attachment_poly(mask), eps,
                                                hint=_power_iteration_hint(gu))
                     _FIRST_LAMBDA[key] = cur

@@ -4,11 +4,15 @@ exhaustive enumeration of connected graphs, trees, and rooted proof kernels.
 Graphs live on at most 64 vertices so each adjacency row fits in one
 machine word.  Enumerations are desk-scale and deterministic: augmentation
 plus canonical-form deduplication, with results sorted by canonical code.
+Canonical forms of trees are sorted subtree codes; other graphs get color
+refinement and then a pruned search for the least adjacency code over the
+orderings the coloring allows, which returns the same code and ordering as
+trying every one of them.  The connected-graph enumeration keeps the codes
+of the one-vertex extensions it tried (extension_code).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -374,19 +378,25 @@ def e_graph(kind: str) -> Graph:
 
 def _refine_colors(g: Graph, colors: list) -> list:
     """1-dimensional color refinement until stable; colors are small ints
-    assigned canonically by sorting signature tuples."""
+    assigned canonically by sorting signature tuples.
+
+    The input colors must be dense ranks 0..k-1.  Each round ranks the
+    signatures (own color first), so it only splits classes and keeps their
+    order; a round that does not raise the class count therefore reproduces
+    its input, and a discrete coloring is stable."""
     n = g.n
-    while True:
-        sigs = []
-        for v in range(n):
-            nbr = sorted(colors[u] for u in _bits(g.adj[v]))
-            sigs.append((colors[v], tuple(nbr)))
+    nbrs = [_bits(row) for row in g.adj]
+    count = len(set(colors))
+    while count < n:
+        get = colors.__getitem__
+        sigs = [(c, tuple(sorted(map(get, nb)))) for c, nb in zip(colors, nbrs)]
         order = sorted(set(sigs))
+        if len(order) == count:
+            break
         lookup = {s: i for i, s in enumerate(order)}
-        new = [lookup[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+        colors = [lookup[s] for s in sigs]
+        count = len(order)
+    return colors
 
 
 def _is_acyclic_connected(g: Graph) -> bool:
@@ -449,9 +459,22 @@ def _tree_centers(g: Graph) -> list:
 
 
 def _graph_canon(g: Graph, root: Optional[int]) -> tuple:
-    """Canonical code and vertex order by refinement followed by
-    minimization over the orderings consistent with the stable coloring."""
+    """Canonical code and vertex order: color refinement, then the least
+    code over the orderings consistent with the stable coloring.
+
+    The code lists the columns j = 1..n-1 of the relabelled adjacency
+    matrix, column j being the bits adj[order[i]][order[j]] for i < j, first
+    column most significant.  Slots are filled cell by cell in color order
+    and each slot tries the free vertices of its cell in increasing order,
+    which visits orderings in the order of the product over the cells of
+    their permutations.  A vertex whose column exceeds the best ordering's
+    column while the prefix ties the best cannot lead to a smaller code and
+    is skipped; a leaf replaces the best only when strictly smaller.  So
+    the result is the least code over all consistent orderings, with the
+    first ordering in that product order that attains it.
+    """
     n = g.n
+    adj = g.adj
     colors = [0] * n
     if root is not None:
         colors = [0 if v == root else 1 for v in range(n)]
@@ -459,27 +482,54 @@ def _graph_canon(g: Graph, root: Optional[int]) -> tuple:
     cells: dict[int, list] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
-    ordered_cells = [cells[c] for c in sorted(cells)]
-    best = order = None
-    for perm_parts in itertools.product(*[itertools.permutations(cell) for cell in ordered_cells]):
-        cand = [v for part in perm_parts for v in part]
-        bits = 0
-        for j in range(1, n):
-            vj = cand[j]
-            for i in range(j):
-                bits = bits << 1 | (g.adj[cand[i]] >> vj & 1)
-        if best is None or bits < best:
-            best, order = bits, cand
+    slot_cells = [cells[c] for c in sorted(cells) for _ in cells[c]]
+    cand = [0] * n
+    cols = [0] * n
+    best_cols: list = []
+    best_order: list = []
+
+    def search(k: int, tie: bool, used: int) -> bool:
+        # tie: the prefix cand[:k] has the same columns as the best so far
+        # (false before the first leaf).  Returns whether a new best was
+        # found below, which leaves every open prefix tying the new best.
+        if k == n:
+            if tie:
+                return False
+            best_cols[:] = cols
+            best_order[:] = cand
+            return True
+        found = False
+        prefix = cand[:k]
+        for v in slot_cells[k]:
+            if used >> v & 1:
+                continue
+            row = adj[v]
+            col = 0
+            for u in prefix:
+                col = col << 1 | (row >> u & 1)
+            if tie and col > best_cols[k]:
+                continue
+            cand[k] = v
+            cols[k] = col
+            if search(k + 1, tie and col == best_cols[k], used | 1 << v):
+                found = tie = True
+        return found
+
+    search(0, False, 0)
+    bits = 0
+    for j in range(1, n):
+        bits = bits << j | best_cols[j]
     tag = b"G" if root is None else b"g"
-    return tag + n.to_bytes(1, "big") + best.to_bytes((n * n + 7) // 8, "big"), order
+    return tag + n.to_bytes(1, "big") + bits.to_bytes((n * n + 7) // 8, "big"), best_order
 
 
 def canonical_form(g: Graph, root: Optional[int] = None) -> bytes:
     """Canonical byte string: equal iff (rooted-)isomorphic.
 
     Connected acyclic graphs use the linear-time tree code; everything else
-    uses color refinement with exhaustive tie-breaking, which is exact at
-    these sizes.
+    uses color refinement and a search over the orderings of the color
+    classes, pruned where a partial code already exceeds the best, which
+    is exact at these sizes.
     """
     if _is_acyclic_connected(g):
         return _tree_canon(g, root, False)[0]
@@ -573,24 +623,43 @@ GRAPH_ENUM_CAP = 7
 TREE_ENUM_CAP = 14
 
 
+# Codes of g.add_vertex(mask) for mask = 1 .. 2^n - 1 (index mask - 1), one
+# tuple per parent g, recorded while enumerate_connected_graphs extends g.
+_EXTENSION_CODES: dict = {}
+
+
 @lru_cache(maxsize=None)
 def enumerate_connected_graphs(n: int) -> tuple:
     """All connected graphs on n <= 7 vertices, one per isomorphism class.
 
     Builds candidates by attaching a new vertex to every nonempty subset of
     each (n-1)-vertex class representative; every connected graph has a
-    non-cutting vertex, so every class is reached.
+    non-cutting vertex, so every class is reached.  The candidates' codes
+    are kept for extension_code.
     """
     if not (1 <= n <= GRAPH_ENUM_CAP):
         raise ValueError("connected-graph enumeration capped at %d vertices" % GRAPH_ENUM_CAP)
     if n == 1:
         return (Graph(1, (0,)),)
-    out: dict[bytes, Graph] = {}
+    out: dict[bytes, tuple] = {}
     for g in enumerate_connected_graphs(n - 1):
+        codes = []
         for mask in range(1, 1 << (n - 1)):
             h = g.add_vertex(mask)
-            out.setdefault(canonical_form(h), h)
-    return tuple(g for _, g in sorted(out.items()))
+            code = canonical_form(h)
+            # keep the first copy of each code, so a repeat costs a reference
+            codes.append(out.setdefault(code, (code, h))[0])
+        _EXTENSION_CODES[g] = tuple(codes)
+    return tuple(h for _, h in sorted(out.values()))
+
+
+def extension_code(g: Graph, mask: int) -> bytes:
+    """canonical_form(g.add_vertex(mask)), read from the codes recorded by
+    enumerate_connected_graphs when g is one of its representatives."""
+    codes = _EXTENSION_CODES.get(g)
+    if codes is not None and 0 < mask < 1 << g.n:
+        return codes[mask - 1]
+    return canonical_form(g.add_vertex(mask))
 
 
 @lru_cache(maxsize=None)

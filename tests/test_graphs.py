@@ -1,5 +1,6 @@
 """Graph representation, graph6 I/O, canonical forms, and enumerations."""
 
+import itertools
 import math
 import random
 
@@ -12,6 +13,7 @@ from perronbalance.graphs import (
     Graph,
     Graph6Error,
     RootedKernel,
+    _graph_canon,
     active_vertices,
     attach_fork,
     attach_path,
@@ -28,6 +30,7 @@ from perronbalance.graphs import (
     enumerate_graph_kernels,
     enumerate_tree_kernels,
     enumerate_trees,
+    extension_code,
     fork_graph,
     has_open_dominating_vertex,
     has_strictly_dominating_vertex,
@@ -96,9 +99,9 @@ def test_graph6_errors():
 
 
 @st.composite
-def _graphs(draw, max_n=MAX_VERTICES):
-    """Any simple graph on 1..max_n vertices, connected or not."""
-    n = draw(st.integers(1, max_n))
+def _graphs(draw, max_n=MAX_VERTICES, min_n=1):
+    """Any simple graph on min_n..max_n vertices, connected or not."""
+    n = draw(st.integers(min_n, max_n))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n))
     return Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
@@ -127,8 +130,9 @@ def _assert_relabel_invariant(g, data):
         assert canonical_form(moved, perm[root]) == canonical_form(g, root)
 
 
-# every ordering inside each colour class is tried for graphs that are not
-# trees, so a symmetric graph on many vertices would take very long
+# for graphs that are not trees the search tries every ordering whose columns
+# tie the best so far, so K_n still visits n! leaves and a symmetric graph on
+# many vertices would take very long
 @settings(max_examples=80, deadline=None)
 @given(_graphs(max_n=8), st.data())
 def test_canonical_form_relabel_invariance_fuzz(g, data):
@@ -195,6 +199,111 @@ def test_attach_fork():
 
 
 # -- canonical forms ---------------------------------------------------------------
+
+def _exhaustive_refine(g, colors):
+    """Reference colour refinement: rounds until the colouring repeats."""
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
+                for v in range(g.n)]
+        lookup = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [lookup[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _exhaustive_graph_canon(g, root):
+    """Reference for _graph_canon: the least code over every ordering inside
+    each refined colour class, first minimum in product order."""
+    n = g.n
+    colors = [0 if v == root else 1 for v in range(n)] if root is not None else [0] * n
+    colors = _exhaustive_refine(g, colors)
+    cells = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
+    best = order = None
+    for parts in itertools.product(*[itertools.permutations(c) for c in cells]):
+        cand = [v for part in parts for v in part]
+        bits = 0
+        for j in range(1, n):
+            for i in range(j):
+                bits = bits << 1 | (g.adj[cand[i]] >> cand[j] & 1)
+        if best is None or bits < best:
+            best, order = bits, cand
+    tag = b"G" if root is None else b"g"
+    return tag + n.to_bytes(1, "big") + best.to_bytes((n * n + 7) // 8, "big"), order
+
+
+def _assert_search_matches_reference(g, roots):
+    for root in roots:
+        assert _graph_canon(g, root) == _exhaustive_graph_canon(g, root), (g, root)
+
+
+def test_graph_canon_matches_exhaustive_small():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for m in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [p for k, p in enumerate(pairs) if m >> k & 1])
+            _assert_search_matches_reference(g, [None, *range(n)])
+
+
+@st.composite
+def _near_circulants(draw):
+    """A circulant graph on 6..8 vertices with up to two pairs toggled: large
+    colour classes, where the pruning has ties to resolve."""
+    n = draw(st.integers(6, 8))
+    jumps = draw(st.sets(st.integers(1, n // 2)))
+    edges = {frozenset((v, (v + d) % n)) for v in range(n) for d in jumps}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(pair, max_size=2)):
+        if u != v:
+            edges ^= {frozenset((u, v))}
+    return Graph.from_edges(n, [tuple(e) for e in edges])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_graphs(max_n=8, min_n=6), _near_circulants()), st.data())
+def test_graph_canon_matches_exhaustive_fuzz(g, data):
+    _assert_search_matches_reference(
+        g, [None, data.draw(st.integers(0, g.n - 1))])
+
+
+def test_graph_canon_matches_exhaustive_large_cells():
+    c7 = cycle_graph(7)
+    c7_complement = Graph(7, tuple(~row & ~(1 << v) & 127 for v, row in enumerate(c7.adj)))
+    k33 = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    k44 = Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)])
+    cube = Graph.from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+    for g in (complete_graph(7), c7, c7_complement, k33, k44, cube, cycle_graph(8)):
+        _assert_search_matches_reference(g, [None, 0])
+
+
+def test_extension_code_reads_enumeration():
+    classes = enumerate_connected_graphs(7)
+    codes = []
+    for g in enumerate_connected_graphs(6):
+        for mask in range(1, 1 << 6):
+            code = extension_code(g, mask)
+            assert code == canonical_form(g.add_vertex(mask))
+            codes.append(code)
+    # read from the record, where each class's code is a single object
+    assert len({id(c) for c in codes}) == len(set(codes)) == len(classes)
+
+
+def test_extension_code_falls_back():
+    enumerate_connected_graphs(7)
+    g = enumerate_connected_graphs(6)[40]
+    perm = [5, 3, 0, 4, 1, 2]
+    moved = g.relabel(perm)
+    assert moved != g
+    for mask in (1, 0b101101, 0b111111):
+        moved_mask = sum(1 << perm[v] for v in range(6) if mask >> v & 1)
+        code = extension_code(moved, moved_mask)
+        assert code == canonical_form(moved.add_vertex(moved_mask))
+        assert code == extension_code(g, mask)
+    t = enumerate_tree_kernels()[0].graph
+    assert t.n == 10
+    for mask in (1, 0b1000000001, 0b1111111111):
+        assert extension_code(t, mask) == canonical_form(t.add_vertex(mask))
+
 
 def test_canonical_relabel_invariance():
     rng = random.Random(13)
