@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -949,17 +949,42 @@ def substitute_t(f: RationalFunction) -> RationalFunction:
 # characteristic polynomial and adjugate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ResolventData:
-    """Characteristic polynomial P(x) = det(xI - A) and the adjugate
-    polynomial matrix adj(xI - A), entrywise integer polynomials."""
+    """Characteristic polynomial P(x) = det(xI - A) of a graph and the
+    adjugate adj(xI - A), entrywise integer polynomials.
 
-    char_poly: IntPoly
-    adjugate: tuple          # n x n tuple of IntPoly
+    The adjugate is read by column: column(j) is the tuple of entries
+    adj[i][j], i = 0..n-1, built by column_of(j) on first request and kept
+    (columns, when given, holds some already built).  The full matrix,
+    adjugate[i][j], is assembled from the columns on first access, after
+    which column_of is dropped.  A is symmetric, so is its adjugate, and
+    column j serves as row j.
+    """
+
+    __slots__ = ("char_poly", "n", "_column_of", "_columns", "_adjugate")
+
+    def __init__(self, char_poly: IntPoly, n: int,
+                 column_of: Callable[[int], tuple],
+                 columns: Optional[dict] = None):
+        self.char_poly = char_poly
+        self.n = n
+        self._column_of = column_of
+        self._columns = {} if columns is None else columns
+        self._adjugate = None
+
+    def column(self, j: int) -> tuple:
+        got = self._columns.get(j)
+        if got is None:
+            got = self._columns[j] = tuple(self._column_of(j))
+        return got
 
     @property
-    def n(self) -> int:
-        return len(self.adjugate)
+    def adjugate(self) -> tuple:
+        """The n x n tuple of IntPoly, adjugate[i] = column(i)."""
+        if self._adjugate is None:
+            self._adjugate = tuple(self.column(j) for j in range(self.n))
+            self._column_of = None
+        return self._adjugate
 
     def verify(self, A: Sequence[Sequence[int]]) -> bool:
         """Check (xI - A) * adjugate == char_poly * I coefficient-exactly,

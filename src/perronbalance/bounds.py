@@ -182,7 +182,7 @@ class KernelContext:
 
     def pb_column(self, v: int) -> tuple:
         """Column v of the adjugate: entries P*B_{u,v} for u in V(H)."""
-        return tuple(self.resolvent.adjugate[u][v] for u in range(self.graph.n))
+        return self.resolvent.column(v)
 
     def pbt_column(self, mask: int) -> tuple:
         """Entries P*Bt_{u,U} for the vertex set given as a bitmask."""

@@ -403,25 +403,34 @@ def _is_acyclic_connected(g: Graph) -> bool:
     return g.edge_count() == g.n - 1 and g.is_connected()
 
 
+def subtree_codes(g: Graph, root: int, codes: Optional[dict] = None) -> bytes:
+    """Sorted-subtree code of the tree g rooted at root: "(" then the codes
+    of the child subtrees in sorted order, then ")".  Equal codes mean
+    rooted-isomorphic subtrees.  codes, when given, receives the code of
+    every rooted subtree keyed by (vertex, parent), parent -1 at the root,
+    in post-order (each vertex after its children)."""
+
+    def encode(v: int, parent: int) -> bytes:
+        subs = sorted(encode(u, v) for u in _bits(g.adj[v]) if u != parent)
+        code = b"(" + b"".join(subs) + b")"
+        if codes is not None:
+            codes[(v, parent)] = code
+        return code
+
+    return encode(root, -1)
+
+
 def _tree_canon(g: Graph, root: Optional[int], with_order: bool) -> tuple:
     """Canonical code of a tree (rooted or free) via sorted subtree
     encoding, and with_order a DFS order with children sorted by subtree
     code (else None).  A free tree is rooted at the center with the least
     code."""
-    codes: dict[tuple, bytes] = {}
-
-    def encode(v: int, parent: int) -> bytes:
-        subs = sorted(encode(u, v) for u in _bits(g.adj[v]) if u != parent)
-        code = b"(" + b"".join(subs) + b")"
-        if with_order:
-            codes[(v, parent)] = code
-        return code
-
+    codes: Optional[dict] = {} if with_order else None
     if root is None:
-        code, root = min((encode(c, -1), c) for c in _tree_centers(g))
+        code, root = min((subtree_codes(g, c, codes), c) for c in _tree_centers(g))
         code = b"T" + code
     else:
-        code = b"R" + encode(root, -1)
+        code = b"R" + subtree_codes(g, root, codes)
     if not with_order:
         return code, None
     order: list = []

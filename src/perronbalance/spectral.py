@@ -11,6 +11,12 @@ isolated as the largest root of the characteristic polynomial, and the
 Perron vector is read off a column of the adjugate adj(lam*I - A), which is
 rank-one and entrywise positive at the top eigenvalue.
 
+Both polynomials come from resolvent_data: for a tree by Schwenk's
+recurrence over its rooted subtrees, memoised on their sorted subtree
+codes, and for any other graph by one integer Faddeev-LeVerrier pass.
+Adjugate columns are built on demand; a table row reads one column, so
+the full n x n matrix is built only where a caller asks for it.
+
 Interval evaluation runs on integer numerators over the common denominator
 of the eigenvalue enclosure (algebra.horner_interval), with exactly the
 endpoints of rational interval Horner; the adjugate column is evaluated on
@@ -25,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable, Union
 
 from .algebra import (
@@ -46,6 +52,7 @@ from .graphs import (
     enumerate_trees,
     fork_graph,
     path_graph,
+    subtree_codes,
     write_graph6,
 )
 
@@ -55,17 +62,41 @@ Threshold = Union[int, Fraction, SqrtRat]
 
 
 # ---------------------------------------------------------------------------
-# resolvent data for graphs (fast integer Faddeev-LeVerrier)
+# resolvent data: Schwenk's recurrence for trees, Faddeev-LeVerrier otherwise
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4096)
 def resolvent_data(g: Graph) -> ResolventData:
-    """char poly and adjugate of (xI - A_G), using neighbor-row sums so each
-    step is O(n^2 * avg_degree) integer additions."""
+    """Characteristic polynomial and adjugate of (xI - A_G), the adjugate
+    built column by column on demand.
+
+    A tree takes the char poly and the column of its column vertex (the
+    one the Perron enclosures read) from Schwenk's recurrence over its
+    rooted subtrees (_tree_resolvent).  Any other graph, and any other
+    column of a tree, comes from one integer Faddeev-LeVerrier pass
+    (_faddeev_leverrier), run when first needed: readers of further tree
+    columns (kernel contexts, tail bases) mostly want the full matrix,
+    which that pass packs faster than n rerootings.  The polynomials are
+    unique, so both routes give the same ones.
+    """
+    if not g.is_tree():
+        return _faddeev_leverrier(g)
+    j = _column_vertex(g)
+    char, col = _tree_resolvent(g, j)
+    full = cache(partial(_faddeev_leverrier, g))
+    return ResolventData(char, g.n, lambda v: full().column(v), {j: col})
+
+
+def _faddeev_leverrier(g: Graph) -> ResolventData:
+    """char poly and adjugate of (xI - A_G) by integer Faddeev-LeVerrier,
+    using neighbor-row sums so each step is O(n^2 * avg_degree) integer
+    additions.  The pass keeps the entries of the integer matrices M_k,
+    k = 0..n-1, in one flat list; the coefficients of adj[i][j] are the
+    (i, j) entries of M_{n-1}, ..., M_0."""
     n = g.n
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     cs = [1]
-    mats = [[row[:] for row in M]]
+    flat = [v for row in M for v in row]
     for k in range(1, n + 1):
         AM = []
         for i in range(n):
@@ -88,13 +119,81 @@ def resolvent_data(g: Graph) -> ResolventData:
         for i in range(n):
             M[i][i] += c
         if k < n:
-            mats.append([row[:] for row in M])
+            flat.extend(v for row in M for v in row)
     char = IntPoly._from_ints([cs[n - k] for k in range(n + 1)])
-    adj = tuple(
-        tuple(IntPoly._from_ints([mats[n - 1 - d][i][j] for d in range(n)])
-              for j in range(n))
-        for i in range(n))
-    return ResolventData(char, adj)
+    step = n * n
+
+    def column_of(j: int) -> list:
+        return [IntPoly._from_ints(flat[i * n + j::step][::-1]) for i in range(n)]
+
+    return ResolventData(char, n, column_of)
+
+
+# phi(T), phi(T - r) and, for each child subtree code c, the product of phi
+# over the other child subtrees, keyed by the sorted-subtree code of the
+# rooted tree T with root r; filled by _tree_resolvent
+_SUBTREE_PHI: dict[bytes, tuple] = {}
+
+_ONE = IntPoly([1])
+
+
+def _times(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a * b, skipping the empty products (_ONE itself) that leaves, paths
+    and the root give."""
+    if a is _ONE:
+        return b
+    if b is _ONE:
+        return a
+    return a * b
+
+
+def _product(polys) -> IntPoly:
+    out = _ONE
+    for p in polys:
+        out = _times(out, p)
+    return out
+
+
+def _tree_resolvent(g: Graph, j: int) -> tuple:
+    """(char poly, adjugate column j) of a tree by Schwenk's recurrence
+    (Schwenk, LNM 406, 1974; Godsil, Algebraic Combinatorics, ch. 2).
+
+    Rooted at j, with T_v the subtree of v and c running over its children,
+
+        phi(T_v) = x * prod_c phi(T_c) - sum_c phi(T_c - c) * prod_{c' != c} phi(T_c'),
+
+    where phi(T_c - c) is the product over the children of c.  Entry i of
+    the column is adj[i][j] = phi(T - P), P the path from j to i: the product
+    of phi over the subtrees hanging off P before i, kept as a running
+    product from the root down, times phi(T_i - i).  Every rooted subtree is
+    memoised on its code (graphs.subtree_codes) in _SUBTREE_PHI.
+    """
+    codes: dict = {}
+    subtree_codes(g, j, codes)
+    for (v, parent), code in codes.items():     # children first
+        if code in _SUBTREE_PHI:
+            continue
+        kids = [codes[(u, v)] for u in g.neighbors(v) if u != parent]
+        phis = [_SUBTREE_PHI[c][0] for c in kids]
+        others = {}
+        for k, c in enumerate(kids):
+            if c not in others:
+                others[c] = _product(phis[:k] + phis[k + 1:])
+        minus = _product(phis)
+        phi = IntPoly._from_ints([0, *minus.coeffs])
+        for c in kids:
+            phi = phi - _times(_SUBTREE_PHI[c][1], others[c])
+        _SUBTREE_PHI[code] = (phi, minus, others)
+    col = [_ONE] * g.n
+    above = {j: _ONE}
+    for (v, parent), code in reversed(codes.items()):   # parents first
+        _, minus, others = _SUBTREE_PHI[code]
+        acc = above.pop(v)
+        col[v] = _times(acc, minus)
+        for u in g.neighbors(v):
+            if u != parent:
+                above[u] = _times(acc, others[codes[(u, v)]])
+    return _SUBTREE_PHI[codes[(j, -1)]][0], tuple(col)
 
 
 def _power_iteration_hint(g: Graph, iters: int = 80) -> float:
@@ -191,8 +290,7 @@ def _refine_column(g: Graph, lam_eps: Fraction, accept,
     j = _column_vertex(g)
     n = g.n
     # leading zeros put every entry on the scale of degree n - 1
-    col = [rd.adjugate[i][j].coeffs for i in range(n)]
-    col = [cs + (0,) * (n - len(cs)) for cs in col]
+    col = [e.coeffs + (0,) * (n - len(e.coeffs)) for e in rd.column(j)]
     if lam is None:
         lam = lambda_enclosure(g, lam_eps)
     for _ in range(220):
@@ -269,6 +367,7 @@ def gamma_refiner(g: Graph) -> Callable[[Fraction], RationalInterval]:
 # certified comparisons against thresholds
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256, typed=True)
 def threshold_enclosure(threshold: Threshold, eps: Fraction) -> RationalInterval:
     if isinstance(threshold, SqrtRat):
         return threshold.enclosure(eps)

@@ -95,11 +95,11 @@ class TailContext:
         rd = resolvent_data(base)
         self.char = rd.char_poly
         p2 = self.char * self.char
-        col = [rd.adjugate[u][v] for u in range(base.n)]
+        col = rd.column(v)
         self.S = RationalFunction(sum(col, IntPoly()), self.char)
         self.T = RationalFunction(sum((c * c for c in col), IntPoly()), p2)
-        self.B_vv = RationalFunction(rd.adjugate[v][v], self.char)
-        self.B_ov = (RationalFunction(rd.adjugate[o][v], self.char)
+        self.B_vv = RationalFunction(col[v], self.char)
+        self.B_ov = (RationalFunction(col[o], self.char)
                      if o is not None else None)
         self.S_hat = substitute_t(self.S)
         self.T_hat = substitute_t(self.T)

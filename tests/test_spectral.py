@@ -1,16 +1,23 @@
 """Certified eigenvalue, Perron vector, and balance-ratio computations."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import perronbalance
 from perronbalance.algebra import (
+    IntPoly,
     RationalInterval,
     SqrtRat,
     _sturm_chain,
+    charpoly_by_interpolation,
     refine_root,
 )
 from perronbalance.graphs import (
@@ -34,7 +41,11 @@ from perronbalance.spectral import (
     BETA_TR,
     LAMBDA_K4_INF,
     LAMBDA_S5_INF,
+    _SUBTREE_PHI,
+    _column_vertex,
+    _faddeev_leverrier,
     _power_iteration_hint,
+    _tree_resolvent,
     beta_d,
     certified_below,
     gamma_enclosure,
@@ -48,6 +59,7 @@ from perronbalance.spectral import (
     perron_enclosure,
     resolvent_data,
     sp_infinite_gamma,
+    threshold_enclosure,
     two_sqrt_d_plus_3_exceeds,
     vertex_orbits,
 )
@@ -140,6 +152,107 @@ def test_lambda_sqrt_degree_bounds():
         assert lam.hi >= sq.lo and lam.lo <= d
         checked += 1
     assert checked > 40
+
+
+# -- resolvent data: Schwenk's recurrence on trees --------------------------------
+
+def test_tree_resolvent_matches_faddeev_leverrier():
+    # every tree on <= 12 vertices: the char poly and the column the Perron
+    # enclosures read equal the Faddeev-LeVerrier pass
+    for n in range(1, 13):
+        for t in enumerate_trees(n):
+            rd, fl = resolvent_data(t), _faddeev_leverrier(t)
+            j = _column_vertex(t)
+            assert rd.char_poly == fl.char_poly
+            assert rd.column(j) == fl.column(j)
+
+
+def test_tree_resolvent_every_column_and_identity():
+    # the recurrence rooted at every vertex; resolvent_data takes the other
+    # columns of a tree from the Faddeev-LeVerrier pass
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            fl = _faddeev_leverrier(t)
+            for j in range(n):
+                char, col = _tree_resolvent(t, j)
+                assert (char, col) == (fl.char_poly, fl.column(j))
+            rd = resolvent_data(t)
+            assert rd.verify(t.adjacency_rows())
+            assert rd.adjugate == fl.adjugate
+
+
+def test_tree_char_poly_matches_interpolation():
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            rows = t.adjacency_rows()
+            assert resolvent_data(t).char_poly == charpoly_by_interpolation(rows)
+
+
+def test_tree_resolvent_small_cases():
+    x = IntPoly([0, 1])
+    one = IntPoly([1])
+    k1 = resolvent_data(path_graph(1))
+    assert (k1.char_poly, k1.column(0)) == (x, (one,))
+    k2 = resolvent_data(path_graph(2))
+    assert k2.char_poly == IntPoly([-1, 0, 1])
+    assert k2.adjugate == ((x, one), (one, x))
+    # P3: the column vertex is the middle one, not vertex 0
+    p3 = path_graph(3)
+    assert _column_vertex(p3) == 1
+    rd = resolvent_data.__wrapped__(p3)          # uncached: nothing built yet
+    assert rd.n == 3 and rd._adjugate is None
+    assert rd.column(1) == (x, x * x, x)
+    assert rd.column(0) == (IntPoly([-1, 0, 1]), x, one)
+    assert rd._adjugate is None
+    assert _tree_resolvent(p3, 0) == (rd.char_poly, rd.column(0))
+
+
+def test_faddeev_leverrier_column_without_full_matrix():
+    g = attach_path(complete_graph(4), 0, 2)
+    rd = resolvent_data.__wrapped__(g)
+    col = rd.column(4)
+    assert rd._adjugate is None
+    assert rd.adjugate[4] is col
+    assert all(rd.adjugate[i][4] == col[i] for i in range(g.n))
+    assert rd.verify(g.adjacency_rows())
+
+
+def test_tree_resolvent_relabel_reuses_memo():
+    t = attach_path(star_graph(5), 0, 4)         # centre 0 has the top degree
+    perm = [3, 8, 0, 6, 1, 7, 2, 5, 4]
+    u = t.relabel(perm)
+    assert (_column_vertex(t), _column_vertex(u)) == (0, perm[0])
+    cols = {j: _tree_resolvent(t, j)[1] for j in (0, 5, 8)}
+    size = len(_SUBTREE_PHI)
+    ru = resolvent_data.__wrapped__(u)
+    assert ru.char_poly == resolvent_data(t).char_poly
+    for j in (0, 5, 8):
+        got = _tree_resolvent(u, perm[j])[1]
+        if j == 0:
+            assert ru.column(perm[0]) == got
+        assert [got[perm[i]] for i in range(t.n)] == list(cols[j])
+    assert len(_SUBTREE_PHI) == size
+
+
+def test_import_leaves_resolvent_memos_empty():
+    # the benchmark's cold-cache check sees only the lru caches, so a memo
+    # filled at import time would go unnoticed
+    src = str(Path(perronbalance.__file__).resolve().parent.parent)
+    code = ("import perronbalance.spectral as s; "
+            "print(s.resolvent_data.cache_info().currsize, len(s._SUBTREE_PHI), "
+            "s.threshold_enclosure.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60, check=True)
+    assert out.stdout.split() == ["0", "0", "0"]
+
+
+def test_threshold_enclosure_memoised():
+    eps = Fraction(1, 10 ** 6)
+    iv = threshold_enclosure(BETA_TR, eps)
+    assert threshold_enclosure(BETA_TR, eps) is iv
+    assert iv == BETA_TR.enclosure(eps)
+    assert threshold_enclosure(Fraction(9, 2), eps) == RationalInterval.point(Fraction(9, 2))
 
 
 # -- Perron data -----------------------------------------------------------------
