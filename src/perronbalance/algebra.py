@@ -753,6 +753,23 @@ def refine_root(p: IntPoly, iv: RationalInterval, eps: Rat) -> RationalInterval:
     return RationalInterval(lo, hi)
 
 
+class RootEnclosure:
+    """A simple real root of poly held as its isolating interval iv, which
+    refine(eps) narrows in place and never widens.  Bisection continues
+    where the last request stopped, so the result equals refining the first
+    interval straight to the last eps."""
+
+    __slots__ = ("poly", "iv")
+
+    def __init__(self, poly: IntPoly, iv: RationalInterval):
+        self.poly = poly
+        self.iv = iv
+
+    def refine(self, eps: Rat) -> RationalInterval:
+        self.iv = refine_root(self.poly, self.iv, eps)
+        return self.iv
+
+
 # ---------------------------------------------------------------------------
 # positivity certificates
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from .algebra import (
     refine_root,
 )
 from .graphs import RootedKernel, _bits, extension_code
-from .spectral import resolvent_data, _power_iteration_hint
+from .spectral import _power_iteration_hint, lambda_enclosure, resolvent_data
 
 LAMBDA_EPS = Fraction(1, 2 ** 30)
 
@@ -172,7 +172,6 @@ class KernelContext:
         self._row: dict[tuple, IntPoly] = {}
         self._q: dict[int, tuple] = {}
         self._lam: dict[int, RationalInterval] = {}
-        self._lam_eps: dict[int, Fraction] = {}
         self._majorants: dict[tuple, tuple] = {}
         self._grid: dict[tuple, tuple] = {}
         self._cols_x: dict[tuple, tuple] = {}
@@ -246,35 +245,29 @@ class KernelContext:
 
         Without eps, the context's enclosure of the set is returned as it
         stands (never wider than LAMBDA_EPS), at the cost of one lookup.  The
-        first isolation at each eps comes from the shared cache; a tighter
-        eps later refines this context's own enclosure.
+        first isolation at each eps comes from the shared cache (a hit builds
+        no polynomial); a tighter eps later refines this context's own.
         """
-        if eps is None:
-            cur = self._lam.get(mask)
-            if cur is not None:
-                return cur
-            eps = LAMBDA_EPS
-        elif eps > LAMBDA_EPS:
-            eps = LAMBDA_EPS
+        cur = self._lam.get(mask)
+        if cur is not None and (eps is None or cur.width <= eps):
+            return cur
+        eps = LAMBDA_EPS if eps is None else min(eps, LAMBDA_EPS)
         if not mask:
             raise ValueError("empty boundary set")
-        cur = self._lam.get(mask)
-        if cur is None or self._lam_eps[mask] > eps:
+        if cur is None:
+            key = (extension_code(self.graph, mask), eps)
+            cur = _FIRST_LAMBDA.get(key)
             if cur is None:
-                key = (extension_code(self.graph, mask), eps)
-                cur = _FIRST_LAMBDA.get(key)
-                if cur is None:
-                    _FIRST_LAMBDA_COUNTS["misses"] += 1
-                    gu = self.graph.add_vertex(mask)
-                    cur = isolate_largest_root(self._attachment_poly(mask), eps,
-                                               hint=_power_iteration_hint(gu))
-                    _FIRST_LAMBDA[key] = cur
-                else:
-                    _FIRST_LAMBDA_COUNTS["hits"] += 1
+                _FIRST_LAMBDA_COUNTS["misses"] += 1
+                gu = self.graph.add_vertex(mask)
+                cur = isolate_largest_root(self._attachment_poly(mask), eps,
+                                           hint=_power_iteration_hint(gu))
+                _FIRST_LAMBDA[key] = cur
             else:
-                cur = refine_root(self._attachment_poly(mask), cur, eps)
-            self._lam[mask] = cur
-            self._lam_eps[mask] = eps
+                _FIRST_LAMBDA_COUNTS["hits"] += 1
+        else:
+            cur = refine_root(self._attachment_poly(mask), cur, eps)
+        self._lam[mask] = cur
         return cur
 
     # -- the certificate polynomial ---------------------------------------------
@@ -593,8 +586,7 @@ def bound_curves(ctx: KernelContext, u_mask: int, lam_lo: Fraction,
     emitted as floats for plotting.
     """
     lam_lo, lam_hi = Fraction(lam_lo), Fraction(lam_hi)
-    lam_h = isolate_largest_root(ctx.char, LAMBDA_EPS,
-                                 hint=_power_iteration_hint(ctx.graph))
+    lam_h = lambda_enclosure(ctx.graph, LAMBDA_EPS)
     if lam_lo <= lam_h.hi:
         raise ValueError("sample range must stay above the kernel eigenvalue")
     p = ctx.char

@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, kernels, reports, spectral
-from .algebra import refine_root
+from .algebra import RootEnclosure
 from .graphs import (
     Graph,
     Graph6Error,
@@ -63,6 +63,12 @@ def _parse_beta(text: str):
         raise argparse.ArgumentTypeError(
             "beta must be an exact fraction like 21/4, or beta-star/beta-tr"
         ) from exc
+
+
+def _parse_jobs(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("jobs must be a whole number >= 1")
+    return int(text)
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -116,10 +122,10 @@ def cmd_gamma(args) -> int:
     if not g.is_connected():
         print("input error: graph is disconnected", file=sys.stderr)
         return EXIT_INPUT
-    lam = spectral.lambda_enclosure(g, spectral.GAMMA_LAMBDA_EPS)
-    gv = spectral.gamma_enclosure(g, args.eps, lam)
-    if args.eps < spectral.GAMMA_LAMBDA_EPS:
-        lam = refine_root(spectral.resolvent_data(g).char_poly, lam, args.eps)
+    enc = spectral.ColumnEnclosure(g)
+    first = RootEnclosure(enc.lam.poly, enc.lam.iv)   # printed, not enc.lam
+    gv = spectral.gamma_enclosure(enc, args.eps)
+    lam = first.refine(args.eps)
     print("graph6   %s" % args.graph if ";" not in args.graph else "")
     print("lambda   [%s, %s]" % (lam.lo, lam.hi))
     print("lambda ~ %.10f" % lam.mid_float())
@@ -247,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="perronbalance",
         description="certified extremal analysis of the Perron-vector "
                     "balance ratio")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for kernel sweeps")
+    ap.add_argument("--jobs", type=_parse_jobs, default=1,
+                    help="worker processes for kernel sweeps, at most one "
+                         "per kernel and per CPU")
     ap.add_argument("--out", help="output directory for artifacts")
     ap.add_argument("--format", choices=("json", "csv", "md"), default="md")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -38,10 +38,13 @@ class Graph:
                 raise ValueError("self-loop at %d" % v)
             if row & ~full:
                 raise ValueError("edge endpoint out of range")
-        for v in range(self.n):
-            for u in range(v):
-                if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
+        # every edge v -> u must come back: O(n + m) over the set bits
+        for v, row in enumerate(adj := self.adj):
+            while row:
+                low = row & -row
+                if not adj[low.bit_length() - 1] >> v & 1:
                     raise ValueError("asymmetric adjacency")
+                row ^= low
 
     # -- construction --------------------------------------------------------
 

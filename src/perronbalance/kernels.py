@@ -14,6 +14,7 @@ comparisons through exact quadratic-field arithmetic.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,11 +46,11 @@ from .graphs import (
 from .spectral import (
     BETA_STAR,
     BETA_TR,
+    ColumnEnclosure,
     beta_d,
     certified_below,
     gamma_enclosure,
     gamma_family_closed_form,
-    gamma_refiner,
     lambda_le_2_graphs,
     min_gamma_table,
     two_sqrt_d_plus_3_exceeds,
@@ -211,9 +212,10 @@ class StageReport:
 def _classify_single(g: Graph, beta: Fraction, limit: SqrtRat) -> LeftoverGraph:
     from .graphs import canonical_relabel
     eps = Fraction(1, 10 ** 6)
-    gv = gamma_enclosure(g, eps)
-    below_beta = certified_below(gamma_refiner(g), beta, eps, first=gv.value)
-    below_limit = certified_below(gamma_refiner(g), limit, eps, first=gv.value)
+    enc = ColumnEnclosure(g)
+    gv = gamma_enclosure(enc, eps)
+    below_beta = certified_below(enc.refine, beta, eps)
+    below_limit = certified_below(enc.refine, limit, eps)
     return LeftoverGraph(write_graph6(canonical_relabel(g)),
                          gv.value.lo, gv.value.hi, below_beta, below_limit)
 
@@ -269,9 +271,10 @@ def _graph_stage_one(kernel: RootedKernel, beta: Fraction,
 
 def _map_kernels(one, kernels: Sequence[RootedKernel], jobs: int) -> list:
     """one(kernel) for every kernel, in order; jobs > 1 fans out to worker
-    processes."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    processes, at most one per kernel and per CPU."""
+    workers = min(jobs, len(kernels), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, kernels, chunksize=8))
     return list(map(one, kernels))
 
@@ -619,7 +622,7 @@ def lambda_le_2_link(kind: str) -> LinkResult:
             if kind == "trees" and name in ("Cycle", "E6", "E7", "E8",
                                             "E6hat", "E7hat", "E8hat"):
                 continue
-            above = not certified_below(gamma_refiner(g), threshold)
+            above = not certified_below(ColumnEnclosure(g).refine, threshold)
             certified.append((name, n, above))
             ok = ok and above
     # monotonicity spot check (floating point, display-level)
@@ -678,7 +681,7 @@ def star_link() -> LinkResult:
     """
     ok = True
     for n in range(10, 21):
-        above = not certified_below(gamma_refiner(star_graph(n)), BETA_TR)
+        above = not certified_below(ColumnEnclosure(star_graph(n)).refine, BETA_TR)
         ok = ok and above
     ints_ok = all(4 * (n - 1) >= (15 - n) ** 2 for n in range(10, 15))
     half15_ok = (SqrtRat(Fraction(15, 2), 0, 3) - BETA_TR).sign() > 0
@@ -837,7 +840,7 @@ def prove_conjecture(kind: str, tamper_beta: Optional[Fraction] = None,
         low = check_gamma_lower(TailContext(complete_graph(4), 0,
                                             exact_limit_ratio=BETA_STAR), 1)
         spots = all(certified_below(
-            gamma_refiner(attach_path(complete_graph(4), 0, k)), BETA_STAR)
+            ColumnEnclosure(attach_path(complete_graph(4), 0, k)).refine, BETA_STAR)
             for k in range(1, 9))
         links.append(LinkResult(
             "extremal family below the limit", low.passed and spots,
@@ -901,7 +904,7 @@ def prove_conjecture(kind: str, tamper_beta: Optional[Fraction] = None,
         low = check_gamma_lower(TailContext(star_graph(5), 0,
                                             exact_limit_ratio=BETA_TR), 1)
         spots = all(certified_below(
-            gamma_refiner(attach_path(star_graph(5), 0, k)), BETA_TR)
+            ColumnEnclosure(attach_path(star_graph(5), 0, k)).refine, BETA_TR)
             for k in range(1, 10))
         links.append(LinkResult(
             "extremal family below the limit", low.passed and spots,

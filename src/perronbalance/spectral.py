@@ -17,11 +17,12 @@ codes, and for any other graph by one integer Faddeev-LeVerrier pass.
 Adjugate columns are built on demand; a table row reads one column, so
 the full n x n matrix is built only where a caller asks for it.
 
-Interval evaluation runs on integer numerators over the common denominator
-of the eigenvalue enclosure (algebra.horner_interval), with exactly the
-endpoints of rational interval Horner; the adjugate column is evaluated on
-one scale, so the gamma enclosure needs only sums of integers and two
-fractions.
+A ColumnEnclosure holds the eigenvalue as one algebra.RootEnclosure with
+the adjugate column and narrows it in place, so each request continues
+where the last one stopped.  The column is evaluated on integer numerators
+over one denominator (algebra.horner_interval), with exactly the endpoints
+of rational interval Horner, so the gamma enclosure needs only sums of
+integers and two fractions.
 
 Floating point is used only to seed root searches.
 """
@@ -38,10 +39,10 @@ from .algebra import (
     IntPoly,
     RationalInterval,
     ResolventData,
+    RootEnclosure,
     SqrtRat,
     horner_interval,
     isolate_largest_root,
-    refine_root,
 )
 from .graphs import (
     Graph,
@@ -266,60 +267,79 @@ def _column_vertex(g: Graph) -> int:
     return degs.index(best)
 
 
-def _refine_column(g: Graph, lam_eps: Fraction, accept,
-                   lam: RationalInterval | None = None):
-    """Evaluate the adjugate column of a maximum-degree vertex on an
-    eigenvalue enclosure that starts at width lam_eps and shrinks by 16 per
-    round, until accept(lam, nums, scale, exact) returns a result.
+GAMMA_LAMBDA_EPS = Fraction(1, 2 ** 30)
 
-    lam, when given, is the starting enclosure lambda_enclosure(g, lam_eps)
-    already computed by the caller.
 
-    nums holds one integer pair (a, b) per vertex: the weight enclosure is
-    [a/scale, b/scale], the same rationals as interval Horner on the
-    entry.  Every entry is evaluated over scale = den^(n-1), den the common
-    denominator of lam's endpoints.  accept is called only once every
-    weight is strictly positive (a > 0); exact says the eigenvalue is
-    rational and hit exactly, so the weights are exact and accept must
-    return.  At the top eigenvalue the adjugate is a positive rank-one
-    matrix, so the column of any vertex is a valid positive eigenvector.
+class ColumnEnclosure:
+    """The top eigenvalue of a connected graph as one RootEnclosure, lam,
+    and the adjugate column of a maximum-degree vertex evaluated on it,
+    which at the top eigenvalue is a positive eigenvector (the adjugate is
+    positive and of rank one there).
+
+    lam starts as lambda_enclosure(g, lam_eps) and narrows in place, 16-fold
+    per round, until a request is met: every weight positive (gamma is None
+    until then) and, unless lam is an exact point, the asked width.  Weights
+    are integer pairs (a, b) over scale = den^(n-1), den the common
+    denominator of lam's ends: [a/scale, b/scale] is interval Horner.
     """
-    if not g.is_connected():
-        raise ValueError("graph is disconnected")
-    rd = resolvent_data(g)
-    j = _column_vertex(g)
-    n = g.n
-    # leading zeros put every entry on the scale of degree n - 1
-    col = [e.coeffs + (0,) * (n - len(e.coeffs)) for e in rd.column(j)]
-    if lam is None:
-        lam = lambda_enclosure(g, lam_eps)
-    for _ in range(220):
-        lo, hi, den = lam.numerators()
-        nums = [horner_interval(cs, lo, hi, den) for cs in col]
+
+    def __init__(self, g: Graph, lam_eps: Fraction = GAMMA_LAMBDA_EPS):
+        if not g.is_connected():
+            raise ValueError("graph is disconnected")
+        rd = resolvent_data(g)
+        self.n = g.n
+        self.vertex = _column_vertex(g)
+        # leading zeros put every entry on the scale of degree n - 1
+        self._col = [e.coeffs + (0,) * (g.n - len(e.coeffs))
+                     for e in rd.column(self.vertex)]
+        self.lam = RootEnclosure(rd.char_poly, lambda_enclosure(g, lam_eps))
+        self._round_eps = lam_eps
+        self._rounds = 0
+        self._evaluate()
+
+    def _evaluate(self) -> None:
+        lo, hi, den = self.lam.iv.numerators()
+        nums = self._nums = [horner_interval(cs, lo, hi, den) for cs in self._col]
+        self._scale = den ** (self.n - 1)
+        self._gamma = None
         if all(a > 0 for a, _ in nums):
-            got = accept(lam, nums, den ** (n - 1), lam.width == 0)
-            if got is not None:
-                return got
-        if lam.width == 0:
-            raise ArithmeticError("adjugate column not positive at exact eigenvalue")
-        lam_eps = lam_eps * Fraction(1, 16)
-        lam = refine_root(rd.char_poly, lam, lam_eps)
-    raise ArithmeticError("failed to refine the adjugate-column enclosure")
+            # on one scale: gamma in [S_lo^2/Q_hi, S_hi^2/Q_lo], S the sum of
+            # the numerators and Q the sum of their squares, all positive
+            s_lo, s_hi = sum(a for a, _ in nums), sum(b for _, b in nums)
+            q_lo, q_hi = sum(a * a for a, _ in nums), sum(b * b for _, b in nums)
+            self._gamma = RationalInterval(Fraction(s_lo * s_lo, q_hi),
+                                           Fraction(s_hi * s_hi, q_lo))
+
+    def _narrow_until(self, met) -> None:
+        while self._gamma is None or not (self.lam.iv.width == 0 or met()):
+            if self.lam.iv.width == 0:
+                raise ArithmeticError("adjugate column not positive at exact eigenvalue")
+            self._rounds += 1
+            if self._rounds == 220:
+                raise ArithmeticError("failed to refine the adjugate-column enclosure")
+            self._round_eps = self._round_eps * Fraction(1, 16)
+            self.lam.refine(self._round_eps)
+            self._evaluate()
+
+    def refine(self, eps: Fraction) -> RationalInterval:
+        """Enclosure of gamma(G) with width <= eps; gamma is scale-invariant,
+        so the unnormalized column serves."""
+        self._narrow_until(lambda: self._gamma.width <= eps)
+        return self._gamma
+
+    def weights(self, eps: Fraction) -> PerronData:
+        """Perron vector enclosure, every entry of relative width <= eps."""
+        self._narrow_until(lambda: all(Fraction(b - a, a) <= eps for a, b in self._nums))
+        scale = self._scale
+        return PerronData(self.lam.iv, tuple(
+            RationalInterval(Fraction(a, scale), Fraction(b, scale)) for a, b in self._nums),
+            "adjugate column of vertex %d, unnormalized" % self.vertex)
 
 
 def perron_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> PerronData:
     """Perron vector enclosure from the adjugate column of a maximum-degree
     vertex, refined until every entry has relative width <= eps."""
-    def accept(lam, nums, scale, exact):
-        if exact or all(Fraction(b - a, a) <= eps for a, b in nums):
-            weights = tuple(RationalInterval(Fraction(a, scale), Fraction(b, scale))
-                            for a, b in nums)
-            return PerronData(lam, weights,
-                              "adjugate column of vertex %d, unnormalized"
-                              % _column_vertex(g))
-        return None
-
-    return _refine_column(g, DEFAULT_EPS, accept)
+    return ColumnEnclosure(g, DEFAULT_EPS).weights(eps)
 
 
 @dataclass(frozen=True)
@@ -327,40 +347,18 @@ class GammaValue:
     """Certified enclosure of the balance ratio of a graph."""
 
     value: RationalInterval
-    graph_id: str
-    method: str                   # "certified" | "closed-form" | "float-hint"
+    method: str
 
     def midpoint(self) -> float:
         return self.value.mid_float()
 
 
-GAMMA_LAMBDA_EPS = Fraction(1, 2 ** 30)
-
-
-def gamma_enclosure(g: Graph, eps: Fraction = Fraction(1, 10 ** 8),
-                    lam: RationalInterval | None = None) -> GammaValue:
-    """Certified enclosure of gamma(G) with width <= eps.
-
-    Scale-invariant in the Perron normalization, so the unnormalized
-    adjugate column is used directly.  The eigenvalue enclosure starts at
-    lam, which must be lambda_enclosure(g, GAMMA_LAMBDA_EPS), computed here
-    when not given.
-    """
-    def accept(lam, nums, scale, exact):
-        # on one scale: gamma in [S_lo^2/Q_hi, S_hi^2/Q_lo], S the sum of the
-        # numerators and Q the sum of their squares, all positive
-        s_lo, s_hi = sum(a for a, _ in nums), sum(b for _, b in nums)
-        q_lo, q_hi = sum(a * a for a, _ in nums), sum(b * b for _, b in nums)
-        iv = RationalInterval(Fraction(s_lo * s_lo, q_hi), Fraction(s_hi * s_hi, q_lo))
-        if exact or iv.width <= eps:
-            return GammaValue(iv, write_graph6(g), "certified")
-        return None
-
-    return _refine_column(g, GAMMA_LAMBDA_EPS, accept, lam)
-
-
-def gamma_refiner(g: Graph) -> Callable[[Fraction], RationalInterval]:
-    return lambda eps: gamma_enclosure(g, eps).value
+def gamma_enclosure(g: Union[Graph, ColumnEnclosure],
+                    eps: Fraction = Fraction(1, 10 ** 8)) -> GammaValue:
+    """Certified enclosure of gamma(G) with width <= eps, from a graph or
+    from the first request to a fresh ColumnEnclosure the caller keeps."""
+    enc = g if isinstance(g, ColumnEnclosure) else ColumnEnclosure(g)
+    return GammaValue(enc.refine(eps), "certified")
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +374,15 @@ def threshold_enclosure(threshold: Threshold, eps: Fraction) -> RationalInterval
 
 def certified_below(refine: Callable[[Fraction], RationalInterval],
                     threshold: Threshold,
-                    eps0: Fraction = Fraction(1, 10 ** 6),
-                    first: RationalInterval | None = None) -> bool:
-    """Decide value < threshold by joint refinement of both enclosures.
-
-    first, when given, is refine(eps0) already computed by the caller, and
-    serves as the first round.  A value equal to a rational threshold is not
-    below it once both enclosures are the same point.
+                    eps0: Fraction = Fraction(1, 10 ** 6)) -> bool:
+    """Decide value < threshold by joint refinement of both enclosures;
+    refine(eps) encloses the value with width <= eps (ColumnEnclosure.refine
+    returns at once when eps is already met).  A value equal to a rational
+    threshold is not below it once both enclosures are the same point.
     """
     eps = eps0
-    for k in range(60):
-        iv = first if k == 0 and first is not None else refine(eps)
+    for _ in range(60):
+        iv = refine(eps)
         th = threshold_enclosure(threshold, eps)
         if iv.hi < th.lo:
             return True
@@ -520,9 +516,9 @@ def vertex_orbits(g: Graph) -> list:
 def master_vertex(g: Graph, eps: Fraction = Fraction(1, 2 ** 60)) -> int:
     """A vertex of certified maximal Perron weight (lowest id within ties).
 
-    Refines until one weight interval dominates, with an orbit escape hatch:
-    vertices in one automorphism orbit carry equal weight, so comparing
-    orbit representatives suffices.
+    Refines one Perron enclosure until one weight interval dominates, with
+    an orbit escape hatch: vertices in one automorphism orbit carry equal
+    weight, so comparing orbit representatives suffices.
     """
     orbits = vertex_orbits(g)
     reps = [orb[0] for orb in orbits]
@@ -530,10 +526,10 @@ def master_vertex(g: Graph, eps: Fraction = Fraction(1, 2 ** 60)) -> int:
     for orb in orbits:
         for v in orb:
             rep_of[v] = orb[0]
+    enc = ColumnEnclosure(g, DEFAULT_EPS)
     cur = Fraction(1, 2 ** 20)
     for _ in range(6):
-        pd = perron_enclosure(g, cur)
-        ws = pd.weights
+        ws = enc.weights(cur).weights
         best = max(reps, key=lambda v: ws[v].lo)
         if all(rep_of[v] == rep_of[best] or ws[best].lo > ws[v].hi
                for v in range(g.n)):
@@ -573,10 +569,11 @@ def min_gamma_table(n: int, kind: str, threshold: Threshold,
     rows = []
     below = 0
     for g in items:
-        lam = lambda_enclosure(g, GAMMA_LAMBDA_EPS)
-        gv = gamma_enclosure(g, eps, lam)
+        enc = ColumnEnclosure(g)
+        lam = enc.lam.iv                # the row keeps the first isolation
+        gv = gamma_enclosure(enc, eps)
         rows.append(TableRow(write_graph6(canonical_relabel(g)), gv, lam))
-        if certified_below(gamma_refiner(g), threshold, eps, first=gv.value):
+        if certified_below(enc.refine, threshold, eps):
             below += 1
     rows.sort(key=lambda r: (r.gamma.value.mid, r.graph6))
     return tuple(rows), below

@@ -16,8 +16,9 @@ integer coefficients:
   * the branching-tail certificate (ratio above the limit whenever the
     tail branches) reduces to eight interval sign conditions.
 
-Every verdict is certified with exact arithmetic; interval endpoints that
-are algebraic are handled by outer rational enclosures, refined on demand.
+Every verdict is certified with exact arithmetic.  An algebraic interval
+end is an algebra.RootEnclosure narrowed in place on demand, t_inf being
+one per TailContext; a sign check runs on the outer rational interval.
 Roots in an interval are counted by algebra.count_roots_in, Descartes
 bisection on integer Taylor shifts, which hands a count to a Sturm chain
 only when bisection cannot separate the roots: of the certificates' counts
@@ -36,11 +37,11 @@ from .algebra import (
     IntPoly,
     RationalFunction,
     RationalInterval,
+    RootEnclosure,
     SqrtRat,
     count_roots_above,
     count_roots_in,
     isolate_largest_root,
-    refine_root,
     substitute_t,
 )
 from .graphs import Graph, attach_fork, attach_path, write_graph6
@@ -115,16 +116,14 @@ class TailContext:
         # t-infinity: largest root of the cleared form of B_vv(t + 1/t) = t
         bvv_hat = substitute_t(self.B_vv)
         wpoly = bvv_hat.num - (bvv_hat.den.shifted_degree(1))
-        self._w_inf = wpoly
-        self.t_inf = isolate_largest_root(wpoly, T_EPS)
+        self.t_inf = RootEnclosure(wpoly, isolate_largest_root(wpoly, T_EPS))
         # uniqueness beyond r(lam_H): exactly one crossing
         r_h_hi = self._r_of_lam_h_upper()
         if count_roots_above(wpoly, r_h_hi) != 1:
             raise ArithmeticError("limit-rate equation not uniquely solvable")
-        if self.t_inf.lo <= r_h_hi:
-            self.t_inf = refine_root(wpoly, self.t_inf, Fraction(1, 2 ** 60))
-            if self.t_inf.lo <= r_h_hi:
-                raise ArithmeticError("limit rate not separated from the base rate")
+        if (self.t_inf.iv.lo <= r_h_hi
+                and self.t_inf.refine(Fraction(1, 2 ** 60)).lo <= r_h_hi):
+            raise ArithmeticError("limit rate not separated from the base rate")
         self.exact_limit_ratio = exact_limit_ratio
         self.exact_limit_lambda = exact_limit_lambda
 
@@ -134,20 +133,16 @@ class TailContext:
             return Fraction(1)
         return r_enclosure_of_lambda(lam_hi).hi
 
-    # -- refinable enclosures ---------------------------------------------------
-
-    def refine_t_inf(self, eps: Fraction) -> RationalInterval:
-        self.t_inf = refine_root(self._w_inf, self.t_inf, eps)
-        return self.t_inf
+    # -- enclosures derived from t_inf -----------------------------------------
 
     def lam_inf(self, eps: Fraction = Fraction(1, 2 ** 40)) -> RationalInterval:
-        t = self.refine_t_inf(eps / 4)
+        t = self.t_inf.refine(eps / 4)
         return t.add(t.recip())
 
     def gamma_inf(self, eps: Fraction = Fraction(1, 10 ** 10)) -> RationalInterval:
         cur = Fraction(1, 2 ** 40)
         for _ in range(40):
-            t = self.refine_t_inf(cur)
+            t = self.t_inf.refine(cur)
             try:
                 iv = self.J_hat.eval_interval(t)
                 if iv.width <= eps:
@@ -170,7 +165,7 @@ def infinite_tail_eigendata(ctx: TailContext,
     """Certified enclosures of the limit growth rate, eigenvalue, and ratio."""
     gamma = ctx.gamma_inf(eps)
     lam = ctx.lam_inf(eps)
-    return TailEigendata(ctx.t_inf, lam, gamma)
+    return TailEigendata(ctx.t_inf.iv, lam, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +198,22 @@ def _rf_nonneg_on_closed(f: RationalFunction, a: Fraction, b: Fraction) -> bool:
     return num.sign_at(b) * sden > 0
 
 
-def _rf_nonneg_on_enclosed(f: RationalFunction,
-                           left: RationalInterval,
-                           right: RationalInterval,
-                           refine_left, refine_right) -> bool:
-    """Certify f >= 0 on an interval with algebraic endpoints, given
-    enclosures and refinement callbacks.
+def _rf_nonneg_on_enclosed(f: RationalFunction, left: RootEnclosure,
+                           right: RootEnclosure) -> bool:
+    """Certify f >= 0 between the roots held by two enclosures.
 
-    Works on the outer rational interval [left.lo, right.hi]; on failure the
-    enclosures are tightened a few times before giving up, which separates
-    spurious sign trouble inside the enclosure slivers from a genuine
-    violation.
+    Works on the outer rational interval [left.lo, right.hi]; on failure
+    both enclosures are narrowed in place a few times before giving up,
+    which separates spurious sign trouble inside the enclosure slivers from
+    a genuine violation.
     """
-    for k in range(6):
-        if _rf_nonneg_on_closed(f, left.lo, right.hi):
+    for _ in range(6):
+        lo, hi = left.iv, right.iv
+        if _rf_nonneg_on_closed(f, lo.lo, hi.hi):
             return True
-        eps = (left.width + right.width) / 2 ** 8 or Fraction(1, 2 ** 80)
-        left = refine_left(eps)
-        right = refine_right(eps)
+        eps = (lo.width + hi.width) / 2 ** 8 or Fraction(1, 2 ** 80)
+        left.refine(eps)
+        right.refine(eps)
     return False
 
 
@@ -280,30 +273,23 @@ def check_gamma_lower(ctx: TailContext, k0: int) -> TailCertificate:
     if lam_k.lo <= 2:
         raise ValueError("tail-length floor must push the eigenvalue above 2")
     tpoly = _t_poly_of_charpoly(resolvent_data(hk).char_poly)
+    # each condition narrows r_k from this first isolation, which it prints
     r_k = isolate_largest_root(tpoly, T_EPS)
-
-    def refine_left(eps):
-        return refine_root(tpoly, r_k, eps)
-
-    def refine_right(eps):
-        return ctx.refine_t_inf(eps)
-
     jp = ctx.J_hat.derivative()
-    ok_i = _rf_nonneg_on_enclosed(jp, r_k, ctx.t_inf, refine_left, refine_right)
+    ok_i = _rf_nonneg_on_enclosed(jp, RootEnclosure(tpoly, r_k), ctx.t_inf)
     branch_i = "derivative"
     if not ok_i and ctx.exact_limit_ratio is not None:
         ok_i = _exact_gap_positive(ctx, ctx.J_hat, ctx.exact_limit_ratio,
-                                   r_k, ctx.t_inf, above=False,
+                                   r_k, ctx.t_inf.iv, above=False,
                                    tangent_at="right")
         branch_i = "value-comparison"
     cond_i = ConditionResult(
         "profile ratio nondecreasing below the limit rate", ok_i, branch_i,
-        "sign of the derivative numerator on [%s, %s]" % (r_k.lo, ctx.t_inf.hi))
-    ok_ii = _rf_nonneg_on_enclosed(ctx.f_hat, r_k, ctx.t_inf,
-                                   refine_left, refine_right)
+        "sign of the derivative numerator on [%s, %s]" % (r_k.lo, ctx.t_inf.iv.hi))
+    ok_ii = _rf_nonneg_on_enclosed(ctx.f_hat, RootEnclosure(tpoly, r_k), ctx.t_inf)
     cond_ii = ConditionResult(
         "perturbation slack nonnegative", ok_ii, "direct",
-        "fhat >= 0 on [%s, %s]" % (r_k.lo, ctx.t_inf.hi))
+        "fhat >= 0 on [%s, %s]" % (r_k.lo, ctx.t_inf.iv.hi))
     return TailCertificate(
         "finite-path-below-limit", write_graph6(ctx.base),
         {"v": ctx.v, "k0": k0}, (cond_i, cond_ii))
@@ -341,7 +327,7 @@ def _exact_gap_positive(ctx: TailContext, f: RationalFunction, target: SqrtRat,
         return False
     # the tangent endpoint must really be the limit rate with f equal to
     # the target there (the target is the exact limit ratio)
-    t_enc = ctx.t_inf
+    t_enc = ctx.t_inf.iv
     tangent = left if tangent_at == "left" else right
     if not (tangent.lo <= t_enc.hi and t_enc.lo <= tangent.hi):
         return False
@@ -397,7 +383,8 @@ def check_gamma_upper(ctx: TailContext, k: int, lambda1: Fraction,
     # certified enclosures of the limit data
     beta_iv = ctx.gamma_inf(Fraction(1, 2 ** 50))
     lam_iv = ctx.lam_inf(Fraction(1, 2 ** 50))
-    t_inf = ctx.t_inf
+    # conditions (v)-(viii) start from, and print, this enclosure of t_inf
+    t_inf = ctx.t_inf.iv
     if not lam_iv.hi < lambda1:
         raise ValueError("lambda1 must exceed the limit eigenvalue")
     beta_hi = beta_iv.hi
@@ -418,18 +405,18 @@ def check_gamma_upper(ctx: TailContext, k: int, lambda1: Fraction,
     # (iii) B_vv(lambda1) >= 1/t_inf
     q = ctx.B_vv.eval(lambda1)
     ok = False
-    t_loc = t_inf
+    t_loc = RootEnclosure(ctx.t_inf.poly, t_inf)
     for _ in range(6):
-        if q * t_loc.lo >= 1:
+        if q * t_loc.iv.lo >= 1:
             ok = True
             break
-        if q * t_loc.hi < 1:
+        if q * t_loc.iv.hi < 1:
             break
-        t_loc = ctx.refine_t_inf(t_loc.width / 2 ** 10)
+        t_loc.refine(t_loc.iv.width / 2 ** 10)
     conds.append(ConditionResult(
         "attachment weight at the window bottom at least the inverse rate",
         ok, "interval", "B_vv(%s)*t_inf in [%s, %s]"
-        % (lambda1, float(q * t_loc.lo), float(q * t_loc.hi))))
+        % (lambda1, float(q * t_loc.iv.lo), float(q * t_loc.iv.hi))))
 
     # (iv) (S+1)^2/(T+1) > beta on [lambda1, lambda2]
     one = RationalFunction.constant(1)
@@ -440,20 +427,14 @@ def check_gamma_upper(ctx: TailContext, k: int, lambda1: Fraction,
         "two-vertex window bound", ok, "rational-upper",
         "(S+1)^2/(T+1) - %s > 0 on [%s, %s]" % (beta_hi, lambda1, lambda2)))
 
-    # r' = r(lambda1), isolated without a hint: its endpoints are printed in
-    # the certificate, and a hint would move them
+    # r' = r(lambda1), isolated without a hint, which would move the printed
+    # endpoints; each condition narrows r' from this first isolation
     rp_poly = _r_poly(lambda1)
     r_prime = isolate_largest_root(rp_poly, T_EPS)
 
-    def refine_left(eps):
-        return ctx.refine_t_inf(eps)
-
-    def refine_right(eps):
-        return refine_root(rp_poly, r_prime, eps)
-
     # (v) jhat nondecreasing on (t_inf, r'), weak fallback jhat > beta there
     jp = ctx.J_hat.derivative()
-    ok = _rf_nonneg_on_enclosed(jp, t_inf, r_prime, refine_left, refine_right)
+    ok = _rf_nonneg_on_enclosed(jp, ctx.t_inf, RootEnclosure(rp_poly, r_prime))
     branch = "derivative"
     if not ok and ctx.exact_limit_ratio is not None:
         ok = _exact_gap_positive(ctx, ctx.J_hat, ctx.exact_limit_ratio,
@@ -473,7 +454,7 @@ def check_gamma_upper(ctx: TailContext, k: int, lambda1: Fraction,
         num = ctx.S_hat + onet + extra1
         ratio = (num * num) / (ctx.T_hat + onet + extra2)
         ok = _rf_nonneg_on_enclosed(ratio - RationalFunction.constant(beta_hi, "t"),
-                                    t_inf, r_prime, refine_left, refine_right)
+                                    ctx.t_inf, RootEnclosure(rp_poly, r_prime))
         conds.append(ConditionResult(name, ok, "rational-upper",
                                      "above %s on [%s, %s]"
                                      % (beta_hi, t_inf.lo, r_prime.hi)))
@@ -484,15 +465,15 @@ def check_gamma_upper(ctx: TailContext, k: int, lambda1: Fraction,
     factor = onet - ((t + onet) / (t - onet)) * tk
     # decreasing the leading coefficient 2/beta is conservative only if the
     # factor it multiplies is nonnegative; certify that first
-    ok_factor = _rf_nonneg_on_enclosed(factor, t_inf, r_prime,
-                                       refine_left, refine_right)
+    ok_factor = _rf_nonneg_on_enclosed(factor, ctx.t_inf,
+                                       RootEnclosure(rp_poly, r_prime))
     two_over_beta = RationalFunction.constant(Fraction(2) / beta_hi, "t")
     lhs = (two_over_beta * (ctx.S_hat + geo1) * factor
            - RationalFunction.constant(2 * k, "t") * tk)
     lhs = lhs / ((t * t * t) / (t * t - onet))
     ok = ok_factor and _rf_nonneg_on_enclosed(
-        lhs - RationalFunction.constant(c, "t"),
-        t_inf, r_prime, refine_left, refine_right)
+        lhs - RationalFunction.constant(c, "t"), ctx.t_inf,
+        RootEnclosure(rp_poly, r_prime))
     monotone_note = ""
     floor = Fraction(2) + Fraction(1, k * (k + 1))
     if lam_iv.lo >= floor:
@@ -534,15 +515,14 @@ def j_hat_samples(ctx: TailContext, t_lo: Fraction, t_hi: Fraction,
 def lambda_sandwich_audit(base: Graph, v: int, k: int) -> bool:
     """Certify lam(H + path_k) < lam(H + infinite path) < lam(H + fork_k)."""
     ctx = TailContext(base, v)
-    lam_inf = ctx.lam_inf(Fraction(1, 2 ** 40))
-    lam_path = lambda_enclosure(attach_path(base, v, k), Fraction(1, 2 ** 40))
-    lam_fork = lambda_enclosure(attach_fork(base, v, k, 2), Fraction(1, 2 ** 40))
+    eps = Fraction(1, 2 ** 40)
+    lam_inf = ctx.lam_inf(eps)
+    path, fork = (RootEnclosure(resolvent_data(h).char_poly, lambda_enclosure(h, eps))
+                  for h in (attach_path(base, v, k), attach_fork(base, v, k, 2)))
     for _ in range(6):
-        if lam_path.hi < lam_inf.lo and lam_inf.hi < lam_fork.lo:
+        if path.iv.hi < lam_inf.lo and lam_inf.hi < fork.iv.lo:
             return True
         lam_inf = ctx.lam_inf(lam_inf.width / 2 ** 10 or Fraction(1, 2 ** 80))
-        lam_path = lambda_enclosure(attach_path(base, v, k),
-                                    lam_path.width / 2 ** 10 or Fraction(1, 2 ** 80))
-        lam_fork = lambda_enclosure(attach_fork(base, v, k, 2),
-                                    lam_fork.width / 2 ** 10 or Fraction(1, 2 ** 80))
+        for enc in (path, fork):
+            enc.refine(enc.iv.width / 2 ** 10 or Fraction(1, 2 ** 80))
     return False

@@ -41,12 +41,12 @@ from perronbalance.kernels import (
 from perronbalance.spectral import (
     BETA_STAR,
     BETA_TR,
+    ColumnEnclosure,
     LAMBDA_K4_INF,
     LAMBDA_S5_INF,
     beta_d,
     certified_below,
     gamma_enclosure,
-    gamma_refiner,
     lambda_enclosure,
     min_gamma_table,
     perron_enclosure,
@@ -142,7 +142,7 @@ def test_acceptance_04_tree_kernel_stage(tree_stage, acceptance_recorder):
         l = below[g6]
         ok &= abs(float((l.gamma_lo + l.gamma_hi) / 2) - mid) < 1e-4
         ok &= certified_below(
-            gamma_refiner(parse_graph6(g6)), BETA_TR)
+            ColumnEnclosure(parse_graph6(g6)).refine, BETA_TR)
     # the chain through the 6-star kernels ends with the 13-vertex tree
     largest = max(parse_graph6(x.graph6).n
                   for o in tree_stage.outcomes if o.elimination

@@ -15,6 +15,7 @@ from perronbalance.algebra import (
     NoRealRootError,
     RationalFunction,
     RationalInterval,
+    RootEnclosure,
     SqrtRat,
     _dyadic_above,
     _dyadic_below,
@@ -26,6 +27,7 @@ from perronbalance.algebra import (
     isolate_largest_root,
     poly_to_text,
     ray_verdict,
+    refine_root,
     root_bound,
     root_count_info,
     sturm_count,
@@ -360,6 +362,26 @@ def test_isolate_largest_is_isolating():
 def test_isolate_no_real_roots():
     with pytest.raises(NoRealRootError):
         isolate_largest_root(IntPoly([1, 0, 1]))
+
+
+def test_root_enclosure_narrows_in_place_and_never_widens():
+    p = resolvent_data(K3P3).char_poly
+    first = isolate_largest_root(p, Fraction(1, 2 ** 20))
+    enc = RootEnclosure(p, first)
+    steps = [Fraction(1, 2 ** k) for k in (24, 31, 31, 40, 52)]
+    for eps in steps:
+        got = enc.refine(eps)
+        assert got is enc.iv and got.width <= eps
+        # continuing the bisection equals refining the first interval at once
+        assert got == refine_root(p, first, eps)
+        assert count_roots_in(p, got) == 1
+    narrow = enc.iv
+    assert enc.refine(Fraction(1, 2 ** 10)) is narrow
+    assert enc.iv is narrow
+    # a rational root hit by bisection stays a point
+    sq = RootEnclosure(IntPoly([-1, 0, 1]), RationalInterval(0, 2))
+    assert sq.refine(Fraction(1, 2 ** 30)) == RationalInterval(1, 1)
+    assert sq.refine(Fraction(1, 2 ** 60)) == RationalInterval(1, 1)
 
 
 def _sturm_only_isolate(p, eps, hint=None):

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, expectations, schema."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -106,6 +107,36 @@ def test_gamma_isolates_once(monkeypatch, capsys, eps):
     assert hi - lo <= Fraction(eps or Fraction(1, 10 ** 8))
 
 
+def test_gamma_eps_below_lambda_schedule(tmp_path, capsys):
+    # --eps below 2^-30 is the one case in which the printed eigenvalue is
+    # narrowed: the first isolation at 2^-30, refined to --eps, and not the
+    # enclosure the gamma request ended on
+    from fractions import Fraction
+    from perronbalance.algebra import refine_root
+    from perronbalance.graphs import parse_graph6
+    from perronbalance.spectral import lambda_enclosure, resolvent_data
+    eps = Fraction(1, 10 ** 20)
+    assert run_cli(["--out", str(tmp_path), "gamma", "E?~o",
+                    "--eps", "1/100000000000000000000"]) == 0
+    g = parse_graph6("E?~o")
+    want = refine_root(resolvent_data(g).char_poly,
+                       lambda_enclosure(g, Fraction(1, 2 ** 30)), eps)
+    assert 0 < want.width <= eps
+    out = capsys.readouterr().out.splitlines()
+    assert "lambda   [%s, %s]" % (want.lo, want.hi) in out
+    doc = json.loads((tmp_path / "gamma.json").read_text())
+    assert doc["lambda"] == [str(want.lo), str(want.hi)]
+    gamma = [Fraction(x) for x in doc["gamma"]]
+    assert gamma[1] - gamma[0] <= eps
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_an_input_error(capsys, jobs):
+    assert run_cli(["--jobs", jobs, "gamma", "C~"]) == 2
+    err = capsys.readouterr().err
+    assert "--jobs" in err and "Traceback" not in err
+
+
 def test_exit_codes(capsys):
     assert run_cli(["gamma", "thisisnotagraph"]) == 2
     assert run_cli(["gamma", "A?"]) == 2          # disconnected two vertices
@@ -175,9 +206,12 @@ def test_tables(tmp_path, capsys):
     counts = (tmp_path / "counts.csv").read_text().splitlines()
     assert "graph,6,112,5" in counts
     assert "graph,7,853,1" in counts
-    small = (tmp_path / "small-graphs.csv").read_text().splitlines()
-    assert small[0].startswith("graph6,gamma_lo")
-    assert len(small) == 113
+    small = (tmp_path / "small-graphs.csv").read_bytes()
+    assert small.startswith(b"graph6,gamma_lo")
+    assert len(small.splitlines()) == 113
+    # the gamma and lambda endpoints of every row, pinned byte for byte
+    assert hashlib.sha256(small).hexdigest() == (
+        "3f01c0a9a09ff473cda62054d2535ddc1b44db712c9e7594de6c8c66b0af9b7b")
     beta = (tmp_path / "degree-bounds.csv").read_text().splitlines()
     assert len(beta) == 11
 

@@ -51,6 +51,57 @@ def random_relabel(g: Graph, rng) -> Graph:
     return g.relabel(perm)
 
 
+# -- construction checks -----------------------------------------------------
+
+@pytest.mark.parametrize("n, adj, message", [
+    (2, (0b01, 0b01), "self-loop"),
+    (2, (0b110, 0b001), "out of range"),
+    (3, (0b010, 0b000, 0b000), "asymmetric"),
+    (3, (0b110, 0b101, 0b001), "asymmetric"),
+    (3, (0b10, 0b01), "length mismatch"),
+    (0, (), "vertex count"),
+    (MAX_VERTICES + 1, (0,) * (MAX_VERTICES + 1), "vertex count"),
+])
+def test_graph_rejects_invalid_adjacency(n, adj, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, adj)
+
+
+def test_graph_accepts_boundary_sizes():
+    assert Graph(1, (0,)).n == 1
+    full = (1 << MAX_VERTICES) - 1
+    k64 = Graph(MAX_VERTICES, tuple(full ^ (1 << v) for v in range(MAX_VERTICES)))
+    assert k64.edge_count() == MAX_VERTICES * (MAX_VERTICES - 1) // 2
+
+
+def _symmetric_by_pairs(adj) -> bool:
+    """Reference check: every vertex pair agrees in both rows."""
+    return all((adj[u] >> v & 1) == (adj[v] >> u & 1)
+               for v in range(len(adj)) for u in range(v))
+
+
+def test_graph_symmetry_check_matches_pair_reference():
+    rng = random.Random(11)
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.4]
+        adj = [0] * n
+        for i, j in edges:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        if n > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(n), 2)
+            adj[i] ^= 1 << j            # one direction only
+        adj = tuple(adj)
+        try:
+            Graph(n, adj)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == _symmetric_by_pairs(adj)
+
+
 # -- graph6 ------------------------------------------------------------------
 
 def test_parse_graph6_triangle():

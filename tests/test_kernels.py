@@ -1,6 +1,7 @@
 """Stage drivers: the kernel sweeps, two-step verification, elimination,
 branch checks, structural closure, and certificate assembly."""
 
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -209,9 +210,9 @@ def test_elimination_case1():
     remaining, examined = active_vertex_elimination(kernel, va, beta_tr_upper())
     assert remaining == frozenset()
     assert len(examined) == 2
-    from perronbalance.spectral import certified_below, gamma_refiner
+    from perronbalance.spectral import ColumnEnclosure, certified_below
     for g in examined:
-        assert not certified_below(gamma_refiner(g), BETA_TR)
+        assert not certified_below(ColumnEnclosure(g).refine, BETA_TR)
 
 
 def test_elimination_case2_first_step():
@@ -254,6 +255,38 @@ def test_graph_stage_jobs_parity():
     assert one.classification_counts() == {"direct": 2, "exceptional": 4,
                                            "survivor": 1}
     assert _stage_doc(two) == _stage_doc(one)
+
+
+def test_map_kernels_caps_workers(monkeypatch):
+    # a fake pool records max_workers and maps serially; no process starts
+    from perronbalance import kernels
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(kernels, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 4)
+    want = [str(i) for i in range(10)]
+    assert kernels._map_kernels(str, range(10), 10 ** 6) == want
+    assert kernels._map_kernels(str, range(3), 10 ** 6) == want[:3]
+    assert kernels._map_kernels(str, range(10), 2) == want
+    assert started == [4, 3, 2]
+    # one kernel, or an unknown CPU count, runs serially without a pool
+    assert kernels._map_kernels(str, range(1), 10 ** 6) == want[:1]
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: None)
+    assert kernels._map_kernels(str, range(10), 10 ** 6) == want
+    assert started == [4, 3, 2]
 
 
 def test_tree_stage_jobs_parity():
@@ -336,6 +369,15 @@ def test_table_minimum_certified():
 
 
 @pytest.mark.slow
+def _proof_digest(cert) -> str:
+    """sha256 of the proof JSON without its two timing-dependent fields.
+    A change that alters proof bytes on purpose updates the pins below and
+    says why in CHANGES.md."""
+    doc = reports.certificate_json(cert)
+    del doc["generated_at"], doc["elapsed_seconds"]
+    return hashlib.sha256(reports.dump_json(doc).encode()).hexdigest()
+
+
 def test_prove_graphs(graph_stage):
     cert = prove_conjecture("graphs")
     assert cert.passed
@@ -343,12 +385,16 @@ def test_prove_graphs(graph_stage):
     names = [l.name for l in cert.links]
     assert any("kernel sweep" in n for n in names)
     assert any("branching tail" in n for n in names)
+    assert _proof_digest(cert) == (
+        "7a2262e304d9c0b8edd34af5bd51eb2b585d52fa7e8dfaab7508785a53ae1221")
 
 
 @pytest.mark.slow
 def test_prove_trees(tree_stage):
     cert = prove_conjecture("trees")
     assert cert.passed
+    assert _proof_digest(cert) == (
+        "f9d70d16f77d8e74296c22b87ebe82a5b5af374eef406a14afc3bcb7090fe1d3")
 
 
 @pytest.mark.slow

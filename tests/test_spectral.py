@@ -39,6 +39,8 @@ from perronbalance.graphs import (
 from perronbalance.spectral import (
     BETA_STAR,
     BETA_TR,
+    ColumnEnclosure,
+    DEFAULT_EPS,
     LAMBDA_K4_INF,
     LAMBDA_S5_INF,
     _SUBTREE_PHI,
@@ -50,7 +52,6 @@ from perronbalance.spectral import (
     certified_below,
     gamma_enclosure,
     gamma_family_closed_form,
-    gamma_refiner,
     kp_infinite_gamma,
     lambda_enclosure,
     lambda_le_2_graphs,
@@ -410,6 +411,42 @@ def test_enclosures_match_fraction_reference():
         assert [(w.lo, w.hi) for w in pd.weights] == ws
 
 
+def test_column_enclosure_continues_as_a_restart_would():
+    # a request continues from the last one and gives what a fresh
+    # enclosure gives at the same eps, for gamma and the Perron weights
+    graphs = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+    graphs += list(enumerate_trees(9))
+    steps = [Fraction(1, 10 ** 4), Fraction(1, 10 ** 6), Fraction(1, 10 ** 6 * 2 ** 8),
+             Fraction(1, 10 ** 12), Fraction(1, 10 ** 20)]
+    for g in graphs:
+        enc = ColumnEnclosure(g)
+        perron = ColumnEnclosure(g, DEFAULT_EPS)
+        for eps in steps:
+            assert enc.refine(eps) == gamma_enclosure(g, eps).value
+            assert perron.weights(eps) == perron_enclosure(g, eps)
+        # a wider request returns the current enclosure, never a wider one
+        assert enc.refine(Fraction(1, 10 ** 4)) is enc.refine(steps[-1])
+
+
+def test_certified_below_first_round_reuses_the_request(monkeypatch):
+    from perronbalance import algebra
+    calls = []
+    real = algebra.refine_root
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "refine_root", counting)
+    g = attach_path(diamond_graph(), 0, 3)     # ratio 5.180545
+    enc = ColumnEnclosure(g)
+    first = gamma_enclosure(enc, Fraction(1, 10 ** 6)).value
+    made = len(calls)
+    assert certified_below(enc.refine, Fraction(21, 4))
+    assert len(calls) == made
+    assert enc.refine(Fraction(1, 10 ** 6)) is first
+
+
 @st.composite
 def _connected_graphs(draw):
     """A random spanning tree plus random extra edges, on 1..8 vertices."""
@@ -604,12 +641,12 @@ def test_min_gamma_table_trees_10():
 
 def test_certified_below_refines():
     g = attach_path(diamond_graph(), 0, 3)     # ratio 5.180545
-    assert certified_below(gamma_refiner(g), Fraction(21, 4))
-    assert not certified_below(gamma_refiner(g), BETA_STAR)
-    assert not certified_below(gamma_refiner(g), Fraction(5))
+    assert certified_below(ColumnEnclosure(g).refine, Fraction(21, 4))
+    assert not certified_below(ColumnEnclosure(g).refine, BETA_STAR)
+    assert not certified_below(ColumnEnclosure(g).refine, Fraction(5))
 
 
 def test_certified_below_exact_equality():
     # rational values hit exactly: the enclosures collapse to the threshold
-    assert not certified_below(gamma_refiner(complete_graph(4)), 4)
-    assert not certified_below(gamma_refiner(star_graph(5)), Fraction(9, 2))
+    assert not certified_below(ColumnEnclosure(complete_graph(4)).refine, 4)
+    assert not certified_below(ColumnEnclosure(star_graph(5)).refine, Fraction(9, 2))

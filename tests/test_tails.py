@@ -10,8 +10,10 @@ from perronbalance.algebra import (
     IntPoly,
     RationalFunction,
     RationalInterval,
+    RootEnclosure,
     SqrtRat,
     _sturm_chain,
+    isolate_largest_root,
     root_count_info,
     substitute_t,
 )
@@ -24,11 +26,11 @@ from perronbalance.graphs import (
 from perronbalance.spectral import (
     BETA_STAR,
     BETA_TR,
+    ColumnEnclosure,
     LAMBDA_K4_INF,
     LAMBDA_S5_INF,
     certified_below,
     gamma_enclosure,
-    gamma_refiner,
     kp_infinite_gamma,
     lambda_enclosure,
     perron_enclosure,
@@ -36,6 +38,7 @@ from perronbalance.spectral import (
 )
 from perronbalance.tails import (
     TailContext,
+    _rf_nonneg_on_enclosed,
     check_gamma_lower,
     check_gamma_upper,
     cond8_monotone_floor,
@@ -141,7 +144,7 @@ def test_geometric_tail_eigenvector_truncated(k4_ctx):
     # eigenvalue equation on a long finite stretch except at the frontier
     m = 30
     g = attach_path(complete_graph(4), 0, m)
-    t_iv = k4_ctx.refine_t_inf(Fraction(1, 2 ** 70))
+    t_iv = k4_ctx.t_inf.refine(Fraction(1, 2 ** 70))
     lam_iv = k4_ctx.lam_inf(Fraction(1, 2 ** 60))
     from perronbalance.spectral import resolvent_data
     rd = resolvent_data(complete_graph(4))
@@ -203,11 +206,45 @@ def test_gamma_lower_s5(s5_ctx):
     assert cert.passed
 
 
+def test_gamma_lower_s5_narrows_the_shared_t_inf():
+    # condition (i) narrows the context's one enclosure of t_inf for six
+    # rounds before the value comparison decides; the evidence prints r_k
+    # from its first isolation and t_inf as those rounds left it
+    ctx = TailContext(star_graph(5), 0, exact_limit_ratio=BETA_TR)
+    before = ctx.t_inf.iv
+    cert = check_gamma_lower(ctx, 1)
+    after = ctx.t_inf.iv
+    assert cert.passed and cert.conditions[0].branch == "value-comparison"
+    assert before.lo <= after.lo and after.hi <= before.hi
+    assert after.width <= before.width / 2 ** 40
+    assert cert.conditions[0].evidence.endswith(", %s]" % after.hi)
+
+
+def test_rf_nonneg_on_enclosed_narrows_both_endpoints():
+    # f = x - a with a between the first lower end of sqrt(2) and sqrt(2):
+    # the outer interval of the first enclosures holds a sign change, the
+    # narrowed ones do not
+    left = RootEnclosure(IntPoly([-2, 0, 1]),
+                         isolate_largest_root(IntPoly([-2, 0, 1]), Fraction(1, 2 ** 10)))
+    right = RootEnclosure(IntPoly([-3, 0, 1]),
+                          isolate_largest_root(IntPoly([-3, 0, 1]), Fraction(1, 2 ** 10)))
+    first_left, first_right = left.iv, right.iv
+    sqrt2 = isolate_largest_root(IntPoly([-2, 0, 1]), Fraction(1, 2 ** 60))
+    a = (first_left.lo + sqrt2.lo) / 2
+    f = RationalFunction(IntPoly([-a.numerator, a.denominator]), IntPoly([1]))
+    assert _rf_nonneg_on_enclosed(f, left, right)
+    assert first_left.lo < left.iv.lo and left.iv.hi <= first_left.hi
+    assert right.iv.width < first_right.width
+    # a genuine root inside gives up after six rounds
+    g = RationalFunction(IntPoly([-3, 2]), IntPoly([1]))     # 2x - 3
+    assert not _rf_nonneg_on_enclosed(g, left, right)
+
+
 def test_gamma_increasing_chain_below_limit():
     prev = None
     for k in range(1, 9):
         g = attach_path(complete_graph(4), 0, k)
-        assert certified_below(gamma_refiner(g), BETA_STAR)
+        assert certified_below(ColumnEnclosure(g).refine, BETA_STAR)
         val = gamma_enclosure(g, Fraction(1, 10 ** 9)).value
         if prev is not None:
             assert val.lo > prev.hi
@@ -215,7 +252,7 @@ def test_gamma_increasing_chain_below_limit():
     prev = None
     for k in range(1, 9):
         g = attach_path(star_graph(5), 0, k)
-        assert certified_below(gamma_refiner(g), BETA_TR)
+        assert certified_below(ColumnEnclosure(g).refine, BETA_TR)
         val = gamma_enclosure(g, Fraction(1, 10 ** 9)).value
         if prev is not None:
             assert val.lo > prev.hi
