@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bounds, kernels, reports, spectral
+from . import bounds, kernels, reports, spectral, tails
 from .algebra import RootEnclosure
 from .graphs import (
     Graph,
@@ -33,6 +33,7 @@ from .graphs import (
     complete_graph,
     parse_edge_list,
     parse_graph6,
+    write_graph6,
 )
 
 EXIT_OK = 0
@@ -132,7 +133,6 @@ def cmd_gamma(args) -> int:
     print("gamma    %s" % _interval_text(gv.value))
     print("gamma  ~ %.10f" % gv.midpoint())
     if args.format == "json" or args.out:
-        from .graphs import write_graph6
         doc = reports.gamma_json(write_graph6(g), lam, gv)
         text = reports.dump_json(doc)
         if args.out:
@@ -162,13 +162,9 @@ def _check_expectations(report, expect: str) -> bool:
 
 
 def cmd_kernel_stage(args) -> int:
-    beta = args.beta
-    if args.kind == "graphs":
-        report = kernels.graph_kernel_stage(
-            beta if beta is not None else kernels.BETA_GRAPH_STAGE,
-            jobs=args.jobs)
-    else:
-        report = kernels.tree_kernel_stage(beta, jobs=args.jobs)
+    stage = (kernels.graph_kernel_stage if args.kind == "graphs"
+             else kernels.tree_kernel_stage)
+    report = stage(args.beta, jobs=args.jobs)
     doc = reports.stage_json(report)
     _write_out(args, "stage-%s.json" % args.kind, reports.dump_json(doc))
     path = _write_out(args, "stage-%s.md" % args.kind,
@@ -191,8 +187,7 @@ def cmd_kernel_stage(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    tamper = args.tamper
-    cert = kernels.prove_conjecture(args.kind, tamper_beta=tamper,
+    cert = kernels.prove_conjecture(args.kind, tamper_beta=args.tamper,
                                     jobs=args.jobs)
     doc = reports.certificate_json(cert)
     _write_out(args, "certificate-%s.json" % args.kind, reports.dump_json(doc))
@@ -238,9 +233,8 @@ def cmd_curves(args) -> int:
                                args.samples)
     path = _write_out(args, "bound-curves.csv", reports.curves_csv(rows))
     print("wrote %s" % path)
-    from .tails import TailContext, j_hat_samples
-    tctx = TailContext(complete_graph(4), 0)
-    trows = j_hat_samples(tctx, Fraction(2), Fraction(3), args.samples)
+    tctx = tails.TailContext(complete_graph(4), 0)
+    trows = tails.j_hat_samples(tctx, Fraction(2), Fraction(3), args.samples)
     text = "t,profile_ratio\n" + "".join(
         "%.9f,%.9f\n" % r for r in trows)
     path = _write_out(args, "profile-curve.csv", text)

@@ -402,10 +402,6 @@ def _refine_colors(g: Graph, colors: list) -> list:
     return colors
 
 
-def _is_acyclic_connected(g: Graph) -> bool:
-    return g.edge_count() == g.n - 1 and g.is_connected()
-
-
 def subtree_codes(g: Graph, root: int, codes: Optional[dict] = None) -> bytes:
     """Sorted-subtree code of the tree g rooted at root: "(" then the codes
     of the child subtrees in sorted order, then ")".  Equal codes mean
@@ -543,7 +539,7 @@ def canonical_form(g: Graph, root: Optional[int] = None) -> bytes:
     classes, pruned where a partial code already exceeds the best, which
     is exact at these sizes.
     """
-    if _is_acyclic_connected(g):
+    if g.is_tree():
         return _tree_canon(g, root, False)[0]
     return _graph_canon(g, root)[0]
 
@@ -553,7 +549,7 @@ def canonical_relabel(g: Graph, root: Optional[int] = None) -> Graph:
 
     When a root is given it lands on vertex 0 of the result.
     """
-    if _is_acyclic_connected(g):
+    if g.is_tree():
         order = _tree_canon(g, root, True)[1]
     else:
         order = _graph_canon(g, root)[1]
@@ -738,7 +734,7 @@ def enumerate_tree_kernels() -> tuple:
 def automorphism_count(g: Graph) -> int:
     """Order of the automorphism group (trees only; used for the labeled
     Cayley-count cross-check of the tree enumeration)."""
-    if not _is_acyclic_connected(g):
+    if not g.is_tree():
         raise ValueError("automorphism_count implemented for trees only")
 
     def count(v: int, parent: int) -> tuple:

@@ -7,6 +7,10 @@ the full machine-checked certificates for the two extremal statements:
   * among n-vertex trees (n >= 14), only the 5-star with a pendant path
     has balance ratio below 4+2*sqrt(3).
 
+Both proofs share one skeleton, written once: one sweep driver that each
+kind hands its per-kernel step, and one builder each for the tampered-sweep,
+branch-point, branching-tail and extremal-family links.
+
 Irrational target ratios enter pair checks through certified rational
 upper bounds (passing at the upper bound is stronger), and enter value
 comparisons through exact quadratic-field arithmetic.
@@ -36,10 +40,14 @@ from .graphs import (
     active_vertices,
     attach_path,
     canonical_form,
+    canonical_relabel,
     complete_graph,
     diamond_graph,
     enumerate_graph_kernels,
     enumerate_tree_kernels,
+    has_open_dominating_vertex,
+    has_strictly_dominating_vertex,
+    parse_graph6,
     star_graph,
     write_graph6,
 )
@@ -147,6 +155,13 @@ class KernelOutcome:
     two_step: Optional[TwoStepOutcome] = None
     elimination: Optional["EliminationRecord"] = None
 
+    @property
+    def leftovers(self) -> tuple:
+        """The single graphs this kernel left for a direct evaluation."""
+        if self.two_step is not None:
+            return (self.two_step.leftover,)
+        return self.elimination.examined if self.elimination is not None else ()
+
     def to_json_dict(self) -> dict:
         d = {"kernel": self.kernel_id, "classification": self.classification,
              "failing_pairs": len(self.report.failing_pairs)}
@@ -209,15 +224,18 @@ class StageReport:
         }
 
 
+def _canon6(g: Graph) -> str:
+    return write_graph6(canonical_relabel(g))
+
+
 def _classify_single(g: Graph, beta: Fraction, limit: SqrtRat) -> LeftoverGraph:
-    from .graphs import canonical_relabel
     eps = Fraction(1, 10 ** 6)
     enc = ColumnEnclosure(g)
     gv = gamma_enclosure(enc, eps)
     below_beta = certified_below(enc.refine, beta, eps)
     below_limit = certified_below(enc.refine, limit, eps)
-    return LeftoverGraph(write_graph6(canonical_relabel(g)),
-                         gv.value.lo, gv.value.hi, below_beta, below_limit)
+    return LeftoverGraph(_canon6(g), gv.value.lo, gv.value.hi,
+                         below_beta, below_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -282,42 +300,53 @@ def _map_kernels(one, kernels: Sequence[RootedKernel], jobs: int) -> list:
 _STAGE_CACHE: dict = {}
 
 
-def graph_kernel_stage(beta: Fraction = BETA_GRAPH_STAGE,
-                       stop_on_failure: bool = False,
-                       kernels: Optional[Sequence[RootedKernel]] = None,
-                       jobs: int = 1) -> StageReport:
-    """Sweep all 6-vertex kernels at the target ratio.
-
-    Direct passes need no further attention; kernels failing only at their
-    leaf singleton go through two-step verification; everything else
-    survives.  Leftover single graphs are certified individually.
-
-    Results over the full enumeration are cached per (beta, mode): the
-    sweep is deterministic and pure.
-    """
+def _kernel_stage(kind: str, one, beta: Fraction, beta_note: str,
+                  notes: tuple, stop_on_failure: bool,
+                  kernels: Optional[Sequence[RootedKernel]],
+                  enumerate_kernels, jobs: int) -> StageReport:
+    """one(kernel, beta=, stop_on_failure=) for every kernel (all of
+    enumerate_kernels() when None), sorted by id, with the single graphs
+    they left collected once each.  Full sweeps are cached per (kind, beta,
+    mode): the sweep is deterministic and pure."""
     beta = Fraction(beta)
-    cache_key = ("graphs", beta, stop_on_failure) if kernels is None else None
+    cache_key = (kind, beta, stop_on_failure) if kernels is None else None
     if cache_key in _STAGE_CACHE:
         return _STAGE_CACHE[cache_key]
     t0 = time.monotonic()
     if kernels is None:
-        kernels = enumerate_graph_kernels()
-    outcomes = _map_kernels(partial(_graph_stage_one, beta=beta,
+        kernels = enumerate_kernels()
+    outcomes = _map_kernels(partial(one, beta=beta,
                                     stop_on_failure=stop_on_failure),
                             kernels, jobs)
     outcomes.sort(key=lambda o: o.kernel_id)
     leftovers = {}
     for o in outcomes:
-        if o.two_step is not None:
-            leftovers.setdefault(o.two_step.leftover.graph6, o.two_step.leftover)
-    notes = ("irrational comparisons for leftovers are certified against the "
-             "exact limit ratio",)
-    report = StageReport("graphs", beta, "exact rational stage target",
-                         tuple(outcomes), tuple(leftovers.values()),
-                         len(kernels), time.monotonic() - t0, notes)
+        for x in o.leftovers:
+            leftovers.setdefault(x.graph6, x)
+    report = StageReport(kind, beta, beta_note, tuple(outcomes),
+                         tuple(leftovers.values()), len(kernels),
+                         time.monotonic() - t0, notes)
     if cache_key is not None:
         _STAGE_CACHE[cache_key] = report
     return report
+
+
+def graph_kernel_stage(beta: Optional[Fraction] = None,
+                       stop_on_failure: bool = False,
+                       kernels: Optional[Sequence[RootedKernel]] = None,
+                       jobs: int = 1) -> StageReport:
+    """Sweep all 6-vertex kernels at the target ratio, 21/4 by default.
+
+    Direct passes need no further attention; kernels failing only at their
+    leaf singleton go through two-step verification; everything else
+    survives.  Leftover single graphs are certified individually.
+    """
+    notes = ("irrational comparisons for leftovers are certified against the "
+             "exact limit ratio",)
+    return _kernel_stage("graphs", _graph_stage_one,
+                         BETA_GRAPH_STAGE if beta is None else beta,
+                         "exact rational stage target", notes, stop_on_failure,
+                         kernels, enumerate_graph_kernels, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -369,21 +398,15 @@ def _process_special_tree_kernel(kernel: RootedKernel, beta: Fraction,
     """
     chain = [kernel]
     examined_graphs: list = []
+    outcome = "survivor"
     cur = kernel
-    while True:
-        if canonical_form(cur.graph, cur.root) == conjectured:
-            return EliminationRecord(
-                tuple(k.id_string() for k in chain),
-                tuple(_classify_single(g, beta, BETA_TR) for g in examined_graphs),
-                "survivor")
+    while canonical_form(cur.graph, cur.root) != conjectured:
         va = active_vertices(cur, "tree").vertices
         remaining, examined = active_vertex_elimination(cur, va, beta)
         examined_graphs.extend(examined)
         if not remaining:
-            return EliminationRecord(
-                tuple(k.id_string() for k in chain),
-                tuple(_classify_single(g, beta, BETA_TR) for g in examined_graphs),
-                "eliminated")
+            outcome = "eliminated"
+            break
         if len(remaining) != 1:
             raise ArithmeticError(
                 "special tree kernel stuck with %d active vertices"
@@ -399,6 +422,9 @@ def _process_special_tree_kernel(kernel: RootedKernel, beta: Fraction,
             raise ArithmeticError("chain step lost an active vertex")
         chain.append(nxt)
         cur = nxt
+    return EliminationRecord(tuple(k.id_string() for k in chain),
+                             tuple(_classify_single(g, beta, BETA_TR)
+                                   for g in examined_graphs), outcome)
 
 
 def _tree_stage_one(kernel: RootedKernel, beta: Fraction,
@@ -433,40 +459,23 @@ def tree_kernel_stage(beta: Optional[Fraction] = None,
         beta = beta_tr_upper()
         note = ("certified rational upper bound of the tree limit ratio "
                 "(width <= 2^-60); a pass here implies the algebraic bound")
-    beta = Fraction(beta)
-    cache_key = ("trees", beta, stop_on_failure) if kernels is None else None
-    if cache_key in _STAGE_CACHE:
-        return _STAGE_CACHE[cache_key]
-    t0 = time.monotonic()
-    if kernels is None:
-        kernels = enumerate_tree_kernels()
-    conjectured = conjectured_tree_kernel().canonical()
-    outcomes = _map_kernels(partial(_tree_stage_one, beta=beta,
-                                    conjectured=conjectured,
-                                    stop_on_failure=stop_on_failure),
-                            kernels, jobs)
-    outcomes.sort(key=lambda o: o.kernel_id)
-    leftovers = {}
-    for o in outcomes:
-        if o.elimination is not None:
-            for x in o.elimination.examined:
-                leftovers.setdefault(x.graph6, x)
     notes = ("singleton boundary families: outside vertices of a tree attach "
              "at exactly one kernel vertex",
              "distance-2 transfer justified: non-star trees admit a kernel "
              "whose closed neighborhood reaches distance 2; the star case "
              "is settled by the exact star link")
-    report = StageReport("trees", beta, note, tuple(outcomes),
-                         tuple(leftovers.values()), len(kernels),
-                         time.monotonic() - t0, notes)
-    if cache_key is not None:
-        _STAGE_CACHE[cache_key] = report
-    return report
+    one = partial(_tree_stage_one, conjectured=conjectured_tree_kernel().canonical())
+    return _kernel_stage("trees", one, beta, note, notes, stop_on_failure,
+                         kernels, enumerate_tree_kernels, jobs)
 
 
 # ---------------------------------------------------------------------------
 # branch-point checks
 # ---------------------------------------------------------------------------
+
+# first-branch distances checked directly; longer tails: branching-tail link
+BRANCH_DISTANCES = {"K4": (1, 2), "S5": (4, 5, 6, 7)}
+
 
 def branch_point_check(base: str, ell: int,
                        beta: Optional[Fraction] = None) -> tuple:
@@ -481,40 +490,29 @@ def branch_point_check(base: str, ell: int,
 
     Returns a tuple of ExtensionReports (all must pass).
     """
-    reports = []
     if base == "K4":
-        if ell not in (1, 2):
-            raise ValueError("clique branch checks cover distances 1 and 2; "
-                             "longer tails are handled by the branching-tail certificate")
-        if beta is None:
-            beta = beta_star_upper()
-        for triangle in (False, True):
-            g = attach_path(complete_graph(4), 0, ell)
-            v = g.n - 1
-            g = g.add_vertex(1 << v)
-            g = g.add_vertex((1 << v) | ((1 << (g.n - 1)) if triangle else 0))
-            vp, vpp = g.n - 2, g.n - 1
-            ctx = KernelContext(RootedKernel(g, 0))
-            fam = family_all_subsets({v, vp, vpp})
-            reports.append(verify_extension(ctx, fam, Fraction(beta),
-                                            dist2_vertex=True))
+        head, upper, family, triangles = (complete_graph(4), beta_star_upper,
+                                          family_all_subsets, (False, True))
+        cover = "clique branch checks cover distances 1 and 2"
     elif base == "S5":
-        if ell not in (4, 5, 6, 7):
-            raise ValueError("star branch checks cover distances 4..7; "
-                             "longer tails are handled by the branching-tail certificate")
-        if beta is None:
-            beta = beta_tr_upper()
-        g = attach_path(star_graph(5), 0, ell)
-        v = g.n - 1
-        g = g.add_vertex(1 << v)
-        g = g.add_vertex(1 << v)
-        vp, vpp = g.n - 2, g.n - 1
-        ctx = KernelContext(RootedKernel(g, 0))
-        fam = family_singletons({v, vp, vpp})
-        reports.append(verify_extension(ctx, fam, Fraction(beta),
-                                        dist2_vertex=True))
+        head, upper, family, triangles = (star_graph(5), beta_tr_upper,
+                                          family_singletons, (False,))
+        cover = "star branch checks cover distances 4..7"
     else:
         raise ValueError("base must be 'K4' or 'S5'")
+    if ell not in BRANCH_DISTANCES[base]:
+        raise ValueError(cover + "; longer tails are handled by the "
+                         "branching-tail certificate")
+    beta = Fraction(upper() if beta is None else beta)
+    reports = []
+    for triangle in triangles:
+        g = attach_path(head, 0, ell)
+        v = g.n - 1
+        g = g.add_vertex(1 << v)
+        g = g.add_vertex((1 << v) | ((1 << (g.n - 1)) if triangle else 0))
+        ctx = KernelContext(RootedKernel(g, 0))
+        reports.append(verify_extension(ctx, family({v, g.n - 2, g.n - 1}),
+                                        beta, dist2_vertex=True))
     return tuple(reports)
 
 
@@ -534,7 +532,6 @@ def clique_boundary_closure() -> tuple:
 
     Returns ((n_dominated, n_checked_kernels), all_sound).
     """
-    from .graphs import has_open_dominating_vertex, has_strictly_dominating_vertex
     kernel_codes = {k.canonical() for k in enumerate_graph_kernels()}
     survivor_code = conjectured_graph_kernel().canonical()
     dominated = 0
@@ -748,19 +745,12 @@ def _graph_stage_link(stage: StageReport) -> LinkResult:
 
 
 def _tree_stage_link(stage: StageReport) -> LinkResult:
-    from .graphs import canonical_relabel
     counts = stage.classification_counts()
     survivor_ok = (stage.survivors ==
                    (conjectured_tree_kernel().id_string(),))
     exceptions = sorted(l.graph6 for l in stage.leftovers if l.below_limit)
-    expected = sorted(write_graph6(canonical_relabel(attach_path(star_graph(6), 0, k)))
-                      for k in (5, 6, 7))
-    chain_max = 0
-    for o in stage.outcomes:
-        if o.elimination is not None:
-            for x in o.elimination.examined:
-                from .graphs import parse_graph6
-                chain_max = max(chain_max, parse_graph6(x.graph6).n)
+    expected = sorted(_canon6(attach_path(star_graph(6), 0, k)) for k in (5, 6, 7))
+    chain_max = max((parse_graph6(l.graph6).n for l in stage.leftovers), default=0)
     passed = (counts["direct"] == 191 and counts["survivor"] == 1
               and counts["exceptional"] == 2 and survivor_ok
               and exceptions == expected)
@@ -770,6 +760,41 @@ def _tree_stage_link(stage: StageReport) -> LinkResult:
          "exceptions_below_limit": exceptions,
          "largest_examined_tree": chain_max,
          "leftovers": [l.to_json_dict() for l in stage.leftovers]})
+
+
+def _sweep_link(run, check, sweep: str, survivor: RootedKernel,
+                tamper_beta: Optional[Fraction], jobs: int) -> LinkResult:
+    """run() at its own target judged by check, or run at tamper_beta,
+    stopping at first failures, which passes only if survivor alone survives."""
+    if tamper_beta is None:
+        return check(run(jobs=jobs))
+    stage = run(tamper_beta, stop_on_failure=True, jobs=jobs)
+    return LinkResult(
+        "%s at %s (tampered)" % (sweep, tamper_beta),
+        stage.survivors == (survivor.id_string(),),
+        {"counts": stage.classification_counts(),
+         "survivors": list(stage.survivors)})
+
+
+def _branching_tail_link(head: Graph, path: int, floor: int, window: tuple,
+                         limit: SqrtRat, beyond: int) -> LinkResult:
+    base = attach_path(head, 0, path)
+    ctx = TailContext(base, base.n - 1, o=0, exact_limit_ratio=limit)
+    cert = check_gamma_upper(ctx, floor, *window)
+    return LinkResult(
+        "branching tail beyond distance %d above the limit" % beyond,
+        cert.passed and cond8_monotone_floor(ctx, floor),
+        {"certificate": cert.to_json_dict(),
+         "monotone_in_branch_distance": cond8_monotone_floor(ctx, floor)})
+
+
+def _extremal_family_link(head: Graph, limit: SqrtRat, spots: int) -> LinkResult:
+    low = check_gamma_lower(TailContext(head, 0, exact_limit_ratio=limit), 1)
+    spots_ok = all(certified_below(ColumnEnclosure(attach_path(head, 0, k)).refine,
+                                   limit) for k in range(1, spots + 1))
+    return LinkResult(
+        "extremal family below the limit", low.passed and spots_ok,
+        {"certificate": low.to_json_dict(), "spot_checked_tails": "1..%d" % spots})
 
 
 def prove_conjecture(kind: str, tamper_beta: Optional[Fraction] = None,
@@ -783,68 +808,25 @@ def prove_conjecture(kind: str, tamper_beta: Optional[Fraction] = None,
     Any failed link fails the whole certificate.  tamper_beta reruns the
     kernel sweep at a different target to demonstrate failure detection.
     """
-    from .graphs import canonical_relabel
-
-    def canon6(g: Graph) -> str:
-        return write_graph6(canonical_relabel(g))
-
     t0 = time.monotonic()
     links = []
     if kind == "graphs":
-        rows6, below6 = min_gamma_table(6, "graph", BETA_STAR)
-        min_ok = (rows6[0].graph6 == canon6(attach_path(complete_graph(4), 0, 2))
-                  and table_minimum_certified(rows6))
-        links.append(LinkResult(
-            "exhaustive 6-vertex table", min_ok and below6 == 5,
-            {"minimum": rows6[0].graph6, "count_below_limit": below6}))
-        rows7, below7 = min_gamma_table(7, "graph", BETA_STAR)
-        min7_ok = (rows7[0].graph6 == canon6(attach_path(complete_graph(4), 0, 3))
-                   and table_minimum_certified(rows7))
-        links.append(LinkResult(
-            "exhaustive 7-vertex table", min7_ok and below7 == 1,
-            {"minimum": rows7[0].graph6, "count_below_limit": below7}))
-        links.append(lambda_le_2_link("graphs"))
-        links.append(degree_gate_link())
-        stage = graph_kernel_stage(tamper_beta or BETA_GRAPH_STAGE,
-                                   stop_on_failure=tamper_beta is not None,
-                                   jobs=jobs)
-        if tamper_beta is None:
-            links.append(_graph_stage_link(stage))
-        else:
+        for n, want_below in ((6, 5), (7, 1)):
+            rows, below = min_gamma_table(n, "graph", BETA_STAR)
+            min_ok = (rows[0].graph6 == _canon6(attach_path(complete_graph(4), 0, n - 4))
+                      and table_minimum_certified(rows))
             links.append(LinkResult(
-                "6-vertex kernel sweep at %s (tampered)" % tamper_beta,
-                len(stage.survivors) == 1 and
-                stage.survivors == (conjectured_graph_kernel().id_string(),),
-                {"counts": stage.classification_counts(),
-                 "survivors": list(stage.survivors)}))
+                "exhaustive %d-vertex table" % n, min_ok and below == want_below,
+                {"minimum": rows[0].graph6, "count_below_limit": below}))
+        links += [lambda_le_2_link("graphs"), degree_gate_link(),
+                  _sweep_link(graph_kernel_stage, _graph_stage_link,
+                              "6-vertex kernel sweep", conjectured_graph_kernel(),
+                              tamper_beta, jobs)]
         (dom, checked), sound = clique_boundary_closure()
-        links.append(LinkResult(
-            "clique boundary closure", sound,
-            {"dominated": dom, "covered_by_sweep": checked}))
-        for ell in (1, 2):
-            reps = branch_point_check("K4", ell)
-            links.append(LinkResult(
-                "branch at distance %d above the limit" % ell,
-                all(r.passed for r in reps),
-                {"variants": len(reps),
-                 "beta": str(reps[0].beta)}))
-        k4p1 = attach_path(complete_graph(4), 0, 1)
-        ctx = TailContext(k4p1, 4, o=0, exact_limit_ratio=BETA_STAR)
-        cert = check_gamma_upper(ctx, 2, Fraction(311, 100),
-                                 Fraction(318, 100), Fraction(1))
-        links.append(LinkResult(
-            "branching tail beyond distance 2 above the limit",
-            cert.passed and cond8_monotone_floor(ctx, 2),
-            {"certificate": cert.to_json_dict(),
-             "monotone_in_branch_distance": cond8_monotone_floor(ctx, 2)}))
-        low = check_gamma_lower(TailContext(complete_graph(4), 0,
-                                            exact_limit_ratio=BETA_STAR), 1)
-        spots = all(certified_below(
-            ColumnEnclosure(attach_path(complete_graph(4), 0, k)).refine, BETA_STAR)
-            for k in range(1, 9))
-        links.append(LinkResult(
-            "extremal family below the limit", low.passed and spots,
-            {"certificate": low.to_json_dict(), "spot_checked_tails": "1..8"}))
+        links.append(LinkResult("clique boundary closure", sound,
+                                {"dominated": dom, "covered_by_sweep": checked}))
+        base, head, limit, spots = "K4", complete_graph(4), BETA_STAR, 8
+        path, floor, window = 1, 2, (Fraction(311, 100), Fraction(318, 100), Fraction(1))
         conjecture = ("among connected graphs on n >= 7 vertices, the balance "
                       "ratio is below (5+3*sqrt(3))/2 exactly for the 4-clique "
                       "with a pendant path")
@@ -854,11 +836,11 @@ def prove_conjecture(kind: str, tamper_beta: Optional[Fraction] = None,
         details = {}
         for n in range(8, 14):
             rows, below = min_gamma_table(n, "tree", BETA_TR)
-            want_min = canon6(attach_path(star_graph(5), 0, n - 5))
+            want_min = _canon6(attach_path(star_graph(5), 0, n - 5))
             okn = (rows[0].graph6 == want_min and below == expected_counts[n]
                    and table_minimum_certified(rows))
             if n >= 11:
-                second = canon6(attach_path(star_graph(6), 0, n - 6))
+                second = _canon6(attach_path(star_graph(6), 0, n - 6))
                 got_below = [r.graph6 for r in rows[:below]]
                 okn = okn and sorted(got_below) == sorted([want_min, second])
             details[n] = {"min": rows[0].graph6, "below": below, "ok": okn}
@@ -866,54 +848,32 @@ def prove_conjecture(kind: str, tamper_beta: Optional[Fraction] = None,
         links.append(LinkResult("exhaustive 8..13-vertex tree tables",
                                 table_ok, details))
         rows14, below14 = min_gamma_table(14, "tree", BETA_TR)
-        min14 = canon6(attach_path(star_graph(5), 0, 9))
+        min14 = _canon6(attach_path(star_graph(5), 0, 9))
         links.append(LinkResult(
             "exhaustive 14-vertex tree table",
             below14 == 1 and rows14[0].graph6 == min14
             and table_minimum_certified(rows14),
             {"min": rows14[0].graph6, "below": below14}))
-        links.append(lambda_le_2_link("trees"))
-        links.append(star_link())
-        links.append(guard_link())
-        stage = tree_kernel_stage(tamper_beta,
-                                  stop_on_failure=tamper_beta is not None,
-                                  jobs=jobs)
-        if tamper_beta is None:
-            links.append(_tree_stage_link(stage))
-        else:
-            links.append(LinkResult(
-                "tree kernel sweep at %s (tampered)" % tamper_beta,
-                stage.survivors == (conjectured_tree_kernel().id_string(),),
-                {"counts": stage.classification_counts(),
-                 "survivors": list(stage.survivors)}))
-        for ell in (4, 5, 6, 7):
-            reps = branch_point_check("S5", ell)
-            links.append(LinkResult(
-                "branch at distance %d above the limit" % ell,
-                all(r.passed for r in reps),
-                {"beta": str(reps[0].beta)}))
-        s5p4 = attach_path(star_graph(5), 0, 4)
-        ctx = TailContext(s5p4, 8, o=0, exact_limit_ratio=BETA_TR)
-        cert = check_gamma_upper(ctx, 4, Fraction(2312, 1000),
-                                 Fraction(234, 100), Fraction(3, 2))
-        links.append(LinkResult(
-            "branching tail beyond distance 7 above the limit",
-            cert.passed and cond8_monotone_floor(ctx, 4),
-            {"certificate": cert.to_json_dict(),
-             "monotone_in_branch_distance": cond8_monotone_floor(ctx, 4)}))
-        low = check_gamma_lower(TailContext(star_graph(5), 0,
-                                            exact_limit_ratio=BETA_TR), 1)
-        spots = all(certified_below(
-            ColumnEnclosure(attach_path(star_graph(5), 0, k)).refine, BETA_TR)
-            for k in range(1, 10))
-        links.append(LinkResult(
-            "extremal family below the limit", low.passed and spots,
-            {"certificate": low.to_json_dict(), "spot_checked_tails": "1..9"}))
+        links += [lambda_le_2_link("trees"), star_link(), guard_link(),
+                  _sweep_link(tree_kernel_stage, _tree_stage_link,
+                              "tree kernel sweep", conjectured_tree_kernel(),
+                              tamper_beta, jobs)]
+        base, head, limit, spots = "S5", star_graph(5), BETA_TR, 9
+        path, floor, window = 4, 4, (Fraction(2312, 1000), Fraction(234, 100), Fraction(3, 2))
         conjecture = ("among trees on n >= 14 vertices, the balance ratio is "
                       "below 4+2*sqrt(3) exactly for the 5-star with a "
                       "pendant path; sizes 8..13 are settled exhaustively")
     else:
         raise ValueError("kind must be 'graphs' or 'trees'")
-    passed = all(l.passed for l in links)
-    return ProofCertificate(conjecture, passed, tuple(links), ASSUMPTIONS,
-                            time.monotonic() - t0)
+    for ell in BRANCH_DISTANCES[base]:
+        reps = branch_point_check(base, ell)
+        # the clique checks come in variants, with and without a triangle
+        info = {"variants": len(reps)} if len(reps) > 1 else {}
+        info["beta"] = str(reps[0].beta)
+        links.append(LinkResult("branch at distance %d above the limit" % ell,
+                                all(r.passed for r in reps), info))
+    links.append(_branching_tail_link(head, path, floor, window, limit,
+                                      BRANCH_DISTANCES[base][-1]))
+    links.append(_extremal_family_link(head, limit, spots))
+    return ProofCertificate(conjecture, all(l.passed for l in links), tuple(links),
+                            ASSUMPTIONS, time.monotonic() - t0)

@@ -48,7 +48,9 @@ from .graphs import (
     Graph,
     bifork_graph,
     canonical_form,
+    canonical_relabel,
     cycle_graph,
+    e_graph,
     enumerate_connected_graphs,
     enumerate_trees,
     fork_graph,
@@ -451,7 +453,6 @@ def gamma_family_closed_form(family: str, n: int) -> float:
     if family in fixed:
         if fixed[family] is not None:
             return fixed[family]
-        from .graphs import e_graph
         return gamma_enclosure(e_graph(family)).midpoint()
     raise ValueError("unknown family %r" % family)
 
@@ -466,7 +467,6 @@ def lambda_le_2_graphs(n: int) -> list:
         out.append(("Cycle", cycle_graph(n)))
     if n >= 5:
         out.append(("Dhat", bifork_graph(n)))
-    from .graphs import e_graph
     sizes = {"E6": 6, "E7": 7, "E8": 8, "E6hat": 7, "E7hat": 8, "E8hat": 9}
     for name, sz in sizes.items():
         if sz == n:
@@ -556,6 +556,7 @@ def min_gamma_table(n: int, kind: str, threshold: Threshold,
                     eps: Fraction = Fraction(1, 10 ** 6)) -> tuple:
     """Exhaustive balance-ratio table for all connected graphs or trees on n
     vertices, sorted ascending, plus the certified count below threshold.
+    Each row encloses gamma and lambda with width <= eps.
 
     Returns (rows, count_below).
     """
@@ -565,12 +566,15 @@ def min_gamma_table(n: int, kind: str, threshold: Threshold,
         items = enumerate_trees(n)
     else:
         raise ValueError("kind must be 'graph' or 'tree'")
-    from .graphs import canonical_relabel
     rows = []
     below = 0
     for g in items:
         enc = ColumnEnclosure(g)
-        lam = enc.lam.iv                # the row keeps the first isolation
+        # the first isolation narrowed to eps, on a copy: gamma narrows
+        # enc.lam on a schedule of its own
+        lam = enc.lam.iv
+        if lam.width > eps:
+            lam = RootEnclosure(enc.lam.poly, lam).refine(eps)
         gv = gamma_enclosure(enc, eps)
         rows.append(TableRow(write_graph6(canonical_relabel(g)), gv, lam))
         if certified_below(enc.refine, threshold, eps):

@@ -79,8 +79,7 @@ class TailContext:
     """
 
     def __init__(self, base: Graph, v: int, o: Optional[int] = None,
-                 exact_limit_ratio: Optional[SqrtRat] = None,
-                 exact_limit_lambda: Optional[SqrtRat] = None):
+                 exact_limit_ratio: Optional[SqrtRat] = None):
         if not base.is_connected():
             raise ValueError("base graph must be connected")
         self.base = base
@@ -125,7 +124,6 @@ class TailContext:
                 and self.t_inf.refine(Fraction(1, 2 ** 60)).lo <= r_h_hi):
             raise ArithmeticError("limit rate not separated from the base rate")
         self.exact_limit_ratio = exact_limit_ratio
-        self.exact_limit_lambda = exact_limit_lambda
 
     def _r_of_lam_h_upper(self) -> Fraction:
         lam_hi = self.lam_h.hi

@@ -2,6 +2,7 @@
 branch checks, structural closure, and certificate assembly."""
 
 import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from perronbalance import reports
+from perronbalance.cli import main
 from perronbalance.algebra import RationalInterval
 from perronbalance.bounds import mask_vertices
 from perronbalance.graphs import (
@@ -88,9 +90,16 @@ def test_graph_stage_leftovers(graph_stage):
 
 
 def test_graph_stage_deterministic_rerun(graph_stage):
-    again = graph_kernel_stage()
-    assert again.to_json_dict() == graph_stage.to_json_dict() or \
-        _strip_time(again.to_json_dict()) == _strip_time(graph_stage.to_json_dict())
+    # passing the kernels bypasses the stage cache, so the sweep runs again
+    again = graph_kernel_stage(kernels=enumerate_graph_kernels())
+    assert again is not graph_stage
+    assert _strip_time(again.to_json_dict()) == _strip_time(graph_stage.to_json_dict())
+
+
+def test_tree_stage_deterministic_rerun(tree_stage):
+    again = tree_kernel_stage(kernels=enumerate_tree_kernels())
+    assert again is not tree_stage
+    assert _strip_time(again.to_json_dict()) == _strip_time(tree_stage.to_json_dict())
 
 
 def _strip_time(d):
@@ -403,3 +412,21 @@ def test_prove_tamper_fails():
     assert not cert.passed
     bad = [l for l in cert.links if not l.passed]
     assert len(bad) == 1 and "tamper" in bad[0].name
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, beta, name, counts", [
+    # at target 0 every kernel passes at once, so no kernel survives
+    ("graphs", Fraction(0), "6-vertex kernel sweep at 0 (tampered)",
+     {"direct": 155, "exceptional": 0, "survivor": 0}),
+    ("trees", Fraction(15, 2), "tree kernel sweep at 15/2 (tampered)",
+     {"direct": 191, "exceptional": 0, "survivor": 3}),
+], ids=["graphs", "trees"])
+def test_prove_tamper_runs_at_the_tampered_target(tmp_path, kind, beta, name, counts):
+    rc = main(["--out", str(tmp_path), "prove", kind, "--tamper", str(beta)])
+    assert rc == 1
+    doc = json.loads((tmp_path / ("certificate-%s.json" % kind)).read_text())
+    bad = [l for l in doc["links"] if not l["passed"]]
+    assert [l["name"] for l in bad] == [name]
+    assert bad[0]["details"]["counts"] == counts
+    assert len(bad[0]["details"]["survivors"]) == counts["survivor"]

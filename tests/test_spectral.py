@@ -31,6 +31,7 @@ from perronbalance.graphs import (
     enumerate_connected_graphs,
     enumerate_trees,
     fork_graph,
+    parse_graph6,
     path_graph,
     star_graph,
     write_graph6,
@@ -630,6 +631,20 @@ def test_min_gamma_table_small_graphs():
     mids = [r.gamma.midpoint() for r in rows[:3]]
     assert abs(mids[0] - 4.8777978) < 1e-5
     assert abs(mids[1] - 4.895005) < 1e-5
+
+
+def test_min_gamma_table_narrows_lambda_to_eps():
+    # below the 2^-30 isolation, the lambda columns narrow to eps as gamma does
+    eps = Fraction(1, 10 ** 20)
+    rows, _ = min_gamma_table(5, "graph", BETA_STAR, eps=eps)
+    assert len(rows) == 21
+    for r in rows:
+        g = parse_graph6(r.graph6)
+        char = resolvent_data(g).char_poly
+        first = lambda_enclosure(g, Fraction(1, 2 ** 30))
+        assert r.lam.width <= eps and r.gamma.value.width <= eps
+        assert char.sign_at(r.lam.lo) * char.sign_at(r.lam.hi) <= 0
+        assert first.lo <= r.lam.hi and r.lam.lo <= first.hi
 
 
 def test_min_gamma_table_trees_10():

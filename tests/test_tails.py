@@ -50,14 +50,12 @@ from perronbalance.tails import (
 
 @pytest.fixture(scope="module")
 def k4_ctx():
-    return TailContext(complete_graph(4), 0, exact_limit_ratio=BETA_STAR,
-                       exact_limit_lambda=LAMBDA_K4_INF)
+    return TailContext(complete_graph(4), 0, exact_limit_ratio=BETA_STAR)
 
 
 @pytest.fixture(scope="module")
 def s5_ctx():
-    return TailContext(star_graph(5), 0, exact_limit_ratio=BETA_TR,
-                       exact_limit_lambda=LAMBDA_S5_INF)
+    return TailContext(star_graph(5), 0, exact_limit_ratio=BETA_TR)
 
 
 def overlaps(iv: RationalInterval, other: RationalInterval) -> bool:
