@@ -840,9 +840,9 @@ class RationalFunction:
     no common integer content.
     """
 
-    __slots__ = ("num", "den", "var")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: IntPoly, den: IntPoly, var: str = "lam", reduce: bool = True):
+    def __init__(self, num: IntPoly, den: IntPoly, reduce: bool = True):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if reduce and not num.is_zero():
@@ -858,16 +858,16 @@ class RationalFunction:
             den = IntPoly([x // c for x in den.coeffs])
         if den.leading < 0:
             num, den = -num, -den
-        self.num, self.den, self.var = num, den, var
+        self.num, self.den = num, den
 
     @staticmethod
-    def from_poly(p: IntPoly, var: str = "lam") -> "RationalFunction":
-        return RationalFunction(p, IntPoly([1]), var, reduce=False)
+    def from_poly(p: IntPoly) -> "RationalFunction":
+        return RationalFunction(p, IntPoly([1]), reduce=False)
 
     @staticmethod
-    def constant(c: Rat, var: str = "lam") -> "RationalFunction":
+    def constant(c: Rat) -> "RationalFunction":
         c = Fraction(c)
-        return RationalFunction(IntPoly([c.numerator]), IntPoly([c.denominator]), var)
+        return RationalFunction(IntPoly([c.numerator]), IntPoly([c.denominator]))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalFunction)
@@ -877,36 +877,36 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        return "(%s) / (%s)" % (self.num.to_text(self.var), self.den.to_text(self.var))
+        return "(%s) / (%s)" % (self.num.to_text(), self.den.to_text())
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
             return other
         if isinstance(other, IntPoly):
-            return RationalFunction.from_poly(other, self.var)
-        return RationalFunction.constant(other, self.var)
+            return RationalFunction.from_poly(other)
+        return RationalFunction.constant(other)
 
     def __add__(self, other) -> "RationalFunction":
         o = self._coerce(other)
         return RationalFunction(self.num * o.den + o.num * self.den,
-                                self.den * o.den, self.var)
+                                self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "RationalFunction":
         o = self._coerce(other)
         return RationalFunction(self.num * o.den - o.num * self.den,
-                                self.den * o.den, self.var)
+                                self.den * o.den)
 
     def __rsub__(self, other) -> "RationalFunction":
         return self._coerce(other).__sub__(self)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, self.var, reduce=False)
+        return RationalFunction(-self.num, self.den, reduce=False)
 
     def __mul__(self, other) -> "RationalFunction":
         o = self._coerce(other)
-        return RationalFunction(self.num * o.num, self.den * o.den, self.var)
+        return RationalFunction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -914,7 +914,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o.num.is_zero():
             raise ZeroDivisionError
-        return RationalFunction(self.num * o.den, self.den * o.num, self.var)
+        return RationalFunction(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other).__truediv__(self)
@@ -922,7 +922,7 @@ class RationalFunction:
     def derivative(self) -> "RationalFunction":
         return RationalFunction(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den, self.var)
+            self.den * self.den)
 
     def eval(self, x: Rat) -> Fraction:
         d = self.den.eval(x)
@@ -958,8 +958,8 @@ def substitute_t(f: RationalFunction) -> RationalFunction:
     nhat, dn = lift(f.num)
     dhat, dd = lift(f.den)
     if dd >= dn:
-        return RationalFunction(nhat.shifted_degree(dd - dn), dhat, "t")
-    return RationalFunction(nhat, dhat.shifted_degree(dn - dd), "t")
+        return RationalFunction(nhat.shifted_degree(dd - dn), dhat)
+    return RationalFunction(nhat, dhat.shifted_degree(dn - dd))
 
 
 # ---------------------------------------------------------------------------

@@ -23,18 +23,13 @@ pair check into the nonnegativity of one integer polynomial Q_{U,V} on a
 ray, certified here by shifted-coefficient signs, with a fallback that
 samples Q once between each two of its roots (algebra.ray_verdict).
 
-The pair data come from work done once per kernel or per boundary set.
-The adjugate is symmetric, so
-
-    P^2 * c_{U,V}  = 1_U^T adj^2 1_V = sum_{j in V} R_U[j],
-    R_U[j]         = sum_{i in U} adj^2[i][j],
-
-with the entries of adj^2 built once per kernel and the rows R_U once per
-boundary set, as are P s_U + P and P^2 Bt_{o,U}.  The characteristic
-polynomial of H plus a vertex joined to U is the bordered determinant
-x*P(x) - 1_U^T adj 1_U, so no resolvent of the larger graph is formed.  The
-first isolation of lam_U is shared across kernels through a module-level
-cache keyed on the canonical form of H+U and the width.
+All pair data come from the partial column sums P*Bt_{u,U}, built once
+per boundary set: the cascade uses them as polynomials, the packed test
+below as integers at a grid point.  The characteristic polynomial of H plus
+a vertex joined to U is the bordered determinant x*P(x) - 1_U^T adj 1_U, so
+no resolvent of the larger graph is formed.  The first isolation of lam_U is
+shared across kernels through a module-level cache keyed on the canonical
+form of H+U and the width.
 
 Most pairs are settled without forming Q at all.  At a grid point x <= lo
 just below the shift point, the coefficient signs of Q(x + y) are read off
@@ -42,8 +37,9 @@ one integer: a scaled value of Q at x + 2^(K-8), whose base-2^K digits are
 those coefficients (Kronecker substitution), with K chosen from a majorant
 that holds for every pair of the kernel.  The integer is assembled from the
 adjugate columns evaluated at that point, cached, and their sums over the
-two boundary sets, so a pair costs an inner product of two integer vectors.  Only a pair that
-fails this test builds Q_{U,V} and runs the full cascade.
+two boundary sets, so a pair costs an inner product of two integer vectors.
+Only a pair that fails this test builds Q_{U,V} from the polynomial column
+sums and runs the full cascade.
 """
 
 from __future__ import annotations
@@ -151,13 +147,13 @@ def packed_nonneg(n: int, k: int, d: int) -> bool:
 class KernelContext:
     """Per-kernel cache of the resolvent polynomials and attachment data.
 
-    Every pair quantity is assembled from data built once per kernel (the
-    adjugate and, entry by entry, its square) or once per boundary set.  The
-    packed coefficient test (packed_pass) evaluates the adjugate columns
-    once per grid point and sums them over the two boundary sets, so a pair
-    it settles costs an inner product of two integer vectors and no
-    polynomial arithmetic; the pair polynomial itself (q_poly) is built only
-    for the pairs that need the full cascade.
+    Every pair quantity is read from the partial column sums of the two
+    boundary sets.  The packed coefficient test (packed_pass) takes them as
+    integers: it evaluates the adjugate columns once per grid point and sums
+    them over each set, so a pair it settles costs an inner product of two
+    integer vectors and no polynomial arithmetic.  The cascade takes them
+    as polynomials (pbt_column, cached per set): the pair polynomial
+    (q_poly) is built only for the pairs the packed test does not settle.
     """
 
     def __init__(self, kernel: RootedKernel):
@@ -167,10 +163,6 @@ class KernelContext:
         self.resolvent = resolvent_data(kernel.graph)
         self.char = self.resolvent.char_poly
         self._pbt: dict[int, tuple] = {}
-        self._ps: dict[int, IntPoly] = {}
-        self._adj2: dict[tuple, IntPoly] = {}
-        self._row: dict[tuple, IntPoly] = {}
-        self._q: dict[int, tuple] = {}
         self._lam: dict[int, RationalInterval] = {}
         self._majorants: dict[tuple, tuple] = {}
         self._grid: dict[tuple, tuple] = {}
@@ -197,38 +189,14 @@ class KernelContext:
         """P * s_U: total of the partial column sums."""
         if not mask:
             raise ValueError("empty boundary set")
-        got = self._ps.get(mask)
-        if got is None:
-            got = sum(self.pbt_column(mask), IntPoly())
-            self._ps[mask] = got
-        return got
-
-    def _adj2_entry(self, i: int, j: int) -> IntPoly:
-        """Entry (i, j) of adj^2; the adjugate is symmetric, so is its square."""
-        key = (i, j) if i <= j else (j, i)
-        got = self._adj2.get(key)
-        if got is None:
-            adj = self.resolvent.adjugate
-            got = sum((adj[i][u] * adj[u][j] for u in range(self.graph.n)),
-                      IntPoly())
-            self._adj2[key] = got
-        return got
-
-    def _adj2_row(self, mask: int, j: int) -> IntPoly:
-        """R_U[j] = sum over i in U of adj^2[i][j]."""
-        got = self._row.get((mask, j))
-        if got is None:
-            got = sum((self._adj2_entry(i, j) for i in _bits(mask)), IntPoly())
-            self._row[(mask, j)] = got
-        return got
+        return sum(self.pbt_column(mask), IntPoly())
 
     def c_poly(self, u_mask: int, v_mask: int) -> IntPoly:
-        """P^2 * c_{U,V} = 1_U^T adj^2 1_V: the inner product of the two
-        partial column sums, as a sum of cached rows."""
+        """P^2 * c_{U,V}: the inner product of the two partial column sums."""
         if not u_mask or not v_mask:
             raise ValueError("empty boundary set")
-        rows = [self._adj2_row(u_mask, j).coeffs for j in _bits(v_mask)]
-        return IntPoly(map(sum, zip_longest(*rows, fillvalue=0)))
+        return sum(map(mul, self.pbt_column(u_mask), self.pbt_column(v_mask)),
+                   IntPoly())
 
     # -- attachment eigenvalues -------------------------------------------------
 
@@ -272,15 +240,6 @@ class KernelContext:
 
     # -- the certificate polynomial ---------------------------------------------
 
-    def _q_terms(self, mask: int) -> tuple:
-        """Per-set factors of the pair polynomial: (P s_U + P, P^2 Bt_{o,U})."""
-        got = self._q.get(mask)
-        if got is None:
-            got = (self.s_poly(mask) + self.char,
-                   self.pbt_column(mask)[self.root] * self.char)
-            self._q[mask] = got
-        return got
-
     def q_poly(self, u_mask: int, v_mask: int, beta: Fraction) -> tuple:
         """The pair polynomial, scaled integer form.
 
@@ -296,9 +255,10 @@ class KernelContext:
             beta = Fraction(beta)
         if beta < 0:
             raise ValueError("beta must be nonnegative")
-        a_u, bo_u = self._q_terms(u_mask)
-        a_v, bo_v = self._q_terms(v_mask)
-        b = (self.c_poly(u_mask, v_mask) * 2) + bo_u + bo_v
+        p, o = self.char, self.root
+        a_u, a_v = self.s_poly(u_mask) + p, self.s_poly(v_mask) + p
+        b = (self.c_poly(u_mask, v_mask) * 2
+             + (self.pbt_column(u_mask)[o] + self.pbt_column(v_mask)[o]) * p)
         scale = 2 * beta.denominator
         q = (a_u * a_v) * scale - b * beta.numerator
         return q, scale

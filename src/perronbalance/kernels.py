@@ -781,11 +781,12 @@ def _branching_tail_link(head: Graph, path: int, floor: int, window: tuple,
     base = attach_path(head, 0, path)
     ctx = TailContext(base, base.n - 1, o=0, exact_limit_ratio=limit)
     cert = check_gamma_upper(ctx, floor, *window)
+    monotone = cond8_monotone_floor(ctx, floor)
     return LinkResult(
         "branching tail beyond distance %d above the limit" % beyond,
-        cert.passed and cond8_monotone_floor(ctx, floor),
+        cert.passed and monotone,
         {"certificate": cert.to_json_dict(),
-         "monotone_in_branch_distance": cond8_monotone_floor(ctx, floor)})
+         "monotone_in_branch_distance": monotone})
 
 
 def _extremal_family_link(head: Graph, limit: SqrtRat, spots: int) -> LinkResult:

@@ -155,9 +155,9 @@ def table_csv(rows) -> str:
     return buf.getvalue()
 
 
-def table_markdown(rows, limit: int | None = None) -> str:
+def table_markdown(rows) -> str:
     lines = ["| graph6 | gamma | lambda |", "|---|---|---|"]
-    for r in rows[:limit]:
+    for r in rows:
         lines.append("| `%s` | %.7f | %.7f |"
                      % (r.graph6, r.gamma.midpoint(), r.lam.mid_float()))
     return "\n".join(lines) + "\n"

@@ -103,8 +103,8 @@ class TailContext:
                      if o is not None else None)
         self.S_hat = substitute_t(self.S)
         self.T_hat = substitute_t(self.T)
-        t = RationalFunction(IntPoly([0, 1]), IntPoly([1]), "t")
-        one = RationalFunction(IntPoly([1]), IntPoly([1]), "t")
+        t = RationalFunction(IntPoly([0, 1]), IntPoly([1]))
+        one = RationalFunction(IntPoly([1]), IntPoly([1]))
         self._t = t
         self._one = one
         geo1 = t / (t - one)                      # sum of the geometric tail
@@ -445,13 +445,13 @@ def check_gamma_upper(ctx: TailContext, k: int, lambda1: Fraction,
 
     # (vi), (vii): augmented ratios above beta on (t_inf, r')
     t, onet = ctx._t, ctx._one
-    cconst = RationalFunction.constant(c, "t")
+    cconst = RationalFunction.constant(c)
     for name, extra1, extra2 in (
             ("augmented ratio at weight c", cconst, cconst * cconst),
             ("augmented ratio at weight c*t", cconst * t, cconst * cconst * t * t)):
         num = ctx.S_hat + onet + extra1
         ratio = (num * num) / (ctx.T_hat + onet + extra2)
-        ok = _rf_nonneg_on_enclosed(ratio - RationalFunction.constant(beta_hi, "t"),
+        ok = _rf_nonneg_on_enclosed(ratio - RationalFunction.constant(beta_hi),
                                     ctx.t_inf, RootEnclosure(rp_poly, r_prime))
         conds.append(ConditionResult(name, ok, "rational-upper",
                                      "above %s on [%s, %s]"
@@ -459,18 +459,18 @@ def check_gamma_upper(ctx: TailContext, k: int, lambda1: Fraction,
 
     # (viii) the k-dependent lower bound on the branch weight
     geo1 = t / (t - onet)
-    tk = RationalFunction(IntPoly([1]), IntPoly([0] * k + [1]), "t")
+    tk = RationalFunction(IntPoly([1]), IntPoly([0] * k + [1]))
     factor = onet - ((t + onet) / (t - onet)) * tk
     # decreasing the leading coefficient 2/beta is conservative only if the
     # factor it multiplies is nonnegative; certify that first
     ok_factor = _rf_nonneg_on_enclosed(factor, ctx.t_inf,
                                        RootEnclosure(rp_poly, r_prime))
-    two_over_beta = RationalFunction.constant(Fraction(2) / beta_hi, "t")
+    two_over_beta = RationalFunction.constant(Fraction(2) / beta_hi)
     lhs = (two_over_beta * (ctx.S_hat + geo1) * factor
-           - RationalFunction.constant(2 * k, "t") * tk)
+           - RationalFunction.constant(2 * k) * tk)
     lhs = lhs / ((t * t * t) / (t * t - onet))
     ok = ok_factor and _rf_nonneg_on_enclosed(
-        lhs - RationalFunction.constant(c, "t"), ctx.t_inf,
+        lhs - RationalFunction.constant(c), ctx.t_inf,
         RootEnclosure(rp_poly, r_prime))
     monotone_note = ""
     floor = Fraction(2) + Fraction(1, k * (k + 1))
