@@ -2,10 +2,11 @@
 
 Everything in this module is exact: integer polynomials, rational
 intervals, Taylor shifts, root counts by Descartes bisection with Sturm
-sequences as the fallback, and rational functions reduced over the
-integers.  Floating point appears only as a root-location hint;
-every returned enclosure or sign verdict is certified by integer or
-rational arithmetic.
+sequences as the fallback, rational functions reduced over the integers,
+and exact sign comparisons of quadratic irrationals a + b*sqrt(m) with
+each other and with rationals.  Floating point appears only as a
+root-location hint; every returned enclosure or sign verdict is
+certified by integer or rational arithmetic.
 
 Conventions: polynomial coefficients are stored ascending (coeffs[k] is
 the coefficient of x^k) with trailing zeros trimmed, and intervals are
@@ -270,8 +271,8 @@ class IntPoly:
 
     # -- text form -------------------------------------------------------------
 
-    def to_text(self, var: str = "x") -> str:
-        return poly_to_text([Fraction(c) for c in self.coeffs], var)
+    def to_text(self) -> str:
+        return poly_to_text([Fraction(c) for c in self.coeffs])
 
 
 def horner_interval(coeffs: Sequence[int], lo: int, hi: int,
@@ -297,7 +298,7 @@ def horner_interval(coeffs: Sequence[int], lo: int, hi: int,
     return a, b
 
 
-def poly_to_text(coeffs: Sequence[Fraction], var: str = "x") -> str:
+def poly_to_text(coeffs: Sequence[Fraction]) -> str:
     """Serialize ascending coefficients as "c0 + c1*x + c2*x^2 + ..."."""
     if not coeffs:
         return "0"
@@ -307,9 +308,9 @@ def poly_to_text(coeffs: Sequence[Fraction], var: str = "x") -> str:
         if k == 0:
             parts.append(str(c))
         elif k == 1:
-            parts.append("%s*%s" % (c, var))
+            parts.append("%s*x" % c)
         else:
-            parts.append("%s*%s^%d" % (c, var, k))
+            parts.append("%s*x^%d" % (c, k))
     return " + ".join(parts)
 
 
@@ -595,19 +596,18 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
       p(a) < 0, which puts a root in (a, infinity), and the same
       coefficient test at b, which puts no root in (b, infinity).
 
-    Without a hint, or when no bracket is found, bisection from the Cauchy
-    bound M gives the bracket: every real root lies in (-M, M), so the
-    roots above mid are those count_roots_in finds in (mid, M].  Either
-    way the largest root lies in (lo, hi] and no root lies above hi, which
-    is what _refine_largest requires.
+    Without a hint, or when no bracket is found, the bracket is [-M, M]
+    with M = root_bound(p): every real root lies in (-M, M), and
+    count_roots_in first checks that one does.  _refine_largest then
+    bisects it to width at most min(eps, 1/4), deciding at each mid whether
+    the largest root lies above it.  Either way the largest root lies in
+    (lo, hi] and no root lies above hi, which is what _refine_largest
+    requires.
     """
     if p.degree < 1:
         raise NoRealRootError("constant polynomial has no roots")
     eps = Fraction(eps)
     p = p.primitive()
-    M = root_bound(p)
-
-    lo = hi = None
     if hint is not None and math.isfinite(hint):
         # exact hit for near-integer hints (regular graphs, cycles, ...)
         cand = round(hint)
@@ -615,9 +615,9 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
                 p.certifies_no_roots_above(cand)
                 or count_roots_above(p, cand) == 0):
             return RationalInterval.point(Fraction(cand))
-        # try geometric widening around the hint before the bisection below
+        # try geometric widening around the hint before the Cauchy bracket
         for w_exp in (-20, -10, -4, 0):
-            w = Fraction(1, 1) * Fraction(2) ** w_exp
+            w = Fraction(2) ** w_exp
             a = _dyadic_below(Fraction(hint) - w)
             b = _dyadic_above(Fraction(hint) + w)
             sa = p.sign_at(a)
@@ -625,34 +625,19 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
                 a -= Fraction(1, 2 ** 30)
                 sa = p.sign_at(a)
             if sa < 0 and p.certifies_no_roots_above(b):
-                lo, hi = a, b
-                break
-    if lo is None:
-        top = Fraction(M)
-        if count_roots_in(p, RationalInterval(-top, top)) == 0:
-            raise NoRealRootError("polynomial has no real roots")
-        lo, hi = -top, top
-        # bisect for the largest root: keep count((mid, hi]) >= 1 on the right
-        while True:
-            mid = (lo + hi) / 2
-            if count_roots_in(p, RationalInterval(mid, top)) >= 1:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= Fraction(1, 4):
-                break
-
-    return _refine_largest(p, lo, hi, eps)
+                return _refine_largest(p, a, b, eps)
+    M = Fraction(root_bound(p))
+    if count_roots_in(p, RationalInterval(-M, M)) == 0:
+        raise NoRealRootError("polynomial has no real roots")
+    return _refine_largest(p, -M, M, min(eps, Fraction(1, 4)))
 
 
-def _dyadic_below(x: Fraction, bits: int = 30) -> Fraction:
-    scale = 1 << bits
-    return Fraction(math.floor(x * scale), scale)
+def _dyadic_below(x: Fraction) -> Fraction:
+    return Fraction(math.floor(x * 2 ** 30), 2 ** 30)
 
 
-def _dyadic_above(x: Fraction, bits: int = 30) -> Fraction:
-    scale = 1 << bits
-    return Fraction(math.ceil(x * scale), scale)
+def _dyadic_above(x: Fraction) -> Fraction:
+    return Fraction(math.ceil(x * 2 ** 30), 2 ** 30)
 
 
 def _refine_largest(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> RationalInterval:
@@ -837,15 +822,18 @@ class RationalFunction:
     """Quotient of integer polynomials, stored gcd-reduced.
 
     The denominator has positive leading coefficient and the pair carries
-    no common integer content.
+    no common integer content.  Arithmetic is among rational functions
+    only; from_poly and constant make the operands.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: IntPoly, den: IntPoly, reduce: bool = True):
+    def __init__(self, num: IntPoly, den: IntPoly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if reduce and not num.is_zero():
+        # over a constant denominator the polynomial gcd is 1; the integer
+        # content is cleared below
+        if den.degree > 0 and not num.is_zero():
             g = poly_gcd(num, den)
             if g.degree > 0 or abs(g.leading) > 1:
                 num = num.divexact(g)
@@ -862,7 +850,7 @@ class RationalFunction:
 
     @staticmethod
     def from_poly(p: IntPoly) -> "RationalFunction":
-        return RationalFunction(p, IntPoly([1]), reduce=False)
+        return RationalFunction(p, IntPoly([1]))
 
     @staticmethod
     def constant(c: Rat) -> "RationalFunction":
@@ -879,45 +867,24 @@ class RationalFunction:
     def __repr__(self):
         return "(%s) / (%s)" % (self.num.to_text(), self.den.to_text())
 
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, IntPoly):
-            return RationalFunction.from_poly(other)
-        return RationalFunction.constant(other)
-
-    def __add__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
+    def __add__(self, o: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * o.den + o.num * self.den,
                                 self.den * o.den)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
+    def __sub__(self, o: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * o.den - o.num * self.den,
                                 self.den * o.den)
 
-    def __rsub__(self, other) -> "RationalFunction":
-        return self._coerce(other).__sub__(self)
-
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, reduce=False)
+        return RationalFunction(-self.num, self.den)
 
-    def __mul__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
+    def __mul__(self, o: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * o.num, self.den * o.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
+    def __truediv__(self, o: "RationalFunction") -> "RationalFunction":
         if o.num.is_zero():
             raise ZeroDivisionError
         return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return self._coerce(other).__truediv__(self)
 
     def derivative(self) -> "RationalFunction":
         return RationalFunction(
@@ -1082,8 +1049,13 @@ def charpoly_by_interpolation(A: Sequence[Sequence[int]]) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 class SqrtRat:
-    """Exact element a + b*sqrt(m) of a real quadratic field, m a positive
-    non-square integer.  Supports exact arithmetic and sign determination."""
+    """Exact real number a + b*sqrt(m), a and b rational, m a positive
+    square-free integer: the value the certificates compare against.
+
+    It supports what a comparison needs: a difference with another such
+    number of the same radicand or with a rational, the exact sign of that
+    difference, and rational enclosures of any width.
+    """
 
     __slots__ = ("a", "b", "m")
 
@@ -1102,52 +1074,13 @@ class SqrtRat:
             a, b, m = a + b, Fraction(0), 3
         self.a, self.b, self.m = a, b, m
 
-    def _check(self, other: "SqrtRat"):
+    def __sub__(self, other: "SqrtRat | Rat") -> "SqrtRat":
+        if not isinstance(other, SqrtRat):
+            return SqrtRat(self.a - Fraction(other), self.b, self.m)
         if self.b and other.b and self.m != other.m:
             raise ValueError("mixed radicands")
-
-    def _coerce(self, other) -> "SqrtRat":
-        if isinstance(other, SqrtRat):
-            self._check(other)
-            return other
-        return SqrtRat(other, 0, self.m)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        m = self.m if self.b else o.m
-        return SqrtRat(self.a + o.a, self.b + o.b, m)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        m = self.m if self.b else o.m
-        return SqrtRat(self.a - o.a, self.b - o.b, m)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __neg__(self):
-        return SqrtRat(-self.a, -self.b, self.m)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        m = self.m if self.b else o.m
-        return SqrtRat(self.a * o.a + self.b * o.b * m,
-                       self.a * o.b + self.b * o.a, m)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        denom = o.a * o.a - o.b * o.b * (o.m if o.b else self.m)
-        if denom == 0:
-            raise ZeroDivisionError
-        inv = SqrtRat(o.a / denom, -o.b / denom, o.m if o.b else self.m)
-        return self * inv
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
+        m = self.m if self.b else other.m
+        return SqrtRat(self.a - other.a, self.b - other.b, m)
 
     def sign(self) -> int:
         a, b = self.a, self.b
@@ -1171,23 +1104,8 @@ class SqrtRat:
         except (TypeError, ValueError):
             return NotImplemented
 
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
-
     def __hash__(self):
         return hash((self.a, self.b, self.m if self.b else 0))
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.m)
 
     def __repr__(self):
         if self.b == 0:

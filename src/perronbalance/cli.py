@@ -204,7 +204,7 @@ def cmd_prove(args) -> int:
 def cmd_tables(args) -> int:
     out = []
     small_rows, _ = spectral.min_gamma_table(
-        min(args.n, 6), "graph", spectral.BETA_STAR, eps=args.eps)
+        args.n, "graph", spectral.BETA_STAR, eps=args.eps)
     if args.format == "csv":
         out.append(("small-graphs.csv", reports.table_csv(small_rows)))
     else:
@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_prove)
 
     tb = sub.add_parser("tables", help="emit extremal tables")
-    tb.add_argument("--n", type=int, default=6)
+    tb.add_argument("--n", type=int, default=6,
+                    help="vertex count of the full graph table, 1 to 7")
     tb.add_argument("--tree-cap", type=int, default=10)
     tb.add_argument("--eps", type=_parse_eps, default=Fraction(1, 10 ** 6))
     tb.set_defaults(func=cmd_tables)

@@ -180,9 +180,7 @@ class RootedKernel:
     def id_string(self) -> str:
         """Stable readable identifier: graph6 of a canonical relabeling with
         the root moved to vertex 0."""
-        order = [self.root] + [v for v in range(self.graph.n) if v != self.root]
-        g = self.graph.induced(order)
-        return write_graph6(canonical_relabel(g, 0))
+        return write_graph6(canonical_relabel(self.graph, self.root))
 
 
 @dataclass(frozen=True)

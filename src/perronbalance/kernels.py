@@ -616,8 +616,7 @@ def lambda_le_2_link(kind: str) -> LinkResult:
     ok = True
     for n in range(lo, LAMBDA2_CERTIFIED_CAP + 1):
         for name, g in lambda_le_2_graphs(n):
-            if kind == "trees" and name in ("Cycle", "E6", "E7", "E8",
-                                            "E6hat", "E7hat", "E8hat"):
+            if kind == "trees" and not g.is_tree():
                 continue
             above = not certified_below(ColumnEnclosure(g).refine, threshold)
             certified.append((name, n, above))

@@ -199,6 +199,31 @@ def test_bad_beta_rejected(capsys):
     assert run_cli(["kernel-stage", "graphs", "--beta", "5.25"]) == 2
 
 
+def test_jobs_2_worker_error_is_an_input_error(capsys):
+    # the transfer-guard ValueError is raised in a worker process
+    assert run_cli(["--jobs", "2", "kernel-stage", "graphs", "--beta", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: beta 8 is not below the transfer guard 7\n"
+
+
+def test_jobs_2_tree_stage_matches_jobs_1(tmp_path):
+    # a fresh process, so the sweep is not read from the in-process cache
+    proc = subprocess.run(
+        [sys.executable, "-m", "perronbalance.cli", "--jobs", "2",
+         "--out", str(tmp_path / "two"), "kernel-stage", "trees",
+         "--expect", "direct=191,exceptional=2,survivors=1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert run_cli(["--jobs", "1", "--out", str(tmp_path / "one"),
+                    "kernel-stage", "trees"]) == 0
+    docs = []
+    for name in ("one", "two"):
+        doc = json.loads((tmp_path / name / "stage-trees.json").read_text())
+        doc.pop("generated_at"), doc.pop("elapsed_seconds")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_tables(tmp_path, capsys):
     rc = run_cli(["--out", str(tmp_path), "--format", "csv", "tables",
                   "--tree-cap", "5"])
@@ -214,6 +239,19 @@ def test_tables(tmp_path, capsys):
         "3f01c0a9a09ff473cda62054d2535ddc1b44db712c9e7594de6c8c66b0af9b7b")
     beta = (tmp_path / "degree-bounds.csv").read_text().splitlines()
     assert len(beta) == 11
+
+
+def test_tables_n(tmp_path, capsys):
+    rc = run_cli(["--out", str(tmp_path), "--format", "csv", "tables",
+                  "--n", "5", "--tree-cap", "3"])
+    assert rc == 0
+    small = (tmp_path / "small-graphs.csv").read_text().splitlines()
+    assert len(small) == 1 + 21
+    capsys.readouterr()
+    assert run_cli(["--out", str(tmp_path), "tables", "--n", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_curves(tmp_path, capsys):

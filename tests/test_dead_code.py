@@ -1,7 +1,9 @@
-"""Every top-level function and class of the package has a caller.
+"""Every top-level function and class of the package, and every method of
+its classes apart from dunder methods, has a caller.
 
 A name counts as used when it appears (as a name, an attribute or an
-imported name) anywhere in src/ or tests/ outside its own definition.
+imported name) anywhere in src/, tests/ or perfbench/ outside its own
+definition.
 """
 
 import ast
@@ -23,8 +25,22 @@ def referenced_names(node) -> Counter:
     return out
 
 
-def unused_definitions(root: Path) -> list:
-    files = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+def definitions(tree, methods: bool):
+    """Top-level functions and classes, or with methods=True the non-dunder
+    methods of the classes, as (qualified name, node)."""
+    for node in tree.body:
+        if not methods and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if methods and isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield "%s.%s" % (node.name, sub.name), sub
+
+
+def unused_definitions(root: Path, methods: bool = False) -> list:
+    files = [f for d in ("src", "tests", "perfbench")
+             for f in sorted((root / d).rglob("*.py"))]
     trees = {f: ast.parse(f.read_text(), filename=str(f)) for f in files}
     total = Counter()
     for tree in trees.values():
@@ -33,12 +49,15 @@ def unused_definitions(root: Path) -> list:
     for f, tree in trees.items():
         if root / "src" / "perronbalance" not in f.parents:
             continue
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if total[node.name] - referenced_names(node)[node.name] <= 0:
-                    unused.append("%s:%s" % (f.name, node.name))
+        for qualname, node in definitions(tree, methods):
+            if total[node.name] - referenced_names(node)[node.name] <= 0:
+                unused.append("%s:%s" % (f.name, qualname))
     return unused
 
 
 def test_no_unused_top_level_definitions():
     assert unused_definitions(ROOT) == []
+
+
+def test_no_unused_methods():
+    assert unused_definitions(ROOT, methods=True) == []

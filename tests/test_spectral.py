@@ -610,15 +610,19 @@ def test_infinite_closed_forms():
 
 
 def test_limit_constants_minimal_polynomials():
-    # the named targets are roots of their integer minimal polynomials
-    b = BETA_STAR
-    assert (4 * b * b - 20 * b - SqrtRat(2, 0, 3)).sign() == 0
-    t = BETA_TR
-    assert (t * t - 8 * t + SqrtRat(4, 0, 3)).sign() == 0
-    lk = LAMBDA_K4_INF
-    assert (4 * lk * lk - 4 * lk - SqrtRat(26, 0, 3)).sign() == 0
-    ls = LAMBDA_S5_INF
-    assert (3 * ls * ls - SqrtRat(16, 0, 3)).sign() == 0
+    # the named targets are roots of their integer minimal polynomials,
+    # c0 + c1*v + c2*v^2 = 0 checked on its rational and sqrt(3) parts
+    # with (a + b*sqrt(3))^2 = (a^2 + 3b^2) + 2ab*sqrt(3)
+    def parts(c0, c1, c2, v):
+        assert v.m == 3
+        a, b = v.a, v.b
+        return (c0 + c1 * a + c2 * (a * a + 3 * b * b),
+                c1 * b + c2 * 2 * a * b)
+
+    assert parts(-2, -20, 4, BETA_STAR) == (0, 0)
+    assert parts(4, -8, 1, BETA_TR) == (0, 0)
+    assert parts(-26, -4, 4, LAMBDA_K4_INF) == (0, 0)
+    assert parts(-16, 0, 3, LAMBDA_S5_INF) == (0, 0)
 
 
 # -- tables -------------------------------------------------------------------------------------
