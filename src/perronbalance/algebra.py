@@ -5,8 +5,8 @@ intervals, Taylor shifts, root counts by Descartes bisection with Sturm
 sequences as the fallback, rational functions reduced over the integers,
 and exact sign comparisons of quadratic irrationals a + b*sqrt(m) with
 each other and with rationals.  Floating point appears only as a
-root-location hint; every returned enclosure or sign verdict is
-certified by integer or rational arithmetic.
+root-location hint, which changes no output; every returned enclosure or
+sign verdict is certified by integer or rational arithmetic.
 
 Conventions: polynomial coefficients are stored ascending (coeffs[k] is
 the coefficient of x^k) with trailing zeros trimmed, and intervals are
@@ -575,73 +575,55 @@ class NoRealRootError(ValueError):
     pass
 
 
+_START_WIDTHS = tuple(Fraction(1, 2 ** k) for k in (20, 10, 4, 0))
+
+
 def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
                          hint: float | None = None) -> RationalInterval:
-    """Certified isolating interval of width <= eps around the largest real
-    root of p, containing no other root.
+    """Certified isolating interval around the largest real root of p,
+    fixed by p and eps alone.
 
-    A float hint (for instance from power iteration) only seeds the search;
-    all certifications are exact.  Returns a degenerate interval when the
-    largest root is rational and gets hit exactly.
+    With w the largest power of two <= eps, it is the aligned dyadic cell
+    (m*w, (m+1)*w] that holds the largest root, or that root itself when it
+    is a multiple of w.  Should the cell hold a smaller root too, the
+    closing count of _refine_largest halves it on until it isolates one.
 
     p is replaced by its primitive part, so its leading coefficient is
-    positive and p(x) -> +infinity as x -> +infinity.  With a hint:
-
-    - A root c at the rounded hint is the largest root iff no root lies
-      above c.  p.certifies_no_roots_above(c) proves that first: p(c + y)
-      has nonnegative coefficients, one of them positive, so p(c + y) > 0
-      for every y > 0.  count_roots_above decides only when that test
-      fails.
-    - Otherwise the hint is widened to a dyadic bracket [a, b] with
-      p(a) < 0, which puts a root in (a, infinity), and the same
-      coefficient test at b, which puts no root in (b, infinity).
-
-    Without a hint, or when no bracket is found, the bracket is [-M, M]
-    with M = root_bound(p): every real root lies in (-M, M), and
-    count_roots_in first checks that one does.  _refine_largest then
-    bisects it to width at most min(eps, 1/4), deciding at each mid whether
-    the largest root lies above it.  Either way the largest root lies in
-    (lo, hi] and no root lies above hi, which is what _refine_largest
-    requires.
+    positive and p(x) -> +infinity as x -> +infinity.  A start cell (lo, hi]
+    holds the largest root when p(lo) < 0, which puts a root above lo, and
+    p.certifies_no_roots_above(hi), which puts none above hi.  A float hint
+    only picks the cells tried: the aligned cells of width w, 2^-20, 2^-10,
+    2^-4 and 1 (those not below w) that hold the hint, each followed by its
+    two neighbours.  Failing those, the start is (0, 2^K] if a root lies
+    above 0 and otherwise (-2^K, 0], with 2^K >= root_bound(p) and >= w.
+    Every start is an aligned cell of width at least w, and halving keeps a
+    cell aligned, so _refine_largest reaches the same cell from each.
     """
     if p.degree < 1:
         raise NoRealRootError("constant polynomial has no roots")
     eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    w = Fraction(2) ** (eps.numerator.bit_length() - eps.denominator.bit_length())
+    if w > eps:
+        w /= 2
     p = p.primitive()
     if hint is not None and math.isfinite(hint):
-        # exact hit for near-integer hints (regular graphs, cycles, ...)
-        cand = round(hint)
-        if abs(hint - cand) < 1e-6 and p.sign_at(cand) == 0 and (
-                p.certifies_no_roots_above(cand)
-                or count_roots_above(p, cand) == 0):
-            return RationalInterval.point(Fraction(cand))
-        # try geometric widening around the hint before the Cauchy bracket
-        for w_exp in (-20, -10, -4, 0):
-            w = Fraction(2) ** w_exp
-            a = _dyadic_below(Fraction(hint) - w)
-            b = _dyadic_above(Fraction(hint) + w)
-            sa = p.sign_at(a)
-            if sa == 0:
-                a -= Fraction(1, 2 ** 30)
-                sa = p.sign_at(a)
-            if sa < 0 and p.certifies_no_roots_above(b):
-                return _refine_largest(p, a, b, eps)
-    M = Fraction(root_bound(p))
-    if count_roots_in(p, RationalInterval(-M, M)) == 0:
-        raise NoRealRootError("polynomial has no real roots")
-    return _refine_largest(p, -M, M, min(eps, Fraction(1, 4)))
-
-
-def _dyadic_below(x: Fraction) -> Fraction:
-    return Fraction(math.floor(x * 2 ** 30), 2 ** 30)
-
-
-def _dyadic_above(x: Fraction) -> Fraction:
-    return Fraction(math.ceil(x * 2 ** 30), 2 ** 30)
+        for width in [w] + [c for c in _START_WIDTHS if c > w]:
+            m = math.ceil(Fraction(hint) / width) - 1
+            for lo in (m * width, (m - 1) * width, (m + 1) * width):
+                if p.sign_at(lo) < 0 and p.certifies_no_roots_above(lo + width):
+                    return _refine_largest(p, lo, lo + width, w)
+    top = Fraction(max(1 << (root_bound(p) - 1).bit_length(), w))
+    if count_roots_above(p, 0):
+        return _refine_largest(p, Fraction(0), top, w)
+    if count_roots_in(p, RationalInterval(-top, 0)):
+        return _refine_largest(p, -top, Fraction(0), w)
+    raise NoRealRootError("polynomial has no real roots")
 
 
 def _refine_largest(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> RationalInterval:
-    """Shrink [lo, hi] around the largest real root of p to width <= eps and
+    """Halve (lo, hi] around the largest real root of p to width <= eps and
     certify that the result contains no other root.
 
     Requires p primitive, so its leading coefficient is positive, and the
@@ -713,28 +695,30 @@ def _refine_largest(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> Ra
 
 
 def refine_root(p: IntPoly, iv: RationalInterval, eps: Rat) -> RationalInterval:
-    """Shrink an isolating interval of a simple root of p to width <= eps."""
+    """Shrink an isolating interval of a simple root of p to width <= eps.
+
+    The root is the only one in (lo, hi], and p changes sign across it, so
+    each decision compares the sign at mid with the sign at hi.  A root of
+    p at lo, outside (lo, hi], is never returned.
+    """
     eps = Fraction(eps)
     if iv.width <= eps:
         return iv
     lo, hi = iv.lo, iv.hi
-    slo = p.sign_at(lo)
     shi = p.sign_at(hi)
-    if slo == 0:
-        return RationalInterval(lo, lo)
     if shi == 0:
         return RationalInterval(hi, hi)
-    if slo * shi > 0:
+    if p.sign_at(lo) == shi:
         raise ValueError("interval endpoints do not bracket a sign change")
     while hi - lo > eps:
         mid = (lo + hi) / 2
         sm = p.sign_at(mid)
         if sm == 0:
             return RationalInterval(mid, mid)
-        if sm == slo:
-            lo = mid
-        else:
+        if sm == shi:
             hi = mid
+        else:
+            lo = mid
     return RationalInterval(lo, hi)
 
 

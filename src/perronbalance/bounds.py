@@ -58,7 +58,7 @@ from .algebra import (
     ray_verdict,
     refine_root,
 )
-from .graphs import RootedKernel, _bits, extension_code
+from .graphs import RootedKernel, _bits
 from .spectral import _power_iteration_hint, lambda_enclosure, resolvent_data
 
 LAMBDA_EPS = Fraction(1, 2 ** 30)
@@ -83,10 +83,8 @@ def mask_vertices(mask: int) -> tuple:
 
 
 # First isolation of each attachment eigenvalue, shared by every kernel
-# context: keyed on (canonical form of H+U, eps), because the enclosure
-# depends on the float hint and cospectral graphs can get different ones.
-# The code comes from graphs.extension_code, which reads it from the
-# connected-graph enumeration when H is one of its representatives.
+# context: keyed on (attachment polynomial coefficients, eps), which fix
+# the enclosure whatever the hint, so cospectral H+U share one entry.
 _FIRST_LAMBDA: dict = {}
 _FIRST_LAMBDA_COUNTS = {"hits": 0, "misses": 0}
 
@@ -213,8 +211,8 @@ class KernelContext:
 
         Without eps, the context's enclosure of the set is returned as it
         stands (never wider than LAMBDA_EPS), at the cost of one lookup.  The
-        first isolation at each eps comes from the shared cache (a hit builds
-        no polynomial); a tighter eps later refines this context's own.
+        first isolation at each eps comes from the shared cache (a hit runs
+        no hint); a tighter eps later refines this context's own.
         """
         cur = self._lam.get(mask)
         if cur is not None and (eps is None or cur.width <= eps):
@@ -222,19 +220,19 @@ class KernelContext:
         eps = LAMBDA_EPS if eps is None else min(eps, LAMBDA_EPS)
         if not mask:
             raise ValueError("empty boundary set")
+        poly = self._attachment_poly(mask)
         if cur is None:
-            key = (extension_code(self.graph, mask), eps)
+            key = (poly.coeffs, eps)
             cur = _FIRST_LAMBDA.get(key)
             if cur is None:
                 _FIRST_LAMBDA_COUNTS["misses"] += 1
-                gu = self.graph.add_vertex(mask)
-                cur = isolate_largest_root(self._attachment_poly(mask), eps,
-                                           hint=_power_iteration_hint(gu))
+                cur = isolate_largest_root(poly, eps, hint=_power_iteration_hint(
+                    self.graph.add_vertex(mask)))
                 _FIRST_LAMBDA[key] = cur
             else:
                 _FIRST_LAMBDA_COUNTS["hits"] += 1
         else:
-            cur = refine_root(self._attachment_poly(mask), cur, eps)
+            cur = refine_root(poly, cur, eps)
         self._lam[mask] = cur
         return cur
 

@@ -29,6 +29,7 @@ from .graphs import (
     Graph,
     Graph6Error,
     RootedKernel,
+    TREE_ENUM_CAP,
     attach_path,
     complete_graph,
     parse_edge_list,
@@ -202,6 +203,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    if not 1 <= args.tree_cap <= TREE_ENUM_CAP:
+        raise ValueError("tree cap %d is outside 1..%d" % (args.tree_cap, TREE_ENUM_CAP))
     out = []
     small_rows, _ = spectral.min_gamma_table(
         args.n, "graph", spectral.BETA_STAR, eps=args.eps)
@@ -278,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     tb = sub.add_parser("tables", help="emit extremal tables")
     tb.add_argument("--n", type=int, default=6,
                     help="vertex count of the full graph table, 1 to 7")
-    tb.add_argument("--tree-cap", type=int, default=10)
+    tb.add_argument("--tree-cap", type=int, default=10,
+                    help="largest tree order in the class counts, 1 to 14")
     tb.add_argument("--eps", type=_parse_eps, default=Fraction(1, 10 ** 6))
     tb.set_defaults(func=cmd_tables)
 

@@ -7,8 +7,7 @@ plus canonical-form deduplication, with results sorted by canonical code.
 Canonical forms of trees are sorted subtree codes; other graphs get color
 refinement and then a pruned search for the least adjacency code over the
 orderings the coloring allows, which returns the same code and ordering as
-trying every one of them.  The connected-graph enumeration keeps the codes
-of the one-vertex extensions it tried (extension_code).
+trying every one of them.
 """
 
 from __future__ import annotations
@@ -629,43 +628,24 @@ GRAPH_ENUM_CAP = 7
 TREE_ENUM_CAP = 14
 
 
-# Codes of g.add_vertex(mask) for mask = 1 .. 2^n - 1 (index mask - 1), one
-# tuple per parent g, recorded while enumerate_connected_graphs extends g.
-_EXTENSION_CODES: dict = {}
-
-
 @lru_cache(maxsize=None)
 def enumerate_connected_graphs(n: int) -> tuple:
     """All connected graphs on n <= 7 vertices, one per isomorphism class.
 
     Builds candidates by attaching a new vertex to every nonempty subset of
     each (n-1)-vertex class representative; every connected graph has a
-    non-cutting vertex, so every class is reached.  The candidates' codes
-    are kept for extension_code.
+    non-cutting vertex, so every class is reached.
     """
     if not (1 <= n <= GRAPH_ENUM_CAP):
         raise ValueError("connected-graph enumeration capped at %d vertices" % GRAPH_ENUM_CAP)
     if n == 1:
         return (Graph(1, (0,)),)
-    out: dict[bytes, tuple] = {}
+    out: dict[bytes, Graph] = {}
     for g in enumerate_connected_graphs(n - 1):
-        codes = []
         for mask in range(1, 1 << (n - 1)):
             h = g.add_vertex(mask)
-            code = canonical_form(h)
-            # keep the first copy of each code, so a repeat costs a reference
-            codes.append(out.setdefault(code, (code, h))[0])
-        _EXTENSION_CODES[g] = tuple(codes)
-    return tuple(h for _, h in sorted(out.values()))
-
-
-def extension_code(g: Graph, mask: int) -> bytes:
-    """canonical_form(g.add_vertex(mask)), read from the codes recorded by
-    enumerate_connected_graphs when g is one of its representatives."""
-    codes = _EXTENSION_CODES.get(g)
-    if codes is not None and 0 < mask < 1 << g.n:
-        return codes[mask - 1]
-    return canonical_form(g.add_vertex(mask))
+            out.setdefault(canonical_form(h), h)
+    return tuple(h for _, h in sorted(out.items()))
 
 
 @lru_cache(maxsize=None)

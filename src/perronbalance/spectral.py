@@ -24,7 +24,7 @@ over one denominator (algebra.horner_interval), with exactly the endpoints
 of rational interval Horner, so the gamma enclosure needs only sums of
 integers and two fractions.
 
-Floating point is used only to seed root searches.
+Floating point is used only to seed root searches, and changes no output.
 """
 
 from __future__ import annotations
@@ -200,13 +200,10 @@ def _tree_resolvent(g: Graph, j: int) -> tuple:
 
 
 def _power_iteration_hint(g: Graph, iters: int = 80) -> float:
-    """Float estimate of the top eigenvalue via (A+I) power iteration.
-
-    The neighbour lists are decoded once.  Each entry of (A+I)x is summed
-    by an explicit loop, x[v] first and then the neighbours in ascending
-    order: float addition rounds, so the order fixes the hint bit for bit
-    (sum() of floats is compensated from Python 3.12 on and would round
-    differently).
+    """Float estimate of the top eigenvalue via (A+I) power iteration, with
+    the neighbour lists decoded once.  It only picks where
+    isolate_largest_root starts its search, so no output bit depends on
+    how it rounds.
     """
     x = [1.0] * g.n
     nbrs = [g.neighbors(v) for v in range(g.n)]

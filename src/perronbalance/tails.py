@@ -425,8 +425,7 @@ def check_gamma_upper(ctx: TailContext, k: int, lambda1: Fraction,
         "two-vertex window bound", ok, "rational-upper",
         "(S+1)^2/(T+1) - %s > 0 on [%s, %s]" % (beta_hi, lambda1, lambda2)))
 
-    # r' = r(lambda1), isolated without a hint, which would move the printed
-    # endpoints; each condition narrows r' from this first isolation
+    # r' = r(lambda1); each condition narrows r' from this first isolation
     rp_poly = _r_poly(lambda1)
     r_prime = isolate_largest_root(rp_poly, T_EPS)
 

@@ -17,8 +17,6 @@ from perronbalance.algebra import (
     RationalInterval,
     RootEnclosure,
     SqrtRat,
-    _dyadic_above,
-    _dyadic_below,
     _sturm_chain,
     bareiss_det,
     charpoly_by_interpolation,
@@ -384,81 +382,75 @@ def test_root_enclosure_narrows_in_place_and_never_widens():
     assert sq.refine(Fraction(1, 2 ** 60)) == RationalInterval(1, 1)
 
 
-def _sturm_only_isolate(p, eps, hint=None):
-    """Reference isolation: the bracket search of isolate_largest_root, and
-    every later decision made by a Sturm count (_sturm_above for the roots
-    above a point)."""
-    if p.degree < 1:
-        raise NoRealRootError("constant polynomial has no roots")
-    eps = Fraction(eps)
-    p = p.primitive()
-    lo = hi = None
-    if hint is not None and math.isfinite(hint):
-        cand = round(hint)
-        if abs(hint - cand) < 1e-6 and p.sign_at(cand) == 0 \
-                and _sturm_above(p, cand) == 0:
-            return RationalInterval.point(Fraction(cand))
-        for w_exp in (-20, -10, -4, 0):
-            w = Fraction(2) ** w_exp
-            a = _dyadic_below(Fraction(hint) - w)
-            b = _dyadic_above(Fraction(hint) + w)
-            sa = p.sign_at(a)
-            if sa == 0:
-                a -= Fraction(1, 2 ** 30)
-                sa = p.sign_at(a)
-            if sa < 0 and p.certifies_no_roots_above(b):
-                lo, hi = a, b
-                break
-    if lo is None:
-        M = Fraction(root_bound(p))
-        if _sturm_above(p, -M) == 0:
-            raise NoRealRootError("polynomial has no real roots")
-        lo, hi = -M, M
-        while hi - lo > Fraction(1, 4):
-            mid = (lo + hi) / 2
-            if _sturm_above(p, mid) >= 1:
-                lo = mid
-            else:
-                hi = mid
-    if p.sign_at(hi) == 0 and _sturm_above(p, hi) == 0:
-        return RationalInterval(hi, hi)
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        above = _sturm_above(p, mid)
-        if p.sign_at(mid) == 0 and above == 0:
-            return RationalInterval(mid, mid)
-        if above >= 1:
+def _canonical_cell(p, eps):
+    """Reference isolation by Sturm counts alone (_sturm_above for the roots
+    above a point): with w the largest power of two <= eps, the cell
+    (m*w, (m+1)*w] holding the largest root, or that root when it is a
+    multiple of w; a cell holding another root too is halved until it
+    isolates one."""
+    M = root_bound(p)
+    if _sturm_above(p, -M) == 0:
+        raise NoRealRootError("polynomial has no real roots")
+    w = Fraction(1)
+    while w > eps:
+        w /= 2
+    while 2 * w <= eps:
+        w *= 2
+    lo, hi = math.floor(-M / w), math.ceil(M / w)       # cell indices
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _sturm_above(p, mid * w) >= 1:
             lo = mid
         else:
             hi = mid
-    for _ in range(200):
-        if sturm_count(p, RationalInterval(lo, hi)) == 1:
-            return RationalInterval(lo, hi)
+    lo, hi = lo * w, hi * w
+    if p.sign_at(hi) == 0:
+        return RationalInterval(hi, hi)
+    while sturm_count(p, RationalInterval(lo, hi)) != 1:
         mid = (lo + hi) / 2
         if _sturm_above(p, mid) >= 1:
             lo = mid
         else:
             hi = mid
-    raise ArithmeticError("failed to separate largest root")
+    return RationalInterval(lo, hi)
 
 
 def test_isolate_hint_on_smaller_root_is_not_a_point():
-    # (x - 1)(x - 3): the rounded hint 1 is a root, but not the largest
-    p = IntPoly([3, -4, 1])
+    # (x - 1)(x^2 - 3): the rounded hint 1 is a root, but not the largest
+    p = IntPoly([-1, 1]) * IntPoly([-3, 0, 1])
     iv = isolate_largest_root(p, Fraction(1, 2 ** 30), hint=1.0)
-    assert iv.width > 0 and iv.lo < 3 <= iv.hi
-    assert iv == _sturm_only_isolate(p, Fraction(1, 2 ** 30), hint=1.0)
+    assert iv.width > 0 and iv.lo ** 2 < 3 < iv.hi ** 2
+    assert iv == _canonical_cell(p, Fraction(1, 2 ** 30))
 
 
 def test_isolate_bracket_holding_three_roots():
-    # roots 0, 1/4, 1/2 all lie in the bracket of the hint -2/5 widened by
-    # 1; p < 0 at lo = -2/5 does not make p increasing above lo, and the
-    # next midpoint has p > 0 with two roots above it
-    p = IntPoly([0, 1]) * IntPoly([-1, 4]) * IntPoly([-1, 2])
-    assert not p.derivative().certifies_no_roots_above(Fraction(-2, 5))
-    iv = isolate_largest_root(p, Fraction(1, 2 ** 30), hint=-0.4)
-    assert iv.lo < Fraction(1, 2) <= iv.hi
-    assert iv == _sturm_only_isolate(p, Fraction(1, 2 ** 30), hint=-0.4)
+    # roots 1/3, 1/2 and 2/3 all lie in (0, 1], the width-1 start cell of
+    # the hint 0.9; the first midpoint 1/2 is a root with a root above it,
+    # and p is not increasing above 0, so a root count sends lo to 1/2
+    p = IntPoly([-1, 3]) * IntPoly([-1, 2]) * IntPoly([-2, 3])
+    assert p.sign_at(0) < 0 and p.certifies_no_roots_above(1)
+    assert not p.derivative().certifies_no_roots_above(0)
+    iv = isolate_largest_root(p, Fraction(1, 2 ** 30), hint=0.9)
+    assert iv.lo < Fraction(2, 3) < iv.hi
+    assert iv == _canonical_cell(p, Fraction(1, 2 ** 30))
+
+
+@pytest.mark.parametrize("roots, want", [
+    # 1/3 and 2/5 share the cell (1/4, 1/2]; the closing count halves it once
+    ((Fraction(1, 3), Fraction(2, 5)), (Fraction(3, 8), Fraction(1, 2))),
+    # 3/8 and 2/5 share it too, and the halving leaves the root 3/8 at lo
+    ((Fraction(3, 8), Fraction(2, 5)), (Fraction(3, 8), Fraction(1, 2))),
+])
+def test_isolate_two_roots_in_one_cell(roots, want):
+    p = IntPoly([1])
+    for r in roots:
+        p = p * IntPoly([-r.numerator, r.denominator])
+    for hint in (None, 0.4, 0.3):
+        iv = isolate_largest_root(p, Fraction(1, 4), hint)
+        assert (iv.lo, iv.hi) == want and sturm_count(p, iv) == 1
+    # refining from there narrows onto 2/5, not onto a root at lo
+    got = refine_root(p, iv, Fraction(1, 2 ** 30))
+    assert got.lo < Fraction(2, 5) < got.hi and got.width == Fraction(1, 2 ** 30)
 
 
 def test_isolate_exact_hint_needs_no_sturm_chain():
@@ -480,14 +472,14 @@ def test_isolate_nonreal_roots_counts_without_sturm_chain():
     assert _sturm_chain.cache_info().misses == 0
     assert not p.derivative().certifies_no_roots_above(iv.lo)
     assert iv.width <= 2 and iv.lo < 3 <= iv.hi and sturm_count(p, iv) == 1
-    assert iv == _sturm_only_isolate(p, 2, hint=3.4)
-    # roots 1 and 2 +- i/10: both roots of p' lie above 1, so the p' test
-    # never holds and the refinement runs on root counts throughout
-    p = IntPoly([-1, 1]) * IntPoly([401, -400, 100])
+    assert iv == _canonical_cell(p, 2)
+    # roots 1/3 and 2 +- i/10: both roots of p' lie above 1/3, so the p'
+    # test never holds and the refinement runs on root counts throughout
+    p = IntPoly([-1, 3]) * IntPoly([401, -400, 100])
     iv = isolate_largest_root(p, Fraction(1, 2 ** 30))
     assert not p.derivative().certifies_no_roots_above(iv.lo)
-    assert iv.lo < 1 <= iv.hi and sturm_count(p, iv) == 1
-    assert iv == _sturm_only_isolate(p, Fraction(1, 2 ** 30))
+    assert iv.lo < Fraction(1, 3) < iv.hi and sturm_count(p, iv) == 1
+    assert iv == _canonical_cell(p, Fraction(1, 2 ** 30))
 
 
 _ROOTS = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=3),
@@ -499,16 +491,21 @@ _PAIRS = st.lists(st.tuples(st.integers(1, 3), st.integers(-12, 12),
 
 @settings(max_examples=150, deadline=None)
 @given(_ROOTS, _PAIRS, st.sampled_from([1, 2, -3]),
-       st.sampled_from([Fraction(1, 2 ** 30), Fraction(1, 2 ** 8), Fraction(1, 3), 2]),
+       st.sampled_from([Fraction(1, 2 ** 30), Fraction(1, 2 ** 8), Fraction(1, 3), 2, 8]),
        st.one_of(st.none(),
                  st.floats(min_value=-8, max_value=8),
+                 st.floats(min_value=-1e4, max_value=1e4),
+                 st.sampled_from([math.nan, math.inf, -math.inf]),
                  st.integers(-6, 6).map(float),
                  st.tuples(st.sampled_from(range(5)),
                            st.sampled_from([0.0, 1e-9, -1e-7, 3e-4, 0.4, -0.6]))))
-# roots 29/10 and 3 both lie in the bracket, and the nonreal pair 3 +- i
+# roots 29/10 and 3 both lie in the cell (2, 4], and the nonreal pair 3 +- i
 # keeps the p' test from holding, so the closing count separates them
 @example([Fraction(29, 10), Fraction(3)], [(1, 3, 1)], 1, 2, None)
+# root_bound is 2, so the Cauchy start cell must widen to the cell width 8
+@example([Fraction(1, 2)], [], 1, 8, None)
 def test_isolate_matches_sturm_only_reference(roots, pairs, scale, eps, hint):
+    # the result is the reference's canonical cell, whatever the hint
     p = IntPoly([scale])
     for r in roots:
         p = p * IntPoly([-r.numerator, r.denominator])
@@ -521,13 +518,14 @@ def test_isolate_matches_sturm_only_reference(roots, pairs, scale, eps, hint):
     if p.degree < 1:
         return
     try:
-        want = _sturm_only_isolate(p, eps, hint)
+        want = _canonical_cell(p, eps)
     except NoRealRootError:
         with pytest.raises(NoRealRootError):
             isolate_largest_root(p, eps, hint)
         return
     got = isolate_largest_root(p, eps, hint)
     assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert got == isolate_largest_root(p, eps)
     assert got.width <= eps
 
 

@@ -32,6 +32,7 @@ from perronbalance.graphs import (
     RootedKernel,
     active_vertices,
     attach_path,
+    canonical_form,
     complete_graph,
     enumerate_graph_kernels,
     enumerate_tree_kernels,
@@ -188,6 +189,32 @@ def test_lambda_u_shared_across_relabelled_kernels():
     assert mid["misses"] == before["misses"] + 1
     assert after["hits"] == mid["hits"] + 1
     assert after["misses"] == mid["misses"]
+
+
+def _cospectral_extensions():
+    """The first two (kernel, mask) whose H+U are not isomorphic but have
+    one attachment polynomial."""
+    seen = {}
+    for k in enumerate_graph_kernels():
+        ctx = KernelContext(k)
+        for mask in range(1, 1 << k.graph.n):
+            code = canonical_form(k.graph.add_vertex(mask))
+            first = seen.setdefault(ctx._attachment_poly(mask), (code, k, mask))
+            if first[0] != code:
+                return first[1:], (k, mask)
+
+
+def test_lambda_u_shared_across_cospectral_extensions():
+    (k, mask), (k2, mask2) = _cospectral_extensions()
+    eps = Fraction(1, 2 ** 34)            # a key no other check uses
+    before = first_lambda_cache_info()
+    iv = KernelContext(k).lambda_U(mask, eps)
+    mid = first_lambda_cache_info()
+    iv2 = KernelContext(k2).lambda_U(mask2, eps)
+    after = first_lambda_cache_info()
+    assert iv2 == iv and iv.width <= eps
+    assert (mid["misses"], mid["hits"]) == (before["misses"] + 1, before["hits"])
+    assert (after["misses"], after["hits"]) == (mid["misses"], mid["hits"] + 1)
 
 
 def test_lambda_u_worked_example(ctx):

@@ -206,22 +206,37 @@ def test_jobs_2_worker_error_is_an_input_error(capsys):
     assert err == "input error: beta 8 is not below the transfer guard 7\n"
 
 
-def test_jobs_2_tree_stage_matches_jobs_1(tmp_path):
-    # a fresh process, so the sweep is not read from the in-process cache
+def _stage_docs_jobs_1_and_2(tmp_path, kind, expect):
+    """The stage JSON of --jobs 1 and of --jobs 2, without timing fields.
+    --jobs 2 runs in a fresh process, so the sweep is not read from the
+    in-process caches: its forked workers start with cold caches and take
+    every first isolation from their own hints."""
     proc = subprocess.run(
         [sys.executable, "-m", "perronbalance.cli", "--jobs", "2",
-         "--out", str(tmp_path / "two"), "kernel-stage", "trees",
-         "--expect", "direct=191,exceptional=2,survivors=1"],
+         "--out", str(tmp_path / "two"), "kernel-stage", kind,
+         "--expect", expect],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert run_cli(["--jobs", "1", "--out", str(tmp_path / "one"),
-                    "kernel-stage", "trees"]) == 0
+                    "kernel-stage", kind]) == 0
     docs = []
     for name in ("one", "two"):
-        doc = json.loads((tmp_path / name / "stage-trees.json").read_text())
+        doc = json.loads((tmp_path / name / ("stage-%s.json" % kind)).read_text())
         doc.pop("generated_at"), doc.pop("elapsed_seconds")
         docs.append(doc)
-    assert docs[0] == docs[1]
+    return docs
+
+
+def test_jobs_2_tree_stage_matches_jobs_1(tmp_path):
+    one, two = _stage_docs_jobs_1_and_2(
+        tmp_path, "trees", "direct=191,exceptional=2,survivors=1")
+    assert one == two
+
+
+def test_jobs_2_graph_stage_matches_jobs_1(tmp_path):
+    one, two = _stage_docs_jobs_1_and_2(
+        tmp_path, "graphs", "direct=150,exceptional=4,survivors=1")
+    assert one == two
 
 
 def test_tables(tmp_path, capsys):
@@ -236,9 +251,23 @@ def test_tables(tmp_path, capsys):
     assert len(small.splitlines()) == 113
     # the gamma and lambda endpoints of every row, pinned byte for byte
     assert hashlib.sha256(small).hexdigest() == (
-        "3f01c0a9a09ff473cda62054d2535ddc1b44db712c9e7594de6c8c66b0af9b7b")
+        "b85a6a1232b0d097f176c6e0ef98f03e467df0f2d0ffdd82d05746229f84d716")
     beta = (tmp_path / "degree-bounds.csv").read_text().splitlines()
     assert len(beta) == 11
+
+
+@pytest.mark.parametrize("cap", ["0", "15"])
+def test_tables_tree_cap_checked_first(tmp_path, capsys, monkeypatch, cap):
+    from perronbalance import spectral
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(spectral, "min_gamma_table", no_table)
+    assert run_cli(["--out", str(tmp_path), "tables", "--tree-cap", cap]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: tree cap %s is outside 1..14\n" % cap
+    assert not any(tmp_path.iterdir())
 
 
 def test_tables_n(tmp_path, capsys):

@@ -30,7 +30,6 @@ from perronbalance.graphs import (
     enumerate_graph_kernels,
     enumerate_tree_kernels,
     enumerate_trees,
-    extension_code,
     fork_graph,
     has_open_dominating_vertex,
     has_strictly_dominating_vertex,
@@ -325,35 +324,6 @@ def test_graph_canon_matches_exhaustive_large_cells():
     cube = Graph.from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
     for g in (complete_graph(7), c7, c7_complement, k33, k44, cube, cycle_graph(8)):
         _assert_search_matches_reference(g, [None, 0])
-
-
-def test_extension_code_reads_enumeration():
-    classes = enumerate_connected_graphs(7)
-    codes = []
-    for g in enumerate_connected_graphs(6):
-        for mask in range(1, 1 << 6):
-            code = extension_code(g, mask)
-            assert code == canonical_form(g.add_vertex(mask))
-            codes.append(code)
-    # read from the record, where each class's code is a single object
-    assert len({id(c) for c in codes}) == len(set(codes)) == len(classes)
-
-
-def test_extension_code_falls_back():
-    enumerate_connected_graphs(7)
-    g = enumerate_connected_graphs(6)[40]
-    perm = [5, 3, 0, 4, 1, 2]
-    moved = g.relabel(perm)
-    assert moved != g
-    for mask in (1, 0b101101, 0b111111):
-        moved_mask = sum(1 << perm[v] for v in range(6) if mask >> v & 1)
-        code = extension_code(moved, moved_mask)
-        assert code == canonical_form(moved.add_vertex(moved_mask))
-        assert code == extension_code(g, mask)
-    t = enumerate_tree_kernels()[0].graph
-    assert t.n == 10
-    for mask in (1, 0b1000000001, 0b1111111111):
-        assert extension_code(t, mask) == canonical_form(t.add_vertex(mask))
 
 
 def test_canonical_relabel_invariance():

@@ -125,8 +125,8 @@ def test_power_hint_bit_identical_to_bitmask_reference():
 
 
 def test_lambda_enclosure_builds_no_sturm_chain():
-    # the hint brackets, the exact-hit test and the p' monotonicity test
-    # certify every small connected graph and tree without Sturm counts
+    # the hint's start cells and the p' monotonicity test certify every
+    # small connected graph and tree without Sturm counts
     _sturm_chain.cache_clear()
     for g in _small_connected_graphs_and_trees(6, 10):
         lambda_enclosure(g)
