@@ -26,10 +26,11 @@ samples Q once between each two of its roots (algebra.ray_verdict).
 All pair data come from the partial column sums P*Bt_{u,U}, built once
 per boundary set: the cascade uses them as polynomials, the packed test
 below as integers at a grid point.  The characteristic polynomial of H plus
-a vertex joined to U is the bordered determinant x*P(x) - 1_U^T adj 1_U, so
-no resolvent of the larger graph is formed.  The first isolation of lam_U is
-shared across kernels through a module-level cache keyed on the canonical
-form of H+U and the width.
+a vertex joined to U is the bordered determinant x*P(x) - 1_U^T adj 1_U,
+read off the U x U block of the adjugate, so no resolvent of the larger
+graph and no partial column sum is formed for it.  The first isolation of
+lam_U is shared across kernels through a module-level cache keyed on that
+polynomial and the width.
 
 Most pairs are settled without forming Q at all.  At a grid point x <= lo
 just below the shift point, the coefficient signs of Q(x + y) are read off
@@ -84,7 +85,10 @@ def mask_vertices(mask: int) -> tuple:
 
 # First isolation of each attachment eigenvalue, shared by every kernel
 # context: keyed on (attachment polynomial coefficients, eps), which fix
-# the enclosure whatever the hint, so cospectral H+U share one entry.
+# the enclosure whatever the hint, so cospectral H+U share one entry.  A
+# miss seeds the isolation with Newton on that polynomial from the
+# Collatz-Wielandt bound of H+U (spectral._power_iteration_hint), which
+# starts it in its final cell.
 _FIRST_LAMBDA: dict = {}
 _FIRST_LAMBDA_COUNTS = {"hits": 0, "misses": 0}
 
@@ -200,10 +204,17 @@ class KernelContext:
 
     def _attachment_poly(self, mask: int) -> IntPoly:
         """Characteristic polynomial of H plus one vertex joined to the set:
-        the bordered determinant x*P(x) - 1_U^T adj 1_U."""
-        col = self.pbt_column(mask)
-        inner = sum((col[i] for i in _bits(mask)), IntPoly())
-        return self.char.shifted_degree(1) - inner
+        the bordered determinant x*P(x) - 1_U^T adj 1_U, the quadratic form
+        read off the U x U block of the symmetric adjugate as its diagonal
+        plus twice the entries above it."""
+        vs = _bits(mask)
+        diag = off = IntPoly()
+        for k, j in enumerate(vs):
+            col = self.pb_column(j)
+            diag = diag + col[j]
+            for i in vs[:k]:
+                off = off + col[i]
+        return self.char.shifted_degree(1) - diag - off * 2
 
     def lambda_U(self, mask: int, eps: Fraction | None = None) -> RationalInterval:
         """Top eigenvalue of H with one new vertex joined to the set, with
@@ -227,7 +238,7 @@ class KernelContext:
             if cur is None:
                 _FIRST_LAMBDA_COUNTS["misses"] += 1
                 cur = isolate_largest_root(poly, eps, hint=_power_iteration_hint(
-                    self.graph.add_vertex(mask)))
+                    self.graph.add_vertex(mask), poly))
                 _FIRST_LAMBDA[key] = cur
             else:
                 _FIRST_LAMBDA_COUNTS["hits"] += 1

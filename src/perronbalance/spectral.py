@@ -25,6 +25,11 @@ of rational interval Horner, so the gamma enclosure needs only sums of
 integers and two fractions.
 
 Floating point is used only to seed root searches, and changes no output.
+The seed for the top eigenvalue (_power_iteration_hint) takes one power
+step on the degree vector, whose Collatz-Wielandt ratio bounds lambda_1
+from above, and runs float Newton on the characteristic polynomial from
+there: the polynomial is real-rooted, so the iterates fall monotonically
+to lambda_1 and the isolation starts in its final cell.
 """
 
 from __future__ import annotations
@@ -199,27 +204,47 @@ def _tree_resolvent(g: Graph, j: int) -> tuple:
     return _SUBTREE_PHI[codes[(j, -1)]][0], tuple(col)
 
 
-def _power_iteration_hint(g: Graph, iters: int = 80) -> float:
-    """Float estimate of the top eigenvalue via (A+I) power iteration, with
-    the neighbour lists decoded once.  It only picks where
-    isolate_largest_root starts its search, so no output bit depends on
-    how it rounds.
+# Newton steps allowed to the hint; from the Collatz-Wielandt start the
+# table graphs and the kernel attachments need at most 25
+_NEWTON_CAP = 64
+
+
+def _power_iteration_hint(g: Graph, p: IntPoly) -> float:
+    """Float estimate of the top eigenvalue of a connected graph g, p its
+    characteristic polynomial.  It only picks where isolate_largest_root
+    starts its search, so no output bit depends on how it rounds.
+
+    One power step on the degree vector d gives the Collatz-Wielandt bound
+    u = max_v (A d)_v / d_v, the largest mean degree of a neighbourhood,
+    which is >= lambda_1 because d is positive on a connected graph.  Float
+    Newton on p then starts from u.  p is real-rooted, so above its largest
+    root p, p' and p'' are positive: p is convex and increasing there, each
+    Newton step lands between lambda_1 and the current point, and the
+    iterates fall monotonically to lambda_1.  The loop stops when rounding
+    breaks that picture (p <= 0, p' <= 0, or a step that does not decrease
+    x) or after _NEWTON_CAP steps.  On a regular graph u is the degree,
+    which is lambda_1, and p(u) = 0 returns it before any step.
+
+    The name is kept from the power iteration this replaced: the benchmark
+    traces it as the span spectral.power_hint.
     """
-    x = [1.0] * g.n
-    nbrs = [g.neighbors(v) for v in range(g.n)]
-    lam = 1.0
-    for _ in range(iters):
-        y = []
-        for v, nb in enumerate(nbrs):
-            s = x[v]
-            for u in nb:
-                s += x[u]
-            y.append(s)
-        lam = max(abs(t) for t in y)
-        if lam == 0:
-            return 0.0
-        x = [t / lam for t in y]
-    return lam - 1.0
+    if g.n == 1:
+        return 0.0
+    degs = g.degrees()
+    x = max(sum(degs[w] for w in g.neighbors(v)) / d for v, d in enumerate(degs))
+    cs = [float(c) for c in reversed(p.coeffs)]
+    for _ in range(_NEWTON_CAP):
+        f = df = 0.0
+        for c in cs:
+            df = df * x + f
+            f = f * x + c
+        if f <= 0 or df <= 0:
+            break
+        x_new = x - f / df
+        if not x_new < x:
+            break
+        x = x_new
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +256,7 @@ def lambda_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> RationalInterval:
     if not g.is_connected():
         raise ValueError("graph is disconnected")
     char = resolvent_data(g).char_poly
-    return isolate_largest_root(char, eps, hint=_power_iteration_hint(g))
+    return isolate_largest_root(char, eps, hint=_power_iteration_hint(g, char))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from perronbalance.algebra import (
     ray_verdict,
 )
 from perronbalance.bounds import (
+    LAMBDA_EPS,
     PACK_BITS,
     KernelContext,
     bound_curves,
@@ -215,6 +216,30 @@ def test_lambda_u_shared_across_cospectral_extensions():
     assert iv2 == iv and iv.width <= eps
     assert (mid["misses"], mid["hits"]) == (before["misses"] + 1, before["hits"])
     assert (after["misses"], after["hits"]) == (mid["misses"], mid["hits"] + 1)
+
+
+def test_lambda_u_hint_in_final_cell_and_first_isolation_hintless(monkeypatch):
+    """The hint lambda_U passes on a miss lies in the LAMBDA_EPS cell of the
+    attachment root or next to it, and the shared entries are the hint-less
+    isolations."""
+    w = LAMBDA_EPS
+    hints = {}
+
+    def spy(p, eps, hint=None):
+        hints[p.coeffs] = hint
+        return isolate_largest_root(p, eps, hint)
+
+    monkeypatch.setattr(bounds, "_FIRST_LAMBDA", {})
+    monkeypatch.setattr(bounds, "isolate_largest_root", spy)
+    for k in list(enumerate_graph_kernels())[::5]:
+        c = KernelContext(k)
+        for mask in range(1, 1 << k.graph.n):
+            c.lambda_U(mask)
+    assert len(hints) == len(bounds._FIRST_LAMBDA) > 0
+    for (coeffs, eps), iv in bounds._FIRST_LAMBDA.items():
+        want = isolate_largest_root(IntPoly(coeffs), w)
+        assert eps == w and iv == want
+        assert abs(math.ceil(Fraction(hints[coeffs]) / w) - math.ceil(want.hi / w)) <= 1
 
 
 def test_lambda_u_worked_example(ctx):

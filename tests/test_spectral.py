@@ -1,5 +1,6 @@
 """Certified eigenvalue, Perron vector, and balance-ratio computations."""
 
+import math
 import os
 import random
 import subprocess
@@ -12,12 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import perronbalance
+from perronbalance import spectral
 from perronbalance.algebra import (
     IntPoly,
     RationalInterval,
     SqrtRat,
     _sturm_chain,
     charpoly_by_interpolation,
+    isolate_largest_root,
     refine_root,
 )
 from perronbalance.graphs import (
@@ -90,28 +93,6 @@ def test_lambda_examples():
     assert abs(iv.mid_float() - 2.2283) < 1e-4
 
 
-def _bitmask_power_hint(g, iters=80):
-    """Reference power iteration decoding the adjacency bitmasks on every
-    pass, neighbours in ascending order."""
-    x = [1.0] * g.n
-    lam = 1.0
-    for _ in range(iters):
-        y = []
-        for v in range(g.n):
-            s = x[v]
-            mask = g.adj[v]
-            while mask:
-                low = mask & -mask
-                s += x[low.bit_length() - 1]
-                mask ^= low
-            y.append(s)
-        lam = max(abs(t) for t in y)
-        if lam == 0:
-            return 0.0
-        x = [t / lam for t in y]
-    return lam - 1.0
-
-
 def _small_connected_graphs_and_trees(max_graph, max_tree):
     for n in range(1, max_graph + 1):
         yield from enumerate_connected_graphs(n)
@@ -119,9 +100,39 @@ def _small_connected_graphs_and_trees(max_graph, max_tree):
         yield from enumerate_trees(n)
 
 
-def test_power_hint_bit_identical_to_bitmask_reference():
+def _cell(x, w):
+    """Index m of the aligned cell (m*w, (m+1)*w] that holds x."""
+    return math.ceil(Fraction(x) / w) - 1
+
+
+def test_power_hint_in_final_cell_and_changes_no_enclosure():
+    w = Fraction(1, 2 ** 30)
     for g in _small_connected_graphs_and_trees(7, 11):
-        assert _power_iteration_hint(g) == _bitmask_power_hint(g)
+        p = resolvent_data(g).char_poly
+        hint = _power_iteration_hint(g, p)
+        assert math.isfinite(hint)
+        iv = isolate_largest_root(p, w)
+        assert abs(_cell(hint, w) - _cell(iv.hi, w)) <= 1
+        assert isolate_largest_root(p, w, hint) == iv
+
+
+def test_power_hint_single_vertex():
+    g = Graph.from_edges(1, [])
+    assert _power_iteration_hint(g, resolvent_data(g).char_poly) == 0.0
+
+
+@pytest.mark.parametrize("g, k", [
+    (complete_graph(4), 3),
+    (cycle_graph(5), 2),
+    (Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]), 3),
+])
+def test_power_hint_exact_on_regular_graphs(monkeypatch, g, k):
+    # the Collatz-Wielandt start is the degree, which is lambda_1, and p
+    # vanishes there, so Newton takes no step
+    p = resolvent_data(g).char_poly
+    assert _power_iteration_hint(g, p) == k
+    monkeypatch.setattr(spectral, "_NEWTON_CAP", 0)
+    assert _power_iteration_hint(g, p) == k
 
 
 def test_lambda_enclosure_builds_no_sturm_chain():
