@@ -36,11 +36,13 @@ Most pairs are settled without forming Q at all.  At a grid point x <= lo
 just below the shift point, the coefficient signs of Q(x + y) are read off
 one integer: a scaled value of Q at x + 2^(K-8), whose base-2^K digits are
 those coefficients (Kronecker substitution), with K chosen from a majorant
-that holds for every pair of the kernel.  The integer is assembled from the
-adjugate columns evaluated at that point, cached, and their sums over the
-two boundary sets, so a pair costs an inner product of two integer vectors.
-Only a pair that fails this test builds Q_{U,V} from the polynomial column
-sums and runs the full cascade.
+that holds for every pair of the kernel.  That integer is affine in the
+indicator vector of the second set V: every V-dependent term of Q is a sum
+over v in V of data of adjugate column v, so for a fixed first set U and
+grid point it is c_U + sum_{v in V} w_U[v].  The weights w_U[v] are formed
+on first use from the adjugate columns evaluated at that point, cached, and
+a pair then costs |V| integer additions.  Only a pair that fails this test
+builds Q_{U,V} from the polynomial column sums and runs the full cascade.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ def subset_mask(vertices: Iterable[int]) -> int:
     return m
 
 
+@lru_cache(maxsize=None)
 def mask_vertices(mask: int) -> tuple:
     return tuple(_bits(mask))
 
@@ -98,19 +101,26 @@ def first_lambda_cache_info() -> dict:
     return dict(_FIRST_LAMBDA_COUNTS, size=len(_FIRST_LAMBDA))
 
 
-# Pair checks settled by the packed coefficient test, and those that ran the
-# full cascade (q_poly and ray_verdict).
-_PAIR_COUNTS = {"packed": 0, "cascade": 0}
+# Pair checks settled by the packed coefficient test, those that ran the
+# full cascade (q_poly and ray_verdict), and the per-vertex weights the
+# packed test formed.
+_PAIR_COUNTS = {"packed": 0, "cascade": 0, "weights": 0}
 
 
 def pair_check_info() -> dict:
-    """How many check_pair calls the packed test settled and how many ran
-    the cascade."""
+    """How many check_pair calls the packed test settled, how many ran the
+    cascade, and how many per-vertex weights of the packed test were
+    formed."""
     return dict(_PAIR_COUNTS)
 
 
 # The packed test shifts to x = floor(lo * 2^PACK_BITS) / 2^PACK_BITS <= lo.
 PACK_BITS = 8
+
+
+def grid_index(lo: Fraction) -> int:
+    """floor(lo * 2^PACK_BITS), the index of the packed test's grid point."""
+    return (lo.numerator << PACK_BITS) // lo.denominator
 
 
 def scaled_eval(coeffs: Sequence[int], x: int, bits: int, m: int) -> int:
@@ -146,16 +156,78 @@ def packed_nonneg(n: int, k: int, d: int) -> bool:
     return n >= 0 and not n & _digit_sign_bits(k, d)
 
 
+class _GridPoint:
+    """The packed test's grid point X = 2^K + a of one kernel at one beta:
+    the digit width K, P_X = 2^(n*PACK_BITS) P(X / 2^PACK_BITS), and the
+    adjugate columns at X / 2^PACK_BITS, evaluated on first use."""
+
+    __slots__ = ("x", "k", "px", "_resolvent", "_cols")
+
+    def __init__(self, resolvent, x: int, k: int):
+        self.x, self.k = x, k
+        self.px = scaled_eval(resolvent.char_poly.coeffs, x, PACK_BITS,
+                              resolvent.n)
+        self._resolvent = resolvent
+        self._cols: dict[int, tuple] = {}
+
+    def column(self, v: int) -> tuple:
+        """Column v of the adjugate at X / 2^PACK_BITS, each entry times
+        2^((n-1)*PACK_BITS)."""
+        got = self._cols.get(v)
+        if got is None:
+            rd = self._resolvent
+            got = self._cols[v] = tuple(
+                scaled_eval(e.coeffs, self.x, PACK_BITS, rd.n - 1)
+                for e in rd.column(v))
+        return got
+
+
+class _PackedSet(dict):
+    """The packed integer of one first set U at one grid point and beta, as
+    an affine function of the second set: N(U, V) = c + sum_{v in V} self[v]
+    (KernelContext.packed_pass derives it).  The weight of a vertex is
+    formed on first use and kept; being a dict lets value() sum the kept
+    weights by plain lookups, with __missing__ forming the others."""
+
+    __slots__ = ("c", "k", "_t", "_grid", "_root", "_num", "_ta", "_to")
+
+    def __init__(self, grid: _GridPoint, vertices: tuple, root: int,
+                 beta: Fraction):
+        cols = [grid.column(v) for v in vertices]
+        t = cols[0] if len(cols) == 1 else tuple(map(sum, zip(*cols)))
+        px, num = grid.px, beta.numerator
+        a_u = (sum(t) << PACK_BITS) + px
+        self._ta = 2 * beta.denominator * a_u
+        self._to = num * px
+        self.c = self._ta * px - (self._to * t[root] << PACK_BITS)
+        self.k, self._t = grid.k, t
+        self._grid, self._root, self._num = grid, root, num
+
+    def __missing__(self, v: int) -> int:
+        col = self._grid.column(v)
+        w = self[v] = (
+            ((self._ta * sum(col) - self._to * col[self._root]) << PACK_BITS)
+            - (self._num * sum(map(mul, self._t, col)) << 2 * PACK_BITS + 1))
+        _PAIR_COUNTS["weights"] += 1
+        return w
+
+    def value(self, vertices: tuple) -> int:
+        """N(U, V) for V given by its vertices."""
+        return sum(map(self.__getitem__, vertices), self.c)
+
+
 class KernelContext:
     """Per-kernel cache of the resolvent polynomials and attachment data.
 
     Every pair quantity is read from the partial column sums of the two
     boundary sets.  The packed coefficient test (packed_pass) takes them as
-    integers: it evaluates the adjugate columns once per grid point and sums
-    them over each set, so a pair it settles costs an inner product of two
-    integer vectors and no polynomial arithmetic.  The cascade takes them
-    as polynomials (pbt_column, cached per set): the pair polynomial
-    (q_poly) is built only for the pairs the packed test does not settle.
+    integers at a grid point, where its integer is affine in the second
+    set: per first set and grid point it keeps a constant and one weight per
+    vertex, formed on first use from the adjugate columns at that point, so
+    a pair it settles costs |V| integer additions and no polynomial
+    arithmetic.  The cascade takes them as polynomials (pbt_column, cached
+    per set): the pair polynomial (q_poly) is built only for the pairs the
+    packed test does not settle.
     """
 
     def __init__(self, kernel: RootedKernel):
@@ -166,10 +238,10 @@ class KernelContext:
         self.char = self.resolvent.char_poly
         self._pbt: dict[int, tuple] = {}
         self._lam: dict[int, RationalInterval] = {}
+        self._shift: dict[int, tuple] = {}
         self._majorants: dict[tuple, tuple] = {}
-        self._grid: dict[tuple, tuple] = {}
-        self._cols_x: dict[tuple, tuple] = {}
-        self._sets_x: dict[tuple, tuple] = {}
+        self._grid: dict[tuple, _GridPoint] = {}
+        self._packed: dict[tuple, _PackedSet] = {}
 
     # -- resolvent polynomials ------------------------------------------------
 
@@ -182,7 +254,7 @@ class KernelContext:
         got = self._pbt.get(mask)
         if got is None:
             n = self.graph.n
-            cols = [self.pb_column(v) for v in _bits(mask)]
+            cols = [self.pb_column(v) for v in mask_vertices(mask)]
             got = tuple(sum((c[u] for c in cols), IntPoly()) for u in range(n))
             self._pbt[mask] = got
         return got
@@ -207,7 +279,7 @@ class KernelContext:
         the bordered determinant x*P(x) - 1_U^T adj 1_U, the quadratic form
         read off the U x U block of the symmetric adjugate as its diagonal
         plus twice the entries above it."""
-        vs = _bits(mask)
+        vs = mask_vertices(mask)
         diag = off = IntPoly()
         for k, j in enumerate(vs):
             col = self.pb_column(j)
@@ -245,7 +317,18 @@ class KernelContext:
         else:
             cur = refine_root(poly, cur, eps)
         self._lam[mask] = cur
+        self._shift.pop(mask, None)
         return cur
+
+    def shift_key(self, mask: int) -> tuple:
+        """(grid_index(lo), lo) for the lower end lo of the set's current
+        enclosure of its attachment eigenvalue; a refinement by lambda_U
+        replaces it."""
+        got = self._shift.get(mask)
+        if got is None:
+            lo = self.lambda_U(mask).lo
+            got = self._shift[mask] = (grid_index(lo), lo)
+        return got
 
     # -- the certificate polynomial ---------------------------------------------
 
@@ -296,48 +379,26 @@ class KernelContext:
             self._majorants[key] = got
         return got
 
-    def _grid_point(self, beta: Fraction, a: int) -> tuple:
-        """(X, K, 2^(n*PACK_BITS) P(X / 2^PACK_BITS)) for the grid point
-        a / 2^PACK_BITS, where X = 2^K + a and K is a digit width sound for
-        every pair of the kernel at this beta."""
+    def _grid_point(self, beta: Fraction, a: int) -> _GridPoint:
+        """The grid point a / 2^PACK_BITS at this beta: X = 2^K + a, where K
+        is a digit width sound for every pair of the kernel."""
         key = (beta.numerator, beta.denominator, a)
         got = self._grid.get(key)
         if got is None:
-            n = self.graph.n
             k = scaled_eval(self._majorant(beta), 1 + abs(a), PACK_BITS,
-                            2 * n).bit_length() + 1
-            x = (1 << k) + a
-            got = (x, k, scaled_eval(self.char.coeffs, x, PACK_BITS, n))
-            self._grid[key] = got
+                            2 * self.graph.n).bit_length() + 1
+            got = self._grid[key] = _GridPoint(self.resolvent, (1 << k) + a, k)
         return got
 
-    def _column_at(self, v: int, x: int) -> tuple:
-        """Column v of the adjugate at x / 2^PACK_BITS, each entry times
-        2^((n-1)*PACK_BITS) (the adjugate is symmetric: row v)."""
-        key = (v, x)
-        got = self._cols_x.get(key)
+    def _packed_set(self, mask: int, beta: Fraction, a: int) -> _PackedSet:
+        """The set's affine packed data as first set at grid index a."""
+        key = (mask, beta.numerator, beta.denominator, a)
+        got = self._packed.get(key)
         if got is None:
-            m = self.graph.n - 1
-            got = tuple(scaled_eval(e.coeffs, x, PACK_BITS, m)
-                        for e in self.resolvent.adjugate[v])
-            self._cols_x[key] = got
-        return got
-
-    def _set_sum(self, mask: int, x: int, px: int) -> tuple:
-        """(T, A) at x / 2^PACK_BITS: T[u] is P*Bt_{u,U} times
-        2^((n-1)*PACK_BITS), A is P s_U + P times 2^(n*PACK_BITS), given P
-        there as px."""
-        cols = [self._column_at(v, x) for v in _bits(mask)]
-        t = cols[0] if len(cols) == 1 else tuple(map(sum, zip(*cols)))
-        return t, (sum(t) << PACK_BITS) + px
-
-    def _set_at(self, mask: int, x: int, px: int) -> tuple:
-        """_set_sum, cached per set and point."""
-        key = (mask, x)
-        got = self._sets_x.get(key)
-        if got is None:
-            got = self._set_sum(mask, x, px)
-            self._sets_x[key] = got
+            if beta < 0:
+                raise ValueError("beta must be nonnegative")
+            got = self._packed[key] = _PackedSet(
+                self._grid_point(beta, a), mask_vertices(mask), self.root, beta)
         return got
 
     def packed_pass(self, u_mask: int, v_mask: int, beta: Fraction,
@@ -346,11 +407,10 @@ class KernelContext:
         coefficients >= 0 as a polynomial in y, at the grid point
         x = a/b = floor(lo*b)/b, b = 2^PACK_BITS.
 
-        The result is symmetric in U and V, but only the first set's data at
-        x are cached: check_pair puts first the set whose attachment
-        eigenvalue gives lo, which every pair of that set with a lower
-        eigenvalue shares, while the second set's data at x serve about one
-        pair and are summed from the cached adjugate columns.
+        The result is symmetric in U and V, but only the first set's data
+        are kept per grid point: check_pair puts first the set whose
+        attachment eigenvalue gives lo, which every pair of that set with a
+        lower eigenvalue shares.
 
         Since x <= lo, a pass proves the same at lo: q(lo + y) is q(x + y)
         shifted by lo - x >= 0, and shifting a polynomial with nonnegative
@@ -363,12 +423,27 @@ class KernelContext:
             N = b^D q(X/b) = b^D q(x + 2^K/b) = sum_{k<=D} s_k 2^(K*k),
 
         and if every |s_k| < 2^(K-1), packed_nonneg(N, K, D) decides whether
-        every s_k >= 0.  N is built from the integers T_W[u] =
-        b^(n-1) (P*Bt_{u,W})(X/b) and P_X = b^n P(X/b):
+        every s_k >= 0.  N is built from the integers col_v[u] =
+        b^(n-1) adj[u][v](X/b), their sums T_W[u] = sum_{v in W} col_v[u]
+        = b^(n-1) (P*Bt_{u,W})(X/b), and P_X = b^n P(X/b):
 
-            b^n (P s_W + P)(X/b)       = b * sum_u T_W[u] + P_X,
-            b^D (P^2 Bt_{o,W})(X/b)    = b * T_W[o] * P_X,
-            b^D (P^2 c_{U,V})(X/b)     = b^2 * sum_u T_U[u] T_V[u].
+            A_W = b^n (P s_W + P)(X/b)   = b * sum_u T_W[u] + P_X,
+            b^D (P^2 Bt_{o,W})(X/b)      = b * T_W[o] * P_X,
+            b^D (P^2 c_{U,V})(X/b)       = b^2 * sum_u T_U[u] T_V[u],
+
+        so that, with beta = num/den,
+
+            N = 2 den A_U A_V - num (2 b^2 T_U.T_V + b (T_U[o] + T_V[o]) P_X).
+
+        The affine form.  Every factor of N that depends on V is a sum over
+        v in V: A_V = P_X + b * sum_v tot_v, where tot_v = sum_u col_v[u],
+        T_V[o] = sum_v col_v[o] and T_U.T_V = sum_v T_U.col_v.  Hence
+        N = c_U + sum_{v in V} w_U[v], where
+
+            c_U    = 2 den A_U P_X - num b T_U[o] P_X,
+            w_U[v] = 2 den b A_U tot_v - num (2 b^2 T_U.col_v + b col_v[o] P_X),
+
+        and only the weights of vertices some pair asks for are formed.
 
         The digit width.  For any polynomial p of degree <= D,
 
@@ -384,17 +459,9 @@ class KernelContext:
         of b^D times that majorant at (1 + |a|)/b; then every |s_k| <
         2^(K-1) for every nonempty U, V, whatever family the caller checks.
         """
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
-        a = (lo.numerator << PACK_BITS) // lo.denominator
-        x, k, px = self._grid_point(beta, a)
-        tu, au = self._set_at(u_mask, x, px)
-        tv, av = self._set_sum(v_mask, x, px)
-        o = self.root
-        packed = (2 * beta.denominator * au * av
-                  - beta.numerator * ((sum(map(mul, tu, tv)) << 2 * PACK_BITS + 1)
-                                      + ((tu[o] + tv[o]) * px << PACK_BITS)))
-        return packed_nonneg(packed, k, 2 * self.graph.n)
+        got = self._packed_set(u_mask, beta, grid_index(lo))
+        return packed_nonneg(got.value(mask_vertices(v_mask)), got.k,
+                             2 * self.graph.n)
 
 
 @dataclass(frozen=True)
@@ -439,17 +506,21 @@ def check_pair(ctx: KernelContext, u_mask: int, v_mask: int,
     The packed test at a grid point just below the shift point settles most
     pairs first; its pass is exactly the cascade's "coefficients" verdict at
     the same shift point, and a pair it does not settle runs the cascade.
+    The set with the larger shift key goes first; the keys order the sets
+    by the lower ends of their enclosures, comparing those exactly only
+    when the grid indices tie.
     """
     if not isinstance(beta, Fraction):
         beta = Fraction(beta)
-    lu, lv = ctx.lambda_U(u_mask), ctx.lambda_U(v_mask)
-    lo = max(lu.lo, lv.lo)
-    first, second = (u_mask, v_mask) if lu.lo >= lv.lo else (v_mask, u_mask)
+    ku, kv = ctx.shift_key(u_mask), ctx.shift_key(v_mask)
+    first, second, lo = ((u_mask, v_mask, ku[1]) if ku >= kv
+                         else (v_mask, u_mask, kv[1]))
     if ctx.packed_pass(first, second, beta, lo):
         _PAIR_COUNTS["packed"] += 1
         return PairVerdict(u_mask, v_mask, beta, "coefficients", lo)
     _PAIR_COUNTS["cascade"] += 1
     q, _ = ctx.q_poly(u_mask, v_mask, beta)
+    lu, lv = ctx.lambda_U(u_mask), ctx.lambda_U(v_mask)
     eps = LAMBDA_EPS
     for _ in range(8):
         lo = max(lu.lo, lv.lo)

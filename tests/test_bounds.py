@@ -4,6 +4,7 @@ and structural invariants of the resolvent machinery."""
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -23,8 +24,10 @@ from perronbalance.bounds import (
     family_all_subsets,
     family_singletons,
     first_lambda_cache_info,
+    grid_index,
     mask_vertices,
     pair_check_info,
+    scaled_eval,
     subset_mask,
     verify_extension,
 )
@@ -324,10 +327,14 @@ def test_check_pair_monotone_in_beta(ctx):
 # -- the packed coefficient test --------------------------------------------------
 
 def _packed_cases():
-    """(context, family, beta): three 6-vertex graph kernels and the 7-vertex
-    two-step kernel with all nonempty subsets, the special 10-vertex tree
-    kernels and the 14-vertex S5 branch-point graph with singletons."""
-    graph = list(enumerate_graph_kernels())[:2] + [exceptional_graph_kernels()[1]]
+    """(context, family, beta): three 6-vertex graph kernels (one relabelled
+    so that its root is not vertex 0) and the 7-vertex two-step kernel with
+    all nonempty subsets, the special 10-vertex tree kernels and the
+    14-vertex S5 branch-point graph with singletons."""
+    first, second = list(enumerate_graph_kernels())[:2]
+    perm = [5, 3, 0, 4, 1, 2]
+    graph = [first, RootedKernel(second.graph.relabel(perm), perm[second.root]),
+             exceptional_graph_kernels()[1]]
     k = exceptional_graph_kernels()[0]
     leaf = next(v for v in range(k.graph.n) if k.graph.degree(v) == 1)
     graph.append(RootedKernel(k.graph.add_vertex(1 << leaf), k.root))
@@ -340,26 +347,66 @@ def _packed_cases():
         yield KernelContext(k), family_singletons(range(k.graph.n)), beta_tr_upper()
 
 
-def test_packed_pass_matches_shifted_coefficients():
-    grid = 2 ** PACK_BITS
-    seen = set()
+def _packed_points():
+    """(context, U, V, beta, lo) for every pair of _packed_cases(): the pair's
+    shift point, and points below it where the coefficient test fails more
+    often."""
     for c, fam, beta in _packed_cases():
         lam_h = lambda_enclosure(c.graph).lo
         for i, um in enumerate(fam):
             for vm in fam[i:]:
-                q, _ = c.q_poly(um, vm, beta)
                 shift = max(c.lambda_U(um).lo, c.lambda_U(vm).lo)
-                # the pair's shift point, and points below it where the
-                # coefficient test fails more often
                 for lo in (shift, (shift + lam_h) / 2, lam_h - Fraction(1, 3)):
-                    x = Fraction(math.floor(lo * grid), grid)
-                    got = c.packed_pass(um, vm, beta, lo)
-                    assert got == q.all_coeffs_nonneg_shifted(x)
-                    assert c.packed_pass(vm, um, beta, lo) == got
-                    if got:
-                        assert q.all_coeffs_nonneg_shifted(lo)
-                    seen.add(got)
+                    yield c, um, vm, beta, lo
+
+
+def test_packed_pass_matches_shifted_coefficients():
+    grid = 2 ** PACK_BITS
+    seen = set()
+    for c, um, vm, beta, lo in _packed_points():
+        q, _ = c.q_poly(um, vm, beta)
+        x = Fraction(math.floor(lo * grid), grid)
+        got = c.packed_pass(um, vm, beta, lo)
+        assert got == q.all_coeffs_nonneg_shifted(x)
+        assert c.packed_pass(vm, um, beta, lo) == got
+        if got:
+            assert q.all_coeffs_nonneg_shifted(lo)
+        seen.add(got)
     assert seen == {True, False}
+
+
+def _product_form_packed(c, um, vm, beta, a):
+    """The packed integer at grid index a in product form: T_U and T_V are
+    the polynomial partial column sums evaluated at X, A_W = b sum(T_W) +
+    P_X, and N = 2 den A_U A_V - num (2 b^2 T_U.T_V + b (T_U[o] + T_V[o])
+    P_X), b = 2^PACK_BITS."""
+    g = c._grid_point(beta, a)
+    n, b, o = c.graph.n, PACK_BITS, c.root
+    px = scaled_eval(c.char.coeffs, g.x, b, n)
+    assert g.px == px
+    tu, tv = ([scaled_eval(e.coeffs, g.x, b, n - 1) for e in c.pbt_column(m)]
+              for m in (um, vm))
+    au, av = ((sum(t) << b) + px for t in (tu, tv))
+    return (2 * beta.denominator * au * av
+            - beta.numerator * ((sum(map(mul, tu, tv)) << 2 * b + 1)
+                                + ((tu[o] + tv[o]) * px << b)))
+
+
+def test_packed_affine_value_equals_product_form():
+    """c_U + sum_{v in V} w_U[v] is the product-form integer exactly, with
+    either set first."""
+    for c, um, vm, beta, lo in _packed_points():
+        a = grid_index(lo)
+        want = _product_form_packed(c, um, vm, beta, a)
+        for first, second in ((um, vm), (vm, um)):
+            got = c._packed_set(first, beta, a).value(mask_vertices(second))
+            assert got == want
+
+
+def test_check_pair_negative_beta_raises(ctx):
+    for c in (ctx, KernelContext(RootedKernel(K3P3, 0))):
+        with pytest.raises(ValueError):
+            check_pair(c, U3, 1 << 4, Fraction(-1, 4))
 
 
 def test_check_pair_fresh_context_matches_cascade():
@@ -412,7 +459,36 @@ def test_check_pair_refinement_round_matches_fresh_context(monkeypatch):
     assert undecided
 
 
+def test_check_pair_follows_refined_enclosure():
+    """Refining a set's enclosure in the middle of a sweep moves the shift
+    point of its later pairs, as in a fresh context that holds the same
+    refined enclosure from the start."""
+    k = conjectured_graph_kernel()
+    beta = BETA_GRAPH_STAGE
+    fam = family_all_subsets(active_vertices(k, "graph").vertices)
+    pairs = [(um, vm) for i, um in enumerate(fam) for vm in fam[i:]]
+    half, top = len(pairs) // 2, fam[-1]
+    ctx, fresh = KernelContext(k), KernelContext(k)
+    for um, vm in pairs[:half]:
+        check_pair(ctx, um, vm, beta)
+    before = ctx.lambda_U(top)
+    refined = ctx.lambda_U(top, LAMBDA_EPS / 2 ** 20)
+    assert refined.lo > before.lo
+    fresh.lambda_U(top)
+    assert fresh.lambda_U(top, LAMBDA_EPS / 2 ** 20) == refined
+    moved = 0
+    for um, vm in pairs[half:]:
+        got, want = check_pair(ctx, um, vm, beta), check_pair(fresh, um, vm, beta)
+        assert (got.kind, got.shift_point, got.witness) == \
+            (want.kind, want.shift_point, want.witness)
+        moved += got.shift_point == refined.lo
+    assert moved
+
+
 def test_pair_check_info_counts_every_check():
+    """Every check is counted once, and the packed test's per-vertex weights
+    are shared between pairs: fewer are formed than the pairs with a
+    coefficients verdict have vertices in their smaller set."""
     k = RootedKernel(attach_path(complete_graph(4), 0, 2), 0)
     fam = family_all_subsets(active_vertices(k, "graph").vertices)
     before = pair_check_info()
@@ -423,6 +499,9 @@ def test_pair_check_info_counts_every_check():
     assert packed + cascade == len(rep.verdicts)
     assert cascade >= len(rep.failing_pairs) >= 1
     assert packed >= 1
+    second = sum(min(v.u_mask.bit_count(), v.v_mask.bit_count())
+                 for v in rep.verdicts if v.kind == "coefficients")
+    assert 0 < after["weights"] - before["weights"] < second
 
 
 # -- resolvent sanity on random kernels ---------------------------------------------
