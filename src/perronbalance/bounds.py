@@ -402,19 +402,15 @@ class KernelContext:
         return got
 
     def packed_pass(self, u_mask: int, v_mask: int, beta: Fraction,
-                    lo: Fraction) -> bool:
+                    a: int) -> bool:
         """Whether q(x + y), q the pair polynomial of q_poly, has all its
         coefficients >= 0 as a polynomial in y, at the grid point
-        x = a/b = floor(lo*b)/b, b = 2^PACK_BITS.
+        x = a/b, b = 2^PACK_BITS.
 
         The result is symmetric in U and V, but only the first set's data
         are kept per grid point: check_pair puts first the set whose
-        attachment eigenvalue gives lo, which every pair of that set with a
-        lower eigenvalue shares.
-
-        Since x <= lo, a pass proves the same at lo: q(lo + y) is q(x + y)
-        shifted by lo - x >= 0, and shifting a polynomial with nonnegative
-        coefficients by a nonnegative amount keeps them nonnegative.
+        attachment eigenvalue gives the shift point, which every pair of
+        that set with a lower eigenvalue shares.
 
         The test.  Let D = 2n >= deg q, write q(x + y) = sum_k r_k y^k and
         put s_k = b^(D-k) r_k, a positive multiple of r_k (an integer: r_k
@@ -459,7 +455,7 @@ class KernelContext:
         of b^D times that majorant at (1 + |a|)/b; then every |s_k| <
         2^(K-1) for every nonempty U, V, whatever family the caller checks.
         """
-        got = self._packed_set(u_mask, beta, grid_index(lo))
+        got = self._packed_set(u_mask, beta, a)
         return packed_nonneg(got.value(mask_vertices(v_mask)), got.k,
                              2 * self.graph.n)
 
@@ -503,19 +499,23 @@ def check_pair(ctx: KernelContext, u_mask: int, v_mask: int,
     rational witness.  An undecided verdict tightens both attachment
     eigenvalues and asks again.
 
-    The packed test at a grid point just below the shift point settles most
-    pairs first; its pass is exactly the cascade's "coefficients" verdict at
-    the same shift point, and a pair it does not settle runs the cascade.
-    The set with the larger shift key goes first; the keys order the sets
-    by the lower ends of their enclosures, comparing those exactly only
-    when the grid indices tie.
+    The packed test at the grid point x = floor(lo*b)/b <= lo, b =
+    2^PACK_BITS, just below the shift point lo, settles most pairs first,
+    and a pair it does not settle runs the cascade.  A pass at x proves the
+    same at lo: q(lo + y) is q(x + y) shifted by lo - x >= 0, and shifting a
+    polynomial with nonnegative coefficients by a nonnegative amount keeps
+    them nonnegative.  So a pass is the cascade's "coefficients" verdict at
+    the same shift point.  The set with the larger shift key goes first;
+    the keys order the sets by the lower ends of their enclosures, comparing
+    those exactly only when the grid indices tie, and hold the grid index
+    of x.
     """
     if not isinstance(beta, Fraction):
         beta = Fraction(beta)
     ku, kv = ctx.shift_key(u_mask), ctx.shift_key(v_mask)
-    first, second, lo = ((u_mask, v_mask, ku[1]) if ku >= kv
-                         else (v_mask, u_mask, kv[1]))
-    if ctx.packed_pass(first, second, beta, lo):
+    first, second, (a, lo) = ((u_mask, v_mask, ku) if ku >= kv
+                              else (v_mask, u_mask, kv))
+    if ctx.packed_pass(first, second, beta, a):
         _PAIR_COUNTS["packed"] += 1
         return PairVerdict(u_mask, v_mask, beta, "coefficients", lo)
     _PAIR_COUNTS["cascade"] += 1

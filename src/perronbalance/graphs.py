@@ -5,9 +5,10 @@ Graphs live on at most 64 vertices so each adjacency row fits in one
 machine word.  Enumerations are desk-scale and deterministic: augmentation
 plus canonical-form deduplication, with results sorted by canonical code.
 Canonical forms of trees are sorted subtree codes; other graphs get color
-refinement and then a pruned search for the least adjacency code over the
-orderings the coloring allows, which returns the same code and ordering as
-trying every one of them.
+refinement and then a search for the least adjacency code over the
+orderings the coloring allows (canonical_form), which also finds the
+automorphisms.  The enumerations try one augmentation per orbit of the
+parent's group and keep each representative's canonical ordering.
 """
 
 from __future__ import annotations
@@ -405,41 +406,36 @@ def subtree_codes(g: Graph, root: int, codes: Optional[dict] = None) -> bytes:
     rooted-isomorphic subtrees.  codes, when given, receives the code of
     every rooted subtree keyed by (vertex, parent), parent -1 at the root,
     in post-order (each vertex after its children)."""
+    return _subtree_walk(g, root, codes)[0]
 
-    def encode(v: int, parent: int) -> bytes:
-        subs = sorted(encode(u, v) for u in _bits(g.adj[v]) if u != parent)
-        code = b"(" + b"".join(subs) + b")"
+
+def _subtree_walk(g: Graph, root: int, codes: Optional[dict]) -> tuple:
+    """subtree_codes(g, root, codes), and the vertices depth first from
+    root with the children of each in increasing (code, label) order."""
+
+    def encode(v: int, parent: int) -> tuple:
+        # ties on the code compare the walks, which start at distinct labels
+        subs = sorted([encode(u, v) for u in _bits(g.adj[v]) if u != parent])
+        code = b"(" + b"".join([c for c, _ in subs]) + b")"
         if codes is not None:
             codes[(v, parent)] = code
-        return code
+        walk = [v]
+        for _, w in subs:
+            walk += w
+        return code, walk
 
     return encode(root, -1)
 
 
-def _tree_canon(g: Graph, root: Optional[int], with_order: bool) -> tuple:
-    """Canonical code of a tree (rooted or free) via sorted subtree
-    encoding, and with_order a DFS order with children sorted by subtree
-    code (else None).  A free tree is rooted at the center with the least
-    code."""
-    codes: Optional[dict] = {} if with_order else None
+def _tree_canon(g: Graph, root: Optional[int]) -> tuple:
+    """Canonical code and order of a tree (rooted or free): the sorted
+    subtree code and the walk of _subtree_walk.  A free tree is rooted at
+    the center with the least code, the lower label on a tie."""
     if root is None:
-        code, root = min((subtree_codes(g, c, codes), c) for c in _tree_centers(g))
-        code = b"T" + code
-    else:
-        code = b"R" + subtree_codes(g, root, codes)
-    if not with_order:
-        return code, None
-    order: list = []
-
-    def walk(v: int, parent: int):
-        order.append(v)
-        kids = sorted((u for u in _bits(g.adj[v]) if u != parent),
-                      key=lambda u: codes[(u, v)])
-        for u in kids:
-            walk(u, v)
-
-    walk(root, -1)
-    return code, order
+        code, order = min(_subtree_walk(g, c, None) for c in _tree_centers(g))
+        return b"T" + code, order
+    code, order = _subtree_walk(g, root, None)
+    return b"R" + code, order
 
 
 def _tree_centers(g: Graph) -> list:
@@ -464,8 +460,9 @@ def _tree_centers(g: Graph) -> list:
 
 
 def _graph_canon(g: Graph, root: Optional[int]) -> tuple:
-    """Canonical code and vertex order: color refinement, then the least
-    code over the orderings consistent with the stable coloring.
+    """Canonical code, vertex order and automorphisms: color refinement,
+    then the least code over the orderings consistent with the stable
+    coloring.
 
     The code lists the columns j = 1..n-1 of the relabelled adjacency
     matrix, column j being the bits adj[order[i]][order[j]] for i < j, first
@@ -474,9 +471,24 @@ def _graph_canon(g: Graph, root: Optional[int]) -> tuple:
     which visits orderings in the order of the product over the cells of
     their permutations.  A vertex whose column exceeds the best ordering's
     column while the prefix ties the best cannot lead to a smaller code and
-    is skipped; a leaf replaces the best only when strictly smaller.  So
-    the result is the least code over all consistent orderings, with the
+    is skipped; a leaf replaces the best only when strictly smaller.
+
+    A leaf whose code equals the best code gives an automorphism,
+    best_order[i] -> leaf[i]; it stays one when a later leaf becomes the
+    best.  At depth k a vertex is skipped when an automorphism generated by
+    those found so far that fix cand[:k] pointwise maps an already tried
+    sibling to it: its subtree is the image of that sibling's, so its
+    leaves repeat codes already seen, later in the product order.  So the
+    result is still the least code over all consistent orderings, with the
     first ordering in that product order that attains it.
+
+    The automorphisms found generate the group of (g, root).  Every
+    automorphism preserves the refined coloring, so it maps the first
+    minimal leaf B to a minimal leaf L.  By induction on the position of L
+    in the product order: if L is visited, B -> L is recorded there; if not,
+    a found automorphism s fixing the prefix of L where it was skipped maps
+    an earlier minimal leaf s^-1(L) onto L, and B -> L is s after
+    B -> s^-1(L).
     """
     n = g.n
     adj = g.adj
@@ -492,6 +504,8 @@ def _graph_canon(g: Graph, root: Optional[int]) -> tuple:
     cols = [0] * n
     best_cols: list = []
     best_order: list = []
+    autos: list = []            # automorphisms found, as image lists
+    fixed: list = []            # the mask of the fixed points of each
 
     def search(k: int, tie: bool, used: int) -> bool:
         # tie: the prefix cand[:k] has the same columns as the best so far
@@ -499,15 +513,33 @@ def _graph_canon(g: Graph, root: Optional[int]) -> tuple:
         # found below, which leaves every open prefix tying the new best.
         if k == n:
             if tie:
+                perm = [0] * n
+                for b, v in zip(best_order, cand):
+                    perm[b] = v
+                autos.append(perm)
+                fixed.append(sum(1 << v for v in range(n) if perm[v] == v))
                 return False
             best_cols[:] = cols
             best_order[:] = cand
             return True
         found = False
         prefix = cand[:k]
+        tried = 0           # the tried siblings' orbit under `gens`
+        gens: list = []     # the found automorphisms fixing cand[:k]
+        known = 0           # how many found automorphisms gens has seen
         for v in slot_cells[k]:
             if used >> v & 1:
                 continue
+            if tried:
+                if known < len(autos):
+                    gens += [a for a, f in zip(autos[known:], fixed[known:])
+                             if used & ~f == 0]
+                    known = len(autos)
+                if gens:
+                    tried = _orbit_closure(tried, gens)
+                    if tried >> v & 1:
+                        continue
+            tried |= 1 << v
             row = adj[v]
             col = 0
             for u in prefix:
@@ -525,31 +557,63 @@ def _graph_canon(g: Graph, root: Optional[int]) -> tuple:
     for j in range(1, n):
         bits = bits << j | best_cols[j]
     tag = b"G" if root is None else b"g"
-    return tag + n.to_bytes(1, "big") + bits.to_bytes((n * n + 7) // 8, "big"), best_order
+    code = tag + n.to_bytes(1, "big") + bits.to_bytes((n * n + 7) // 8, "big")
+    return code, best_order, autos
 
 
-def canonical_form(g: Graph, root: Optional[int] = None) -> bytes:
+def _orbit_closure(mask: int, gens: Sequence[Sequence[int]]) -> int:
+    """The set of points (a bitmask) closed under the permutations gens
+    (image lists)."""
+    stack = _bits(mask)
+    while stack:
+        v = stack.pop()
+        for a in gens:
+            u = a[v]
+            if not mask >> u & 1:
+                mask |= 1 << u
+                stack.append(u)
+    return mask
+
+
+def canonical_form(g: Graph, root: Optional[int] = None,
+                   found: Optional[list] = None) -> bytes:
     """Canonical byte string: equal iff (rooted-)isomorphic.
 
     Connected acyclic graphs use the linear-time tree code; everything else
     uses color refinement and a search over the orderings of the color
-    classes, pruned where a partial code already exceeds the best, which
-    is exact at these sizes.
+    classes (_graph_canon), pruned where a partial code already exceeds the
+    best and where an automorphism found so far maps a tried branch onto an
+    untried one.  Either pruning skips only leaves whose codes are not
+    smaller than one already seen, and no earlier in the search order, so
+    the code is the least over every ordering the coloring allows.
+
+    found, when given, receives [order, automorphisms]: the canonical
+    ordering canonical_relabel uses and, for a graph that is not a tree,
+    automorphisms (image lists) that generate the automorphism group of
+    (g, root); a tree runs no search and reports none.
     """
     if g.is_tree():
-        return _tree_canon(g, root, False)[0]
-    return _graph_canon(g, root)[0]
+        code, order = _tree_canon(g, root)
+        autos: list = []
+    else:
+        code, order, autos = _graph_canon(g, root)
+    if found is not None:
+        found[:] = order, autos
+    return code
 
 
 def canonical_relabel(g: Graph, root: Optional[int] = None) -> Graph:
     """A canonically relabeled copy: isomorphic inputs give identical output.
 
-    When a root is given it lands on vertex 0 of the result.
+    When a root is given it lands on vertex 0 of the result.  An enumerated
+    representative reuses the ordering its enumeration kept.
     """
-    if g.is_tree():
-        order = _tree_canon(g, root, True)[1]
-    else:
-        order = _graph_canon(g, root)[1]
+    order = _ORDERS.get((g, root))
+    if order is None:
+        if g.is_tree():
+            order = _tree_canon(g, root)[1]
+        else:
+            order = _graph_canon(g, root)[1]
     perm = [0] * g.n
     for i, v in enumerate(order):
         perm[v] = i
@@ -627,6 +691,96 @@ def active_vertices(k: RootedKernel, kind: str) -> ActiveSet:
 GRAPH_ENUM_CAP = 7
 TREE_ENUM_CAP = 14
 
+# Kept by the enumerations: the canonical ordering of each representative,
+# keyed by (graph, root), and the automorphisms canonical_form found for the
+# connected-graph representatives below GRAPH_ENUM_CAP vertices, which are
+# the parents of the next size.
+_ORDERS: dict = {}
+_AUTOMORPHISMS: dict = {}
+
+
+def _orbit_minima(points: Iterable[int], gens: Sequence[Sequence[int]]) -> list:
+    """The points that are least in their orbit under the group generated
+    by gens (image lists), in increasing order."""
+    out = []
+    seen = 0
+    for x in points:
+        if not seen >> x & 1:
+            out.append(x)
+            seen |= _orbit_closure(1 << x, gens)
+    return out
+
+
+def _mask_action(a: Sequence[int]) -> list:
+    """The vertex permutation a acting on vertex masks, as an image list
+    over the masks of len(a) bits."""
+    img = [0] * (1 << len(a))
+    for m in range(1, len(img)):
+        low = m & -m
+        img[m] = img[m ^ low] | 1 << a[low.bit_length() - 1]
+    return img
+
+
+def _tree_orbit_keys(t: Graph) -> list:
+    """A key per vertex of the tree t, equal for two vertices iff some
+    automorphism maps one to the other: the codes of the subtrees on the
+    path from the center down to the vertex, each rooted where the path
+    enters it, a bicenter's two halves rooted at their centers.
+
+    An automorphism fixes the center set and maps each such subtree onto
+    one with the same code, so it keeps the key.  Conversely, equal keys
+    give an automorphism built from the top down: swap the halves if the
+    paths start in different ones (their codes are then equal), and at each
+    step swap two child subtrees with equal codes."""
+    centers = _tree_centers(t)
+    codes: dict = {}
+    for c in centers:
+        subtree_codes(t, c, codes)
+    if len(centers) == 1:
+        tops = [(centers[0], -1)]
+    else:
+        c, d = centers
+        tops = [(c, d), (d, c)]
+    keys: list = [()] * t.n
+    for v, p in tops:
+        keys[v] = (codes[v, p],)
+    stack = tops
+    while stack:
+        v, p = stack.pop()
+        for u in _bits(t.adj[v]):
+            if u != p:
+                keys[u] = keys[v] + (codes[u, v],)
+                stack.append((u, v))
+    return keys
+
+
+def vertex_orbits(g: Graph) -> list:
+    """Automorphism orbits of the vertices, each in increasing order, by
+    least vertex: a tree's from _tree_orbit_keys, else from the
+    automorphisms _graph_canon finds."""
+    if g.is_tree():
+        orbits: dict = {}
+        for v, key in enumerate(_tree_orbit_keys(g)):
+            orbits.setdefault(key, []).append(v)
+        return list(orbits.values())
+    autos = _graph_canon(g, None)[2]
+    return [_bits(_orbit_closure(1 << v, autos))
+            for v in _orbit_minima(range(g.n), autos)]
+
+
+def _add_class(out: dict, g: Graph, root: Optional[int], item) -> list:
+    """Put item in out under the code of (g, root) unless its class is
+    there already.  A new class keeps its canonical ordering, and the
+    result is then [order, automorphisms] as canonical_form gives them;
+    else it is empty."""
+    found: list = []
+    code = canonical_form(g, root, found)
+    if code in out:
+        return []
+    out[code] = item
+    _ORDERS[g, root] = tuple(found[0])
+    return found
+
 
 @lru_cache(maxsize=None)
 def enumerate_connected_graphs(n: int) -> tuple:
@@ -634,7 +788,11 @@ def enumerate_connected_graphs(n: int) -> tuple:
 
     Builds candidates by attaching a new vertex to every nonempty subset of
     each (n-1)-vertex class representative; every connected graph has a
-    non-cutting vertex, so every class is reached.
+    non-cutting vertex, so every class is reached.  Only the subsets least
+    in their orbit under the automorphisms of the parent are tried: another
+    subset in the orbit gives an isomorphic graph, after the least one.  So
+    each class keeps the first candidate that reaches it, as trying every
+    subset would.
     """
     if not (1 <= n <= GRAPH_ENUM_CAP):
         raise ValueError("connected-graph enumeration capped at %d vertices" % GRAPH_ENUM_CAP)
@@ -642,25 +800,30 @@ def enumerate_connected_graphs(n: int) -> tuple:
         return (Graph(1, (0,)),)
     out: dict[bytes, Graph] = {}
     for g in enumerate_connected_graphs(n - 1):
-        for mask in range(1, 1 << (n - 1)):
+        gens = [_mask_action(a) for a in _AUTOMORPHISMS.get(g, ())]
+        for mask in _orbit_minima(range(1, 1 << (n - 1)), gens):
             h = g.add_vertex(mask)
-            out.setdefault(canonical_form(h), h)
+            found = _add_class(out, h, None, h)
+            if found and n < GRAPH_ENUM_CAP:
+                _AUTOMORPHISMS[h] = found[1]
     return tuple(h for _, h in sorted(out.items()))
 
 
 @lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> tuple:
     """All trees on n <= 14 vertices, one per isomorphism class, built by
-    leaf augmentation with canonical deduplication."""
+    leaf augmentation with canonical deduplication.  A leaf goes only at
+    the least vertex of each automorphism orbit of the parent, which keeps
+    the first candidate of each class."""
     if not (1 <= n <= TREE_ENUM_CAP):
         raise ValueError("tree enumeration capped at %d vertices" % TREE_ENUM_CAP)
     if n == 1:
         return (Graph(1, (0,)),)
     out: dict[bytes, Graph] = {}
     for t in enumerate_trees(n - 1):
-        for v in range(t.n):
-            h = t.add_vertex(1 << v)
-            out.setdefault(canonical_form(h), h)
+        for orbit in vertex_orbits(t):
+            h = t.add_vertex(1 << orbit[0])
+            _add_class(out, h, None, h)
     return tuple(g for _, g in sorted(out.items()))
 
 
@@ -678,6 +841,17 @@ def enumerate_connected_graphs_bruteforce(n: int) -> int:
     return len(seen)
 
 
+def _rooted_classes(sources: Iterable[Graph], keep) -> tuple:
+    """One rooted kernel per class over the roots that keep(g, o) accepts,
+    sorted by code."""
+    out: dict[bytes, RootedKernel] = {}
+    for g in sources:
+        for o in range(g.n):
+            if keep(g, o):
+                _add_class(out, g, o, RootedKernel(g, o))
+    return tuple(k for _, k in sorted(out.items()))
+
+
 @lru_cache(maxsize=None)
 def enumerate_graph_kernels() -> tuple:
     """The rooted 6-vertex kernels: connected, root degree >= 3, and no
@@ -686,27 +860,19 @@ def enumerate_graph_kernels() -> tuple:
     Both domination exclusions are sound for maximum-weight roots; together
     they give the 155 rooted classes the verification stage iterates over.
     """
-    out: dict[bytes, RootedKernel] = {}
-    for g in enumerate_connected_graphs(6):
-        for o in range(6):
-            if g.degree(o) < 3:
-                continue
-            k = RootedKernel(g, o)
-            if has_strictly_dominating_vertex(k) or has_open_dominating_vertex(k):
-                continue
-            out.setdefault(canonical_form(g, o), k)
-    return tuple(k for _, k in sorted(out.items()))
+    def keep(g: Graph, o: int) -> bool:
+        if g.degree(o) < 3:
+            return False
+        k = RootedKernel(g, o)
+        return not (has_strictly_dominating_vertex(k) or has_open_dominating_vertex(k))
+
+    return _rooted_classes(enumerate_connected_graphs(6), keep)
 
 
 @lru_cache(maxsize=None)
 def enumerate_tree_kernels() -> tuple:
     """The rooted 10-vertex tree kernels: root degree >= 3 (194 classes)."""
-    out: dict[bytes, RootedKernel] = {}
-    for t in enumerate_trees(10):
-        for o in range(10):
-            if t.degree(o) >= 3:
-                out.setdefault(canonical_form(t, o), RootedKernel(t, o))
-    return tuple(k for _, k in sorted(out.items()))
+    return _rooted_classes(enumerate_trees(10), lambda t, o: t.degree(o) >= 3)
 
 
 def automorphism_count(g: Graph) -> int:

@@ -52,7 +52,6 @@ from .algebra import (
 from .graphs import (
     Graph,
     bifork_graph,
-    canonical_form,
     canonical_relabel,
     cycle_graph,
     e_graph,
@@ -61,6 +60,7 @@ from .graphs import (
     fork_graph,
     path_graph,
     subtree_codes,
+    vertex_orbits,
     write_graph6,
 )
 
@@ -526,14 +526,6 @@ def two_sqrt_d_plus_3_exceeds(d: int, threshold: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 # master vertex identification
 # ---------------------------------------------------------------------------
-
-def vertex_orbits(g: Graph) -> list:
-    """Automorphism orbits of the vertices, via rooted canonical forms."""
-    codes = {}
-    for v in range(g.n):
-        codes.setdefault(canonical_form(g, v), []).append(v)
-    return sorted(codes.values())
-
 
 def master_vertex(g: Graph, eps: Fraction = Fraction(1, 2 ** 60)) -> int:
     """A vertex of certified maximal Perron weight (lowest id within ties).

@@ -366,9 +366,9 @@ def test_packed_pass_matches_shifted_coefficients():
     for c, um, vm, beta, lo in _packed_points():
         q, _ = c.q_poly(um, vm, beta)
         x = Fraction(math.floor(lo * grid), grid)
-        got = c.packed_pass(um, vm, beta, lo)
+        got = c.packed_pass(um, vm, beta, grid_index(lo))
         assert got == q.all_coeffs_nonneg_shifted(x)
-        assert c.packed_pass(vm, um, beta, lo) == got
+        assert c.packed_pass(vm, um, beta, grid_index(lo)) == got
         if got:
             assert q.all_coeffs_nonneg_shifted(lo)
         seen.add(got)

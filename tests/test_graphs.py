@@ -13,7 +13,11 @@ from perronbalance.graphs import (
     Graph,
     Graph6Error,
     RootedKernel,
+    _AUTOMORPHISMS,
+    _ORDERS,
     _graph_canon,
+    _tree_canon,
+    _tree_orbit_keys,
     active_vertices,
     attach_fork,
     attach_path,
@@ -37,6 +41,7 @@ from perronbalance.graphs import (
     parse_graph6,
     path_graph,
     star_graph,
+    vertex_orbits,
     write_edge_list,
     write_graph6,
 )
@@ -180,9 +185,9 @@ def _assert_relabel_invariant(g, data):
         assert canonical_form(moved, perm[root]) == canonical_form(g, root)
 
 
-# for graphs that are not trees the search tries every ordering whose columns
-# tie the best so far, so K_n still visits n! leaves and a symmetric graph on
-# many vertices would take very long
+# for graphs that are not trees the search tries the orderings whose columns
+# tie the best so far up to the automorphisms it has found, which on a
+# symmetric graph of many vertices can still be very many
 @settings(max_examples=80, deadline=None)
 @given(_graphs(max_n=8), st.data())
 def test_canonical_form_relabel_invariance_fuzz(g, data):
@@ -284,7 +289,7 @@ def _exhaustive_graph_canon(g, root):
 
 def _assert_search_matches_reference(g, roots):
     for root in roots:
-        assert _graph_canon(g, root) == _exhaustive_graph_canon(g, root), (g, root)
+        assert _graph_canon(g, root)[:2] == _exhaustive_graph_canon(g, root), (g, root)
 
 
 def test_graph_canon_matches_exhaustive_small():
@@ -324,6 +329,154 @@ def test_graph_canon_matches_exhaustive_large_cells():
     cube = Graph.from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
     for g in (complete_graph(7), c7, c7_complement, k33, k44, cube, cycle_graph(8)):
         _assert_search_matches_reference(g, [None, 0])
+
+
+def _group_closure(gens, n):
+    """Every product of the permutations gens (image lists) on n points."""
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        p = stack.pop()
+        for a in gens:
+            q = tuple(a[v] for v in p)
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return group
+
+
+def _brute_force_group(g):
+    return {p for p in itertools.permutations(range(g.n)) if g.relabel(p) == g}
+
+
+def test_graph_canon_automorphisms_generate_the_group():
+    """On every connected graph <= 6, as enumerated and randomly relabelled,
+    unrooted and at every root, the automorphisms the search returns
+    generate exactly the (root-fixing) automorphism group."""
+    rng = random.Random(5)
+    checked = 0
+    for n in range(1, 7):
+        for base in enumerate_connected_graphs(n):
+            for g in (base, random_relabel(base, rng)):
+                group = _brute_force_group(g)
+                for root in (None, *range(n)):
+                    want = {p for p in group if root is None or p[root] == root}
+                    assert _group_closure(_graph_canon(g, root)[2], n) == want
+                    checked += 1
+    assert checked == 2 * sum(len(enumerate_connected_graphs(n)) * (n + 1)
+                              for n in range(1, 7))
+
+
+def test_kept_automorphisms_are_the_search_result():
+    """The enumerations keep the automorphisms of the representatives below
+    the cap, which are the parents of the next size, and nothing for the
+    last size."""
+    for n in range(2, 7):
+        for g in enumerate_connected_graphs(n):
+            if not g.is_tree():
+                assert _AUTOMORPHISMS[g] == _graph_canon(g, None)[2]
+    assert not any(g in _AUTOMORPHISMS for g in enumerate_connected_graphs(7))
+
+
+def _classes(keys):
+    out = {}
+    for v, key in enumerate(keys):
+        out.setdefault(key, []).append(v)
+    return sorted(out.values())
+
+
+def test_vertex_orbits_are_the_rooted_classes():
+    """vertex_orbits splits the vertices of every connected graph <= 6 and
+    every tree <= 10, as enumerated and randomly relabelled, exactly as
+    rooted canonical forms do; for a tree the subtree-code chains alone."""
+    rng = random.Random(6)
+    sources = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    sources += [t for n in range(1, 11) for t in enumerate_trees(n)]
+    for base in sources:
+        for g in (base, random_relabel(base, rng)):
+            want = _classes([canonical_form(g, v) for v in range(g.n)])
+            assert vertex_orbits(g) == want
+            if g.is_tree():
+                assert _classes(_tree_orbit_keys(g)) == want
+
+
+# plain augmentation, the oracle for the orbit-pruned enumerations: every
+# subset, every leaf position, every root
+
+def _plain_connected_graphs(n):
+    if n == 1:
+        return (Graph(1, (0,)),)
+    out = {}
+    for g in _plain_connected_graphs(n - 1):
+        for mask in range(1, 1 << (n - 1)):
+            h = g.add_vertex(mask)
+            out.setdefault(canonical_form(h), h)
+    return tuple(h for _, h in sorted(out.items()))
+
+
+def _plain_trees(n):
+    if n == 1:
+        return (Graph(1, (0,)),)
+    out = {}
+    for t in _plain_trees(n - 1):
+        for v in range(t.n):
+            h = t.add_vertex(1 << v)
+            out.setdefault(canonical_form(h), h)
+    return tuple(h for _, h in sorted(out.items()))
+
+
+def _plain_kernels(sources, keep):
+    out = {}
+    for g in sources:
+        for o in range(g.n):
+            if keep(RootedKernel(g, o)):
+                out.setdefault(canonical_form(g, o), RootedKernel(g, o))
+    return tuple(k for _, k in sorted(out.items()))
+
+
+def test_pruned_enumerations_equal_plain_augmentation():
+    """Same labelled representatives in the same order: graphs <= 7, trees
+    <= 12 and both kernel enumerations."""
+    for n in range(1, 8):
+        assert enumerate_connected_graphs(n) == _plain_connected_graphs(n), n
+    for n in range(1, 13):
+        assert enumerate_trees(n) == _plain_trees(n), n
+
+    def graph_kernel(k):
+        return k.graph.degree(k.root) >= 3 and not (
+            has_strictly_dominating_vertex(k) or has_open_dominating_vertex(k))
+
+    assert enumerate_graph_kernels() == _plain_kernels(
+        _plain_connected_graphs(6), graph_kernel)
+    assert enumerate_tree_kernels() == _plain_kernels(
+        _plain_trees(10), lambda k: k.graph.degree(k.root) >= 3)
+
+
+def _fresh_relabel(g, root=None):
+    """canonical_relabel by a new search, whatever the enumerations kept."""
+    order = (_tree_canon if g.is_tree() else _graph_canon)(g, root)[1]
+    perm = [0] * g.n
+    for i, v in enumerate(order):
+        perm[v] = i
+    return g.relabel(perm)
+
+
+def test_kept_orders_equal_a_fresh_search():
+    """Every table row (graphs on 6 and 7 vertices, trees on 8..12) and
+    every kernel is relabelled from the order its enumeration kept, and
+    that equals a fresh search on a randomly relabelled copy."""
+    rng = random.Random(8)
+    rows = [g for n in (6, 7) for g in enumerate_connected_graphs(n)]
+    rows += [t for n in range(8, 13) for t in enumerate_trees(n)]
+    for g in rows:
+        assert (g, None) in _ORDERS
+        assert canonical_relabel(g) == _fresh_relabel(random_relabel(g, rng))
+    for k in enumerate_graph_kernels() + enumerate_tree_kernels():
+        assert (k.graph, k.root) in _ORDERS
+        perm = list(range(k.graph.n))
+        rng.shuffle(perm)
+        moved = _fresh_relabel(k.graph.relabel(perm), perm[k.root])
+        assert canonical_relabel(k.graph, k.root) == moved
 
 
 def test_canonical_relabel_invariance():
