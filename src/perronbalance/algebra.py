@@ -230,9 +230,6 @@ class IntPoly:
         scaled = [self.coeffs[k] * b ** (d - k) for k in range(d + 1)]
         return IntPoly._from_ints(scaled).shift_int(a)
 
-    def all_coeffs_nonneg_shifted(self, q: Rat) -> bool:
-        return all(c >= 0 for c in self.shift_scaled(q).coeffs)
-
     def certifies_no_roots_above(self, q: Rat) -> bool:
         """True if the shifted coefficients prove p has no real root > q.
 
@@ -748,7 +745,8 @@ def ray_verdict(q: IntPoly, lo: Fraction, hi: Fraction) -> tuple:
     to lie in [lo, hi].
 
     Returns (kind, witness) from the first rung that decides.
-    "coefficients": the coefficients of q shifted to lo are nonnegative.
+    "coefficients": q is not zero and its coefficients shifted to lo are
+    nonnegative (certifies_no_roots_above).
     "fail": q(witness) < 0 exactly, at hi or at the first negative point
     of _root_separating_points(q, hi); witness >= hi, so the inequality is
     false on the true ray.  "sturm": q(lo) >= 0 and q > 0 at the points of
@@ -758,7 +756,7 @@ def ray_verdict(q: IntPoly, lo: Fraction, hi: Fraction) -> tuple:
     is the one reports read.  "undecided": the sign trouble may lie inside
     [lo, hi]; tighten the enclosure of x0 and ask again.
     """
-    if q.all_coeffs_nonneg_shifted(lo):
+    if q.certifies_no_roots_above(lo):
         return "coefficients", None
     if q.sign_at(hi) < 0:
         return "fail", hi

@@ -131,8 +131,8 @@ def cmd_gamma(args) -> int:
     print("graph6   %s" % args.graph if ";" not in args.graph else "")
     print("lambda   [%s, %s]" % (lam.lo, lam.hi))
     print("lambda ~ %.10f" % lam.mid_float())
-    print("gamma    %s" % _interval_text(gv.value))
-    print("gamma  ~ %.10f" % gv.midpoint())
+    print("gamma    %s" % _interval_text(gv))
+    print("gamma  ~ %.10f" % gv.mid_float())
     if args.format == "json" or args.out:
         doc = reports.gamma_json(write_graph6(g), lam, gv)
         text = reports.dump_json(doc)

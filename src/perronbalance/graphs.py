@@ -6,9 +6,9 @@ machine word.  Enumerations are desk-scale and deterministic: augmentation
 plus canonical-form deduplication, with results sorted by canonical code.
 Canonical forms of trees are sorted subtree codes; other graphs get color
 refinement and then a search for the least adjacency code over the
-orderings the coloring allows (canonical_form), which also finds the
-automorphisms.  The enumerations try one augmentation per orbit of the
-parent's group and keep each representative's canonical ordering.
+orderings the coloring allows.  Both return generators of the automorphism
+group (canonical_form), and the enumerations try one augmentation per orbit
+of the parent's group and keep each representative's canonical ordering.
 """
 
 from __future__ import annotations
@@ -409,9 +409,13 @@ def subtree_codes(g: Graph, root: int, codes: Optional[dict] = None) -> bytes:
     return _subtree_walk(g, root, codes)[0]
 
 
-def _subtree_walk(g: Graph, root: int, codes: Optional[dict]) -> tuple:
+def _subtree_walk(g: Graph, root: int, codes: Optional[dict],
+                  gens: Optional[list] = None) -> tuple:
     """subtree_codes(g, root, codes), and the vertices depth first from
-    root with the children of each in increasing (code, label) order."""
+    root with the children of each in increasing (code, label) order.
+    gens, when given, receives the swap of each two adjacent children with
+    equal codes, as bytes image lists (see _tree_canon)."""
+    ident = bytes(range(g.n)) if gens is not None else b""
 
     def encode(v: int, parent: int) -> tuple:
         # ties on the code compare the walks, which start at distinct labels
@@ -422,20 +426,52 @@ def _subtree_walk(g: Graph, root: int, codes: Optional[dict]) -> tuple:
         walk = [v]
         for _, w in subs:
             walk += w
+        if gens is not None and len(subs) > 1:
+            for (c, w), (d, x) in zip(subs, subs[1:]):
+                if c == d:
+                    img = bytearray(ident)
+                    for a, b in zip(w, x):
+                        img[a] = b
+                        img[b] = a
+                    gens.append(bytes(img))
         return code, walk
 
     return encode(root, -1)
 
 
 def _tree_canon(g: Graph, root: Optional[int]) -> tuple:
-    """Canonical code and order of a tree (rooted or free): the sorted
-    subtree code and the walk of _subtree_walk.  A free tree is rooted at
-    the center with the least code, the lower label on a tie."""
-    if root is None:
-        code, order = min(_subtree_walk(g, c, None) for c in _tree_centers(g))
-        return b"T" + code, order
-    code, order = _subtree_walk(g, root, None)
-    return b"R" + code, order
+    """Canonical code, order and automorphism generators of a tree (rooted
+    or free): the sorted subtree code and the walk of _subtree_walk.  A
+    free tree is rooted at the center with the least code, the lower label
+    on a tie.
+
+    Two children with equal codes root isomorphic subtrees, and their walks
+    list them in matching order, so w1[i] <-> w2[i] is an automorphism.  The
+    swaps of adjacent equal children generate the symmetric group on each
+    run of equal siblings, and with the swaps inside the subtrees they
+    generate the group of the rooted tree, by induction on the height
+    (C. Jordan, J. Reine Angew. Math. 70, 1869).  A free tree's group fixes
+    its center set, so a single center's walk gives the whole group.  Of a
+    bicenter {c, d}, the group fixing c, which is the group fixing d, comes
+    from the walk from c alone, and when the two rootings have equal codes
+    the map walk_c[i] -> walk_d[i] adds the automorphisms exchanging c and
+    d.
+    """
+    gens: list = []
+    if root is not None:
+        code, order = _subtree_walk(g, root, None, gens)
+        return b"R" + code, order, gens
+    c, *rest = _tree_centers(g)
+    code, order = _subtree_walk(g, c, None, gens)
+    if rest:
+        other = _subtree_walk(g, rest[0], None)
+        if other[0] == code:
+            img = bytearray(g.n)
+            for a, b in zip(order, other[1]):
+                img[a] = b
+            gens.append(bytes(img))
+        code, order = min((code, order), other)
+    return b"T" + code, order, gens
 
 
 def _tree_centers(g: Graph) -> list:
@@ -504,7 +540,7 @@ def _graph_canon(g: Graph, root: Optional[int]) -> tuple:
     cols = [0] * n
     best_cols: list = []
     best_order: list = []
-    autos: list = []            # automorphisms found, as image lists
+    autos: list = []            # automorphisms found, as bytes image lists
     fixed: list = []            # the mask of the fixed points of each
 
     def search(k: int, tie: bool, used: int) -> bool:
@@ -513,10 +549,10 @@ def _graph_canon(g: Graph, root: Optional[int]) -> tuple:
         # found below, which leaves every open prefix tying the new best.
         if k == n:
             if tie:
-                perm = [0] * n
+                perm = bytearray(n)
                 for b, v in zip(best_order, cand):
                     perm[b] = v
-                autos.append(perm)
+                autos.append(bytes(perm))
                 fixed.append(sum(1 << v for v in range(n) if perm[v] == v))
                 return False
             best_cols[:] = cols
@@ -575,30 +611,30 @@ def _orbit_closure(mask: int, gens: Sequence[Sequence[int]]) -> int:
     return mask
 
 
+def _canon(g: Graph, root: Optional[int]) -> tuple:
+    return (_tree_canon if g.is_tree() else _graph_canon)(g, root)
+
+
 def canonical_form(g: Graph, root: Optional[int] = None,
                    found: Optional[list] = None) -> bytes:
     """Canonical byte string: equal iff (rooted-)isomorphic.
 
-    Connected acyclic graphs use the linear-time tree code; everything else
-    uses color refinement and a search over the orderings of the color
-    classes (_graph_canon), pruned where a partial code already exceeds the
-    best and where an automorphism found so far maps a tried branch onto an
-    untried one.  Either pruning skips only leaves whose codes are not
-    smaller than one already seen, and no earlier in the search order, so
-    the code is the least over every ordering the coloring allows.
+    Connected acyclic graphs use the linear-time tree code (_tree_canon);
+    everything else uses color refinement and a search over the orderings
+    of the color classes (_graph_canon), pruned where a partial code
+    already exceeds the best and where an automorphism found so far maps a
+    tried branch onto an untried one.  Either pruning skips only leaves
+    whose codes are not smaller than one already seen, and no earlier in
+    the search order, so the code is the least over every ordering the
+    coloring allows.
 
-    found, when given, receives [order, automorphisms]: the canonical
-    ordering canonical_relabel uses and, for a graph that is not a tree,
-    automorphisms (image lists) that generate the automorphism group of
-    (g, root); a tree runs no search and reports none.
+    found, when given, receives [order, generators]: the canonical ordering
+    canonical_relabel uses and automorphisms (bytes image lists) that
+    generate the automorphism group of (g, root).
     """
-    if g.is_tree():
-        code, order = _tree_canon(g, root)
-        autos: list = []
-    else:
-        code, order, autos = _graph_canon(g, root)
+    code, order, gens = _canon(g, root)
     if found is not None:
-        found[:] = order, autos
+        found[:] = order, gens
     return code
 
 
@@ -610,10 +646,7 @@ def canonical_relabel(g: Graph, root: Optional[int] = None) -> Graph:
     """
     order = _ORDERS.get((g, root))
     if order is None:
-        if g.is_tree():
-            order = _tree_canon(g, root)[1]
-        else:
-            order = _graph_canon(g, root)[1]
+        order = _canon(g, root)[1]
     perm = [0] * g.n
     for i, v in enumerate(order):
         perm[v] = i
@@ -692,9 +725,9 @@ GRAPH_ENUM_CAP = 7
 TREE_ENUM_CAP = 14
 
 # Kept by the enumerations: the canonical ordering of each representative,
-# keyed by (graph, root), and the automorphisms canonical_form found for the
-# connected-graph representatives below GRAPH_ENUM_CAP vertices, which are
-# the parents of the next size.
+# keyed by (graph, root), and the automorphism generators canonical_form
+# gave for the representatives below the cap with a nontrivial group, which
+# are the parents of the next size.
 _ORDERS: dict = {}
 _AUTOMORPHISMS: dict = {}
 
@@ -721,58 +754,19 @@ def _mask_action(a: Sequence[int]) -> list:
     return img
 
 
-def _tree_orbit_keys(t: Graph) -> list:
-    """A key per vertex of the tree t, equal for two vertices iff some
-    automorphism maps one to the other: the codes of the subtrees on the
-    path from the center down to the vertex, each rooted where the path
-    enters it, a bicenter's two halves rooted at their centers.
-
-    An automorphism fixes the center set and maps each such subtree onto
-    one with the same code, so it keeps the key.  Conversely, equal keys
-    give an automorphism built from the top down: swap the halves if the
-    paths start in different ones (their codes are then equal), and at each
-    step swap two child subtrees with equal codes."""
-    centers = _tree_centers(t)
-    codes: dict = {}
-    for c in centers:
-        subtree_codes(t, c, codes)
-    if len(centers) == 1:
-        tops = [(centers[0], -1)]
-    else:
-        c, d = centers
-        tops = [(c, d), (d, c)]
-    keys: list = [()] * t.n
-    for v, p in tops:
-        keys[v] = (codes[v, p],)
-    stack = tops
-    while stack:
-        v, p = stack.pop()
-        for u in _bits(t.adj[v]):
-            if u != p:
-                keys[u] = keys[v] + (codes[u, v],)
-                stack.append((u, v))
-    return keys
-
-
 def vertex_orbits(g: Graph) -> list:
     """Automorphism orbits of the vertices, each in increasing order, by
-    least vertex: a tree's from _tree_orbit_keys, else from the
-    automorphisms _graph_canon finds."""
-    if g.is_tree():
-        orbits: dict = {}
-        for v, key in enumerate(_tree_orbit_keys(g)):
-            orbits.setdefault(key, []).append(v)
-        return list(orbits.values())
-    autos = _graph_canon(g, None)[2]
-    return [_bits(_orbit_closure(1 << v, autos))
-            for v in _orbit_minima(range(g.n), autos)]
+    least vertex."""
+    gens = _canon(g, None)[2]
+    return [_bits(_orbit_closure(1 << v, gens))
+            for v in _orbit_minima(range(g.n), gens)]
 
 
 def _add_class(out: dict, g: Graph, root: Optional[int], item) -> list:
     """Put item in out under the code of (g, root) unless its class is
     there already.  A new class keeps its canonical ordering, and the
-    result is then [order, automorphisms] as canonical_form gives them;
-    else it is empty."""
+    result is then [order, generators] as canonical_form gives them; else
+    it is empty."""
     found: list = []
     code = canonical_form(g, root, found)
     if code in out:
@@ -782,63 +776,51 @@ def _add_class(out: dict, g: Graph, root: Optional[int], item) -> list:
     return found
 
 
-@lru_cache(maxsize=None)
-def enumerate_connected_graphs(n: int) -> tuple:
-    """All connected graphs on n <= 7 vertices, one per isomorphism class.
-
-    Builds candidates by attaching a new vertex to every nonempty subset of
-    each (n-1)-vertex class representative; every connected graph has a
-    non-cutting vertex, so every class is reached.  Only the subsets least
-    in their orbit under the automorphisms of the parent are tried: another
-    subset in the orbit gives an isomorphic graph, after the least one.  So
-    each class keeps the first candidate that reaches it, as trying every
-    subset would.
-    """
-    if not (1 <= n <= GRAPH_ENUM_CAP):
-        raise ValueError("connected-graph enumeration capped at %d vertices" % GRAPH_ENUM_CAP)
-    if n == 1:
-        return (Graph(1, (0,)),)
+def _augment(parents: Iterable[Graph], cap: int, subsets: bool) -> tuple:
+    """The classes reached by adding one vertex to each parent, sorted by
+    code: joined to each nonempty vertex subset (subsets) or to each single
+    vertex.  Only the candidates least in their orbit under the parent's
+    group are tried; another in the orbit gives an isomorphic graph, after
+    the least one, so each class keeps the first candidate that reaches it,
+    as trying them all would.  Representatives below cap keep their
+    generators for the next size."""
     out: dict[bytes, Graph] = {}
-    for g in enumerate_connected_graphs(n - 1):
-        gens = [_mask_action(a) for a in _AUTOMORPHISMS.get(g, ())]
-        for mask in _orbit_minima(range(1, 1 << (n - 1)), gens):
+    for g in parents:
+        gens = _AUTOMORPHISMS.get(g, ())
+        if subsets:
+            masks = _orbit_minima(range(1, 1 << g.n), [_mask_action(a) for a in gens])
+        else:
+            masks = [1 << v for v in _orbit_minima(range(g.n), gens)]
+        for mask in masks:
             h = g.add_vertex(mask)
             found = _add_class(out, h, None, h)
-            if found and n < GRAPH_ENUM_CAP:
-                _AUTOMORPHISMS[h] = found[1]
+            if found and found[1] and h.n < cap:
+                _AUTOMORPHISMS[h] = tuple(found[1])
     return tuple(h for _, h in sorted(out.items()))
 
 
 @lru_cache(maxsize=None)
+def enumerate_connected_graphs(n: int) -> tuple:
+    """All connected graphs on n <= 7 vertices, one per isomorphism class:
+    a new vertex joined to every nonempty subset of each (n-1)-vertex
+    representative.  Every connected graph has a non-cutting vertex, so
+    every class is reached."""
+    if not (1 <= n <= GRAPH_ENUM_CAP):
+        raise ValueError("connected-graph enumeration capped at %d vertices" % GRAPH_ENUM_CAP)
+    if n == 1:
+        return (Graph(1, (0,)),)
+    return _augment(enumerate_connected_graphs(n - 1), GRAPH_ENUM_CAP, True)
+
+
+@lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> tuple:
-    """All trees on n <= 14 vertices, one per isomorphism class, built by
-    leaf augmentation with canonical deduplication.  A leaf goes only at
-    the least vertex of each automorphism orbit of the parent, which keeps
-    the first candidate of each class."""
+    """All trees on n <= 14 vertices, one per isomorphism class: a leaf
+    added at every vertex of each (n-1)-vertex representative."""
     if not (1 <= n <= TREE_ENUM_CAP):
         raise ValueError("tree enumeration capped at %d vertices" % TREE_ENUM_CAP)
     if n == 1:
         return (Graph(1, (0,)),)
-    out: dict[bytes, Graph] = {}
-    for t in enumerate_trees(n - 1):
-        for orbit in vertex_orbits(t):
-            h = t.add_vertex(1 << orbit[0])
-            _add_class(out, h, None, h)
-    return tuple(g for _, g in sorted(out.items()))
-
-
-def enumerate_connected_graphs_bruteforce(n: int) -> int:
-    """Independent class count over all edge subsets; cross-check for n <= 6."""
-    if n > 6:
-        raise ValueError("brute-force check capped at 6 vertices")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen = set()
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        g = Graph.from_edges(n, edges)
-        if g.is_connected():
-            seen.add(canonical_form(g))
-    return len(seen)
+    return _augment(enumerate_trees(n - 1), TREE_ENUM_CAP, False)
 
 
 def _rooted_classes(sources: Iterable[Graph], keep) -> tuple:
@@ -873,39 +855,3 @@ def enumerate_graph_kernels() -> tuple:
 def enumerate_tree_kernels() -> tuple:
     """The rooted 10-vertex tree kernels: root degree >= 3 (194 classes)."""
     return _rooted_classes(enumerate_trees(10), lambda t, o: t.degree(o) >= 3)
-
-
-def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group (trees only; used for the labeled
-    Cayley-count cross-check of the tree enumeration)."""
-    if not g.is_tree():
-        raise ValueError("automorphism_count implemented for trees only")
-
-    def count(v: int, parent: int) -> tuple:
-        subs = [count(u, v) for u in _bits(g.adj[v]) if u != parent]
-        subs.sort(key=lambda s: s[0])
-        total = 1
-        i = 0
-        while i < len(subs):
-            j = i
-            while j < len(subs) and subs[j][0] == subs[i][0]:
-                j += 1
-            run = j - i
-            fact = 1
-            for m in range(2, run + 1):
-                fact *= m
-            total *= fact
-            for k in range(i, j):
-                total *= subs[k][1]
-            i = j
-        code = b"(" + b"".join(s[0] for s in subs) + b")"
-        return code, total
-
-    centers = _tree_centers(g)
-    if len(centers) == 1:
-        return count(centers[0], -1)[1]
-    c1, c2 = centers
-    code1, n1 = count(c1, c2)
-    code2, n2 = count(c2, c1)
-    swap = 2 if code1 == code2 else 1
-    return n1 * n2 * swap

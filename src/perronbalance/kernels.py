@@ -234,7 +234,7 @@ def _classify_single(g: Graph, beta: Fraction, limit: SqrtRat) -> LeftoverGraph:
     gv = gamma_enclosure(enc, eps)
     below_beta = certified_below(enc.refine, beta, eps)
     below_limit = certified_below(enc.refine, limit, eps)
-    return LeftoverGraph(_canon6(g), gv.value.lo, gv.value.hi,
+    return LeftoverGraph(_canon6(g), gv.lo, gv.hi,
                          below_beta, below_limit)
 
 
@@ -589,8 +589,8 @@ def table_minimum_certified(rows: Sequence) -> bool:
     rows[0] the certified minimum.  The order of the other rows is not
     certified; rows with equal or nearly equal ratios overlap.
     """
-    top = rows[0].gamma.value.hi
-    return all(top < r.gamma.value.lo for r in rows[1:])
+    top = rows[0].gamma.hi
+    return all(top < r.gamma.lo for r in rows[1:])
 
 
 LAMBDA2_CERTIFIED_CAP = 16

@@ -15,8 +15,8 @@ import json
 from datetime import datetime, timezone
 from importlib import resources
 
+from .algebra import RationalInterval
 from .kernels import ProofCertificate, StageReport
-from .spectral import GammaValue
 
 
 def schema_text() -> str:
@@ -28,16 +28,16 @@ def _stamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def gamma_json(graph6: str, lam, gamma: GammaValue) -> dict:
+def gamma_json(graph6: str, lam, gamma: RationalInterval) -> dict:
     return {
         "type": "gamma-result",
         "generated_at": _stamp(),
         "graph6": graph6,
         "lambda": [str(lam.lo), str(lam.hi)],
-        "gamma": [str(gamma.value.lo), str(gamma.value.hi)],
+        "gamma": [str(gamma.lo), str(gamma.hi)],
         "lambda_mid": lam.mid_float(),
-        "gamma_mid": gamma.midpoint(),
-        "method": gamma.method,
+        "gamma_mid": gamma.mid_float(),
+        "method": "certified",
     }
 
 
@@ -150,7 +150,7 @@ def table_csv(rows) -> str:
     w = csv.writer(buf)
     w.writerow(["graph6", "gamma_lo", "gamma_hi", "lambda_lo", "lambda_hi"])
     for r in rows:
-        w.writerow([r.graph6, str(r.gamma.value.lo), str(r.gamma.value.hi),
+        w.writerow([r.graph6, str(r.gamma.lo), str(r.gamma.hi),
                     str(r.lam.lo), str(r.lam.hi)])
     return buf.getvalue()
 
@@ -159,7 +159,7 @@ def table_markdown(rows) -> str:
     lines = ["| graph6 | gamma | lambda |", "|---|---|---|"]
     for r in rows:
         lines.append("| `%s` | %.7f | %.7f |"
-                     % (r.graph6, r.gamma.midpoint(), r.lam.mid_float()))
+                     % (r.graph6, r.gamma.mid_float(), r.lam.mid_float()))
     return "\n".join(lines) + "\n"
 
 

@@ -366,23 +366,12 @@ def perron_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> PerronData:
     return ColumnEnclosure(g, DEFAULT_EPS).weights(eps)
 
 
-@dataclass(frozen=True)
-class GammaValue:
-    """Certified enclosure of the balance ratio of a graph."""
-
-    value: RationalInterval
-    method: str
-
-    def midpoint(self) -> float:
-        return self.value.mid_float()
-
-
 def gamma_enclosure(g: Union[Graph, ColumnEnclosure],
-                    eps: Fraction = Fraction(1, 10 ** 8)) -> GammaValue:
+                    eps: Fraction = Fraction(1, 10 ** 8)) -> RationalInterval:
     """Certified enclosure of gamma(G) with width <= eps, from a graph or
     from the first request to a fresh ColumnEnclosure the caller keeps."""
     enc = g if isinstance(g, ColumnEnclosure) else ColumnEnclosure(g)
-    return GammaValue(enc.refine(eps), "certified")
+    return enc.refine(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +464,7 @@ def gamma_family_closed_form(family: str, n: int) -> float:
     if family in fixed:
         if fixed[family] is not None:
             return fixed[family]
-        return gamma_enclosure(e_graph(family)).midpoint()
+        return gamma_enclosure(e_graph(family)).mid_float()
     raise ValueError("unknown family %r" % family)
 
 
@@ -561,7 +550,7 @@ def master_vertex(g: Graph, eps: Fraction = Fraction(1, 2 ** 60)) -> int:
 @dataclass(frozen=True)
 class TableRow:
     graph6: str
-    gamma: GammaValue
+    gamma: RationalInterval
     lam: RationalInterval
 
 
@@ -593,5 +582,5 @@ def min_gamma_table(n: int, kind: str, threshold: Threshold,
         rows.append(TableRow(write_graph6(canonical_relabel(g)), gv, lam))
         if certified_below(enc.refine, threshold, eps):
             below += 1
-    rows.sort(key=lambda r: (r.gamma.value.mid, r.graph6))
+    rows.sort(key=lambda r: (r.gamma.mid, r.graph6))
     return tuple(rows), below

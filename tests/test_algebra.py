@@ -188,10 +188,10 @@ def test_packed_shift_sign_matches_coefficients(case):
     k = scaled_eval([abs(c) for c in p.coeffs], 1 + abs(a), t, d).bit_length() + 1
     big_x = (1 << k) + a
     packed = scaled_eval(p.coeffs, big_x, t, d)
-    assert packed_nonneg(packed, k, d) == p.all_coeffs_nonneg_shifted(x)
+    shifted = fraction_taylor_shift(p.coeffs, x)
+    assert packed_nonneg(packed, k, d) == all(c >= 0 for c in shifted)
     # the digits are the shifted coefficients times 2^(t(D-j)), all within K
-    digits = [c * 2 ** (t * (d - j))
-              for j, c in enumerate(fraction_taylor_shift(p.coeffs, x))]
+    digits = [c * 2 ** (t * (d - j)) for j, c in enumerate(shifted)]
     assert all(s.denominator == 1 and abs(s) < 2 ** (k - 1) for s in digits)
     assert packed == sum(int(s) << k * j for j, s in enumerate(digits))
 

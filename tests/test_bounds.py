@@ -265,7 +265,7 @@ def test_q_poly_worked_example(ctx):
 def test_q_poly_beta_zero_all_nonneg_beyond(ctx):
     q, _ = ctx.q_poly(U3, 1 << 4, Fraction(0))
     lam_hi = lambda_enclosure(K3P3).hi
-    assert q.all_coeffs_nonneg_shifted(lam_hi + Fraction(1, 100))
+    assert q.certifies_no_roots_above(lam_hi + Fraction(1, 100))
 
 
 def test_check_pair_worked_example(ctx):
@@ -367,10 +367,10 @@ def test_packed_pass_matches_shifted_coefficients():
         q, _ = c.q_poly(um, vm, beta)
         x = Fraction(math.floor(lo * grid), grid)
         got = c.packed_pass(um, vm, beta, grid_index(lo))
-        assert got == q.all_coeffs_nonneg_shifted(x)
+        assert got == q.certifies_no_roots_above(x)
         assert c.packed_pass(vm, um, beta, grid_index(lo)) == got
         if got:
-            assert q.all_coeffs_nonneg_shifted(lo)
+            assert q.certifies_no_roots_above(lo)
         seen.add(got)
     assert seen == {True, False}
 
@@ -632,15 +632,15 @@ def test_bound_curves_endpoints(ctx):
     # one-vertex extension
     k3p4 = attach_path(complete_graph(3), 0, 4)
     g_ext = gamma_enclosure(k3p4, Fraction(1, 10 ** 7))
-    assert abs(rows[0][1] - g_ext.midpoint()) < 1e-4
-    assert abs(g_ext.midpoint() - 5.28092) < 1e-5
+    assert abs(rows[0][1] - g_ext.mid_float()) < 1e-4
+    assert abs(g_ext.mid_float() - 5.28092) < 1e-5
     # the master-weighted curve sits below the stage target at the start
     assert rows[0][2] < 5.25
 
 
 def test_bound_curves_limit_at_base_eigenvalue(ctx):
     lam_h = lambda_enclosure(K3P3, Fraction(1, 2 ** 40))
-    g_h = gamma_enclosure(K3P3, Fraction(1, 10 ** 8)).midpoint()
+    g_h = gamma_enclosure(K3P3, Fraction(1, 10 ** 8)).mid_float()
     near = bound_curves(ctx, U3, lam_h.hi + Fraction(1, 10 ** 7),
                         lam_h.hi + Fraction(1, 10 ** 6), 2)
     far = bound_curves(ctx, U3, lam_h.hi + Fraction(1, 10 ** 4),

@@ -61,7 +61,7 @@ def test_gamma_short_endpoints(capsys):
                 if l.startswith("gamma    "))
     assert len(line) <= 60
     lo, hi = (Fraction(t) for t in line.split("[")[1].rstrip("]").split(", "))
-    exact = gamma_enclosure(g, Fraction(1, 10 ** 8)).value
+    exact = gamma_enclosure(g, Fraction(1, 10 ** 8))
     assert lo <= exact.lo and exact.hi <= hi
     assert exact.lo - lo < Fraction(1, 10 ** 20)
     assert hi - exact.hi < Fraction(1, 10 ** 20)

@@ -15,13 +15,13 @@ from perronbalance.graphs import (
     RootedKernel,
     _AUTOMORPHISMS,
     _ORDERS,
+    _bits,
     _graph_canon,
     _tree_canon,
-    _tree_orbit_keys,
+    _tree_centers,
     active_vertices,
     attach_fork,
     attach_path,
-    automorphism_count,
     bifork_graph,
     canonical_form,
     canonical_relabel,
@@ -30,7 +30,6 @@ from perronbalance.graphs import (
     diamond_graph,
     e_graph,
     enumerate_connected_graphs,
-    enumerate_connected_graphs_bruteforce,
     enumerate_graph_kernels,
     enumerate_tree_kernels,
     enumerate_trees,
@@ -346,36 +345,62 @@ def _group_closure(gens, n):
 
 
 def _brute_force_group(g):
-    return {p for p in itertools.permutations(range(g.n)) if g.relabel(p) == g}
+    """Every permutation p with g.relabel(p) == g: the images p[0], p[1],
+    ... are chosen in turn, each keeping adjacency to those before it."""
+    out = set()
+
+    def extend(p, used):
+        k = len(p)
+        if k == g.n:
+            out.add(tuple(p))
+            return
+        for v in range(g.n):
+            if not used >> v & 1 and all(g.has_edge(k, u) == g.has_edge(v, p[u])
+                                         for u in range(k)):
+                extend(p + [v], used | 1 << v)
+
+    extend([], 0)
+    return out
 
 
 def test_graph_canon_automorphisms_generate_the_group():
-    """On every connected graph <= 6, as enumerated and randomly relabelled,
-    unrooted and at every root, the automorphisms the search returns
-    generate exactly the (root-fixing) automorphism group."""
+    """On every connected graph <= 6 and every tree <= 8, as enumerated and
+    randomly relabelled, unrooted and at every root, the generators
+    canonical_form reports generate exactly the (root-fixing) automorphism
+    group."""
     rng = random.Random(5)
+    sources = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    sources += [t for n in range(1, 9) for t in enumerate_trees(n)]
     checked = 0
-    for n in range(1, 7):
-        for base in enumerate_connected_graphs(n):
-            for g in (base, random_relabel(base, rng)):
-                group = _brute_force_group(g)
-                for root in (None, *range(n)):
-                    want = {p for p in group if root is None or p[root] == root}
-                    assert _group_closure(_graph_canon(g, root)[2], n) == want
-                    checked += 1
-    assert checked == 2 * sum(len(enumerate_connected_graphs(n)) * (n + 1)
-                              for n in range(1, 7))
+    for base in sources:
+        n = base.n
+        for g in (base, random_relabel(base, rng)):
+            group = _brute_force_group(g)
+            for root in (None, *range(n)):
+                want = {p for p in group if root is None or p[root] == root}
+                found = []
+                canonical_form(g, root, found)
+                assert _group_closure(found[1], n) == want, (g, root)
+                checked += 1
+    assert checked == 2 * sum(g.n + 1 for g in sources)
 
 
 def test_kept_automorphisms_are_the_search_result():
-    """The enumerations keep the automorphisms of the representatives below
-    the cap, which are the parents of the next size, and nothing for the
-    last size."""
-    for n in range(2, 7):
-        for g in enumerate_connected_graphs(n):
-            if not g.is_tree():
-                assert _AUTOMORPHISMS[g] == _graph_canon(g, None)[2]
+    """The enumerations keep the generators canonical_form reports for the
+    representatives with a nontrivial group below the cap, which are the
+    parents of the next size, trees included, and nothing for the last
+    connected-graph size."""
+    _AUTOMORPHISMS.clear()
+    enumerate_connected_graphs.cache_clear()
+    enumerate_trees.cache_clear()
+    parents = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
     assert not any(g in _AUTOMORPHISMS for g in enumerate_connected_graphs(7))
+    parents += [t for n in range(1, 13) for t in enumerate_trees(n)]
+    assert sum(t.is_tree() for t in parents if t in _AUTOMORPHISMS) > 0
+    for g in parents:
+        found = []
+        canonical_form(g, None, found)
+        assert _AUTOMORPHISMS.get(g, ()) == tuple(found[1])
 
 
 def _classes(keys):
@@ -388,7 +413,7 @@ def _classes(keys):
 def test_vertex_orbits_are_the_rooted_classes():
     """vertex_orbits splits the vertices of every connected graph <= 6 and
     every tree <= 10, as enumerated and randomly relabelled, exactly as
-    rooted canonical forms do; for a tree the subtree-code chains alone."""
+    rooted canonical forms do."""
     rng = random.Random(6)
     sources = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
     sources += [t for n in range(1, 11) for t in enumerate_trees(n)]
@@ -396,8 +421,6 @@ def test_vertex_orbits_are_the_rooted_classes():
         for g in (base, random_relabel(base, rng)):
             want = _classes([canonical_form(g, v) for v in range(g.n)])
             assert vertex_orbits(g) == want
-            if g.is_tree():
-                assert _classes(_tree_orbit_keys(g)) == want
 
 
 # plain augmentation, the oracle for the orbit-pruned enumerations: every
@@ -559,6 +582,58 @@ def test_active_vertices_examples():
 def test_connected_graph_counts():
     for n, want in [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112), (7, 853)]:
         assert len(enumerate_connected_graphs(n)) == want
+
+
+# independent references for the enumeration counts
+
+def enumerate_connected_graphs_bruteforce(n: int) -> int:
+    """Independent class count over all edge subsets; cross-check for n <= 6."""
+    if n > 6:
+        raise ValueError("brute-force check capped at 6 vertices")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    seen = set()
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+        g = Graph.from_edges(n, edges)
+        if g.is_connected():
+            seen.add(canonical_form(g))
+    return len(seen)
+
+
+def automorphism_count(g: Graph) -> int:
+    """Order of the automorphism group (trees only; used for the labeled
+    Cayley-count cross-check of the tree enumeration)."""
+    if not g.is_tree():
+        raise ValueError("automorphism_count implemented for trees only")
+
+    def count(v: int, parent: int) -> tuple:
+        subs = [count(u, v) for u in _bits(g.adj[v]) if u != parent]
+        subs.sort(key=lambda s: s[0])
+        total = 1
+        i = 0
+        while i < len(subs):
+            j = i
+            while j < len(subs) and subs[j][0] == subs[i][0]:
+                j += 1
+            run = j - i
+            fact = 1
+            for m in range(2, run + 1):
+                fact *= m
+            total *= fact
+            for k in range(i, j):
+                total *= subs[k][1]
+            i = j
+        code = b"(" + b"".join(s[0] for s in subs) + b")"
+        return code, total
+
+    centers = _tree_centers(g)
+    if len(centers) == 1:
+        return count(centers[0], -1)[1]
+    c1, c2 = centers
+    code1, n1 = count(c1, c2)
+    code2, n2 = count(c2, c1)
+    swap = 2 if code1 == code2 else 1
+    return n1 * n2 * swap
 
 
 def test_connected_graph_counts_bruteforce_crosscheck():

@@ -365,15 +365,13 @@ def test_table_minimum_certified():
     assert table_minimum_certified(rows)
     # the second row's enclosure widened down to the first row's upper end
     first, second = rows[0], rows[1]
-    top = first.gamma.value.hi
-    assert second.gamma.value.lo > top
-    touching = replace(second, gamma=replace(
-        second.gamma, value=RationalInterval(top, second.gamma.value.hi)))
+    top = first.gamma.hi
+    assert second.gamma.lo > top
+    touching = replace(second, gamma=RationalInterval(top, second.gamma.hi))
     assert not table_minimum_certified((first, touching) + rows[2:])
     # an overlap further down the table fails the check as well
-    overlap = replace(rows[-1], gamma=replace(
-        rows[-1].gamma, value=RationalInterval(first.gamma.value.mid,
-                                               rows[-1].gamma.value.hi)))
+    overlap = replace(rows[-1], gamma=RationalInterval(first.gamma.mid,
+                                                       rows[-1].gamma.hi))
     assert not table_minimum_certified(rows[:-1] + (overlap,))
 
 

@@ -314,28 +314,28 @@ def test_perron_residual_random():
 def test_gamma_cycles_exact():
     for n in range(3, 11):
         gv = gamma_enclosure(cycle_graph(n))
-        assert gv.value.lo == gv.value.hi == n
+        assert gv.lo == gv.hi == n
 
 
 def test_gamma_k4p2():
     gv = gamma_enclosure(attach_path(complete_graph(4), 0, 2), Fraction(1, 10 ** 8))
-    assert abs(gv.midpoint() - 4.8777978) < 1e-6
+    assert abs(gv.mid_float() - 4.8777978) < 1e-6
 
 
 def test_gamma_diamond_path():
     g = attach_path(diamond_graph(), 0, 3)
     gv = gamma_enclosure(g, Fraction(1, 10 ** 8))
-    assert abs(gv.midpoint() - 5.180545) < 1e-5
+    assert abs(gv.mid_float() - 5.180545) < 1e-5
 
 
 def test_gamma_relabel_invariant():
     rng = random.Random(47)
     g = attach_path(complete_graph(3), 0, 3)
-    base = gamma_enclosure(g, Fraction(1, 10 ** 9)).value
+    base = gamma_enclosure(g, Fraction(1, 10 ** 9))
     for _ in range(10):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        iv = gamma_enclosure(g.relabel(perm), Fraction(1, 10 ** 9)).value
+        iv = gamma_enclosure(g.relabel(perm), Fraction(1, 10 ** 9))
         assert iv.lo <= base.hi and base.lo <= iv.hi
 
 
@@ -343,7 +343,7 @@ def test_gamma_bounds_vs_lambda():
     # ratio - 1 >= top eigenvalue, certified, on every enumerated graph
     for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
-            gv = gamma_enclosure(g, Fraction(1, 10 ** 6)).value
+            gv = gamma_enclosure(g, Fraction(1, 10 ** 6))
             lam = lambda_enclosure(g, Fraction(1, 2 ** 30))
             assert gv.hi - 1 >= lam.lo - Fraction(1, 10 ** 5)
             assert gv.lo <= n
@@ -359,7 +359,7 @@ def test_master_weight_lower_bound():
         except ArithmeticError:
             continue
         pd = perron_enclosure(g, Fraction(1, 10 ** 8))
-        gv = gamma_enclosure(g, Fraction(1, 10 ** 8)).value
+        gv = gamma_enclosure(g, Fraction(1, 10 ** 8))
         norm2_sq = pd.weights[0].square()
         for w in pd.weights[1:]:
             norm2_sq = norm2_sq.add(w.square())
@@ -415,7 +415,7 @@ def test_enclosures_match_fraction_reference():
     graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
     graphs += [t for n in range(7, 10) for t in enumerate_trees(n)]
     for g in graphs:
-        gv = gamma_enclosure(g, Fraction(1, 10 ** 6)).value
+        gv = gamma_enclosure(g, Fraction(1, 10 ** 6))
         assert (gv.lo, gv.hi) == _reference_gamma(g, Fraction(1, 10 ** 6))
         pd = perron_enclosure(g)
         lam, ws = _reference_perron(g)
@@ -434,7 +434,7 @@ def test_column_enclosure_continues_as_a_restart_would():
         enc = ColumnEnclosure(g)
         perron = ColumnEnclosure(g, DEFAULT_EPS)
         for eps in steps:
-            assert enc.refine(eps) == gamma_enclosure(g, eps).value
+            assert enc.refine(eps) == gamma_enclosure(g, eps)
             assert perron.weights(eps) == perron_enclosure(g, eps)
         # a wider request returns the current enclosure, never a wider one
         assert enc.refine(Fraction(1, 10 ** 4)) is enc.refine(steps[-1])
@@ -452,7 +452,7 @@ def test_certified_below_first_round_reuses_the_request(monkeypatch):
     monkeypatch.setattr(algebra, "refine_root", counting)
     g = attach_path(diamond_graph(), 0, 3)     # ratio 5.180545
     enc = ColumnEnclosure(g)
-    first = gamma_enclosure(enc, Fraction(1, 10 ** 6)).value
+    first = gamma_enclosure(enc, Fraction(1, 10 ** 6))
     made = len(calls)
     assert certified_below(enc.refine, Fraction(21, 4))
     assert len(calls) == made
@@ -475,7 +475,7 @@ def _connected_graphs(draw):
 @example(cycle_graph(7))
 @example(complete_graph(5))
 def test_gamma_equals_n_exactly_for_regular_graphs(g):
-    gv = gamma_enclosure(g).value
+    gv = gamma_enclosure(g)
     if len(set(g.degrees())) == 1:
         assert gv == RationalInterval(g.n, g.n)
     else:
@@ -537,7 +537,7 @@ def test_closed_forms_match_certified():
                     "Cycle": cycle_graph, "Dhat": bifork_graph}
         val = gamma_family_closed_form(fam, n)
         gv = gamma_enclosure(builders[fam](n), Fraction(1, 10 ** 8))
-        assert abs(gv.midpoint() - val) < 1e-6
+        assert abs(gv.mid_float() - val) < 1e-6
 
 
 def test_exceptional_gammas():
@@ -545,9 +545,9 @@ def test_exceptional_gammas():
             "E6hat": 6.0, "E7hat": 6.75, "E8hat": 7.5}
     for name, val in want.items():
         gv = gamma_enclosure(e_graph(name), Fraction(1, 10 ** 8))
-        assert abs(gv.midpoint() - val) < 1e-3
+        assert abs(gv.mid_float() - val) < 1e-3
     # hatted families are exact rationals
-    assert gamma_enclosure(e_graph("E6hat")).value == RationalInterval(6, 6)
+    assert gamma_enclosure(e_graph("E6hat")) == RationalInterval(6, 6)
 
 
 def test_lambda_le_2_family_members_have_small_lambda():
@@ -579,7 +579,7 @@ def test_degree_bound_on_small_graphs():
             except ArithmeticError:
                 continue
             d = g.degree(o)
-            gv = gamma_enclosure(g, Fraction(1, 10 ** 7)).value
+            gv = gamma_enclosure(g, Fraction(1, 10 ** 7))
             if d >= 3:
                 bound = beta_d(d)
                 sq = SqrtRat(0, 1, d).enclosure(Fraction(1, 2 ** 30))
@@ -643,7 +643,7 @@ def test_min_gamma_table_small_graphs():
     assert below == 5
     assert rows[0].graph6 == write_graph6(
         canonical_relabel(attach_path(complete_graph(4), 0, 2)))
-    mids = [r.gamma.midpoint() for r in rows[:3]]
+    mids = [r.gamma.mid_float() for r in rows[:3]]
     assert abs(mids[0] - 4.8777978) < 1e-5
     assert abs(mids[1] - 4.895005) < 1e-5
 
@@ -657,7 +657,7 @@ def test_min_gamma_table_narrows_lambda_to_eps():
         g = parse_graph6(r.graph6)
         char = resolvent_data(g).char_poly
         first = lambda_enclosure(g, Fraction(1, 2 ** 30))
-        assert r.lam.width <= eps and r.gamma.value.width <= eps
+        assert r.lam.width <= eps and r.gamma.width <= eps
         assert char.sign_at(r.lam.lo) * char.sign_at(r.lam.hi) <= 0
         assert first.lo <= r.lam.hi and r.lam.lo <= first.hi
 

@@ -243,7 +243,7 @@ def test_gamma_increasing_chain_below_limit():
     for k in range(1, 9):
         g = attach_path(complete_graph(4), 0, k)
         assert certified_below(ColumnEnclosure(g).refine, BETA_STAR)
-        val = gamma_enclosure(g, Fraction(1, 10 ** 9)).value
+        val = gamma_enclosure(g, Fraction(1, 10 ** 9))
         if prev is not None:
             assert val.lo > prev.hi
         prev = val
@@ -251,7 +251,7 @@ def test_gamma_increasing_chain_below_limit():
     for k in range(1, 9):
         g = attach_path(star_graph(5), 0, k)
         assert certified_below(ColumnEnclosure(g).refine, BETA_TR)
-        val = gamma_enclosure(g, Fraction(1, 10 ** 9)).value
+        val = gamma_enclosure(g, Fraction(1, 10 ** 9))
         if prev is not None:
             assert val.lo > prev.hi
         prev = val
