@@ -40,9 +40,10 @@ that holds for every pair of the kernel.  That integer is affine in the
 indicator vector of the second set V: every V-dependent term of Q is a sum
 over v in V of data of adjugate column v, so for a fixed first set U and
 grid point it is c_U + sum_{v in V} w_U[v].  The weights w_U[v] are formed
-on first use from the adjugate columns evaluated at that point, cached, and
-a pair then costs |V| integer additions.  Only a pair that fails this test
-builds Q_{U,V} from the polynomial column sums and runs the full cascade.
+on first use from the adjugate columns evaluated at that point and cached.
+verify_extension runs the test inline: a pair it settles costs |V| integer
+additions and a sign test and leaves no verdict.  Only a pair that fails it
+goes to check_pair, which builds Q_{U,V} and runs the full cascade.
 """
 
 from __future__ import annotations
@@ -101,14 +102,14 @@ def first_lambda_cache_info() -> dict:
     return dict(_FIRST_LAMBDA_COUNTS, size=len(_FIRST_LAMBDA))
 
 
-# Pair checks settled by the packed coefficient test, those that ran the
-# full cascade (q_poly and ray_verdict), and the per-vertex weights the
-# packed test formed.
+# Pair checks settled by the packed coefficient test (in check_pair or
+# inline in verify_extension), those that ran the full cascade (q_poly and
+# ray_verdict), and the per-vertex weights the packed test formed.
 _PAIR_COUNTS = {"packed": 0, "cascade": 0, "weights": 0}
 
 
 def pair_check_info() -> dict:
-    """How many check_pair calls the packed test settled, how many ran the
+    """How many pair checks the packed test settled, how many ran the
     cascade, and how many per-vertex weights of the packed test were
     formed."""
     return dict(_PAIR_COUNTS)
@@ -220,14 +221,14 @@ class KernelContext:
     """Per-kernel cache of the resolvent polynomials and attachment data.
 
     Every pair quantity is read from the partial column sums of the two
-    boundary sets.  The packed coefficient test (packed_pass) takes them as
-    integers at a grid point, where its integer is affine in the second
-    set: per first set and grid point it keeps a constant and one weight per
-    vertex, formed on first use from the adjugate columns at that point, so
-    a pair it settles costs |V| integer additions and no polynomial
-    arithmetic.  The cascade takes them as polynomials (pbt_column, cached
-    per set): the pair polynomial (q_poly) is built only for the pairs the
-    packed test does not settle.
+    boundary sets.  The packed coefficient test (packed_pass, inline in
+    verify_extension) takes them as integers at a grid point, where its
+    integer is affine in the second set: per first set and grid point it
+    keeps a constant and one weight per vertex (_packed_set), formed on
+    first use from the adjugate columns at that point, so a pair it settles
+    costs |V| integer additions.  The cascade takes them as polynomials
+    (pbt_column, cached per set): the pair polynomial (q_poly) is built only
+    for the pairs the packed test does not settle.
     """
 
     def __init__(self, kernel: RootedKernel):
@@ -408,9 +409,9 @@ class KernelContext:
         x = a/b, b = 2^PACK_BITS.
 
         The result is symmetric in U and V, but only the first set's data
-        are kept per grid point: check_pair puts first the set whose
-        attachment eigenvalue gives the shift point, which every pair of
-        that set with a lower eigenvalue shares.
+        are kept per grid point: check_pair and verify_extension put first
+        the set whose attachment eigenvalue gives the shift point, which
+        every pair of that set with a lower eigenvalue shares.
 
         The test.  Let D = 2n >= deg q, write q(x + y) = sum_k r_k y^k and
         put s_k = b^(D-k) r_k, a positive multiple of r_k (an integer: r_k
@@ -475,18 +476,6 @@ class PairVerdict:
     def passed(self) -> bool:
         return self.kind in ("coefficients", "sturm")
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "U": list(mask_vertices(self.u_mask)),
-            "V": list(mask_vertices(self.v_mask)),
-            "beta": str(self.beta),
-            "verdict": self.kind,
-            "shift_point": str(self.shift_point),
-        }
-        if self.witness is not None:
-            d["witness"] = str(self.witness)
-        return d
-
 
 def check_pair(ctx: KernelContext, u_mask: int, v_mask: int,
                beta: Fraction) -> PairVerdict:
@@ -500,15 +489,16 @@ def check_pair(ctx: KernelContext, u_mask: int, v_mask: int,
     eigenvalues and asks again.
 
     The packed test at the grid point x = floor(lo*b)/b <= lo, b =
-    2^PACK_BITS, just below the shift point lo, settles most pairs first,
-    and a pair it does not settle runs the cascade.  A pass at x proves the
-    same at lo: q(lo + y) is q(x + y) shifted by lo - x >= 0, and shifting a
-    polynomial with nonnegative coefficients by a nonnegative amount keeps
-    them nonnegative.  So a pass is the cascade's "coefficients" verdict at
-    the same shift point.  The set with the larger shift key goes first;
-    the keys order the sets by the lower ends of their enclosures, comparing
-    those exactly only when the grid indices tie, and hold the grid index
-    of x.
+    2^PACK_BITS, just below the shift point lo, settles most pairs first
+    (verify_extension runs it inline and calls this only for the pairs it
+    fails), and a pair it does not settle runs the cascade.  A pass at x
+    proves the same at lo: q(lo + y) is q(x + y) shifted by lo - x >= 0, and
+    shifting a polynomial with nonnegative coefficients by a nonnegative
+    amount keeps them nonnegative.  So a pass is the cascade's
+    "coefficients" verdict at the same shift point.  The set with the larger
+    shift key goes first; the keys order the sets by the lower ends of their
+    enclosures, comparing those exactly only when the grid indices tie, and
+    hold the grid index of x.
     """
     if not isinstance(beta, Fraction):
         beta = Fraction(beta)
@@ -536,13 +526,10 @@ def check_pair(ctx: KernelContext, u_mask: int, v_mask: int,
 class ExtensionReport:
     """Outcome of verifying one kernel against a family of boundary sets."""
 
-    kernel_id: str
-    root: int
     beta: Fraction
     family: tuple                  # sorted masks
-    verdicts: tuple
-    guard: Fraction
-    guard_note: str
+    verdicts: tuple                # the pairs that ran the cascade, in order
+    packed: int                    # pairs the packed test settled
 
     @property
     def passed(self) -> bool:
@@ -551,18 +538,6 @@ class ExtensionReport:
     @property
     def failing_pairs(self) -> tuple:
         return tuple((v.u_mask, v.v_mask) for v in self.verdicts if not v.passed)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kernel": self.kernel_id,
-            "root": self.root,
-            "beta": str(self.beta),
-            "family": [list(mask_vertices(m)) for m in self.family],
-            "guard": str(self.guard),
-            "guard_note": self.guard_note,
-            "passed": self.passed,
-            "pair_verdicts": [v.to_json_dict() for v in self.verdicts],
-        }
 
 
 def family_all_subsets(vertices: Iterable[int]) -> tuple:
@@ -588,29 +563,53 @@ def verify_extension(ctx: KernelContext, family: Sequence[int], beta: Fraction,
     neighborhood of the kernel is known to contain a vertex at distance two
     from the root) so that a bound on the restricted vector transfers to
     the whole graph whenever its top eigenvalue exceeds 2.
+
+    Pairs, and the first set of each, follow check_pair.  The packed test
+    runs inline, the sign test of packed_nonneg on the first set's weights
+    summed over the second set; only a pair it fails calls check_pair, and
+    the pair's shift keys are read again after that cascade, which may have
+    refined both enclosures.
     """
     beta = Fraction(beta)
     guard = GUARD_DIST2 if dist2_vertex else GUARD_PLAIN
-    note = ("bound transfers when lam > 2 via the distance-2 neighborhood term"
-            if dist2_vertex else "bound transfers when lam > 2 via 2*lam+3")
     if beta >= guard:
         raise ValueError("beta %s is not below the transfer guard %s" % (beta, guard))
     if any(m == 0 for m in family):
         raise ValueError("boundary family contains the empty set")
     fam = tuple(sorted(set(family), key=lambda m: (m.bit_count(), m)))
-    verdicts = []
+    d = 2 * ctx.graph.n
+    verts = {m: mask_vertices(m) for m in fam}
+    keys, sets = {}, {}
+    verdicts, packed = [], 0
     done = False
     for i, um in enumerate(fam):
         if done:
             break
+        ku = keys[um] = ctx.shift_key(um)
         for vm in fam[i:]:
+            kv = keys.get(vm)
+            if kv is None:          # first row: isolated as check_pair would
+                kv = keys[vm] = ctx.shift_key(vm)
+            first, second, a = (um, vm, ku[0]) if ku >= kv else (vm, um, kv[0])
+            got = sets.get((first, a))
+            if got is None:
+                ps = ctx._packed_set(first, beta, a)
+                got = sets[first, a] = (ps.__getitem__, ps.c,
+                                        _digit_sign_bits(ps.k, d))
+            weight, c, sign = got
+            n = sum(map(weight, verts[second]), c)
+            if n >= 0 and not n & sign:
+                packed += 1
+                continue
             v = check_pair(ctx, um, vm, beta)
             verdicts.append(v)
             if stop_on_failure and not v.passed:
                 done = True
                 break
-    return ExtensionReport(ctx.kernel.id_string(), ctx.root, beta, fam,
-                           tuple(verdicts), guard, note)
+            ku = keys[um] = ctx.shift_key(um)
+            keys[vm] = ctx.shift_key(vm)
+    _PAIR_COUNTS["packed"] += packed
+    return ExtensionReport(beta, fam, tuple(verdicts), packed)
 
 
 # ---------------------------------------------------------------------------

@@ -486,22 +486,107 @@ def test_check_pair_follows_refined_enclosure():
 
 
 def test_pair_check_info_counts_every_check():
-    """Every check is counted once, and the packed test's per-vertex weights
-    are shared between pairs: fewer are formed than the pairs with a
-    coefficients verdict have vertices in their smaller set."""
+    """Every pair is counted once, as packed or as cascade; the report keeps
+    the cascade verdicts only; and the packed test's per-vertex weights are
+    shared between pairs: at most one per first set and vertex."""
     k = RootedKernel(attach_path(complete_graph(4), 0, 2), 0)
-    fam = family_all_subsets(active_vertices(k, "graph").vertices)
+    va = active_vertices(k, "graph").vertices
+    fam = family_all_subsets(va)
     before = pair_check_info()
     rep = verify_extension(KernelContext(k), fam, Fraction(21, 4))
     after = pair_check_info()
     packed = after["packed"] - before["packed"]
     cascade = after["cascade"] - before["cascade"]
-    assert packed + cascade == len(rep.verdicts)
+    assert packed + cascade == len(fam) * (len(fam) + 1) // 2
+    assert len(rep.verdicts) == cascade and rep.packed == packed
     assert cascade >= len(rep.failing_pairs) >= 1
     assert packed >= 1
-    second = sum(min(v.u_mask.bit_count(), v.v_mask.bit_count())
-                 for v in rep.verdicts if v.kind == "coefficients")
-    assert 0 < after["weights"] - before["weights"] < second
+    assert 0 < after["weights"] - before["weights"] <= len(fam) * len(va)
+
+
+# -- the inline sweep against per-pair checks ---------------------------------------
+
+def _reference_sweep(ctx, fam, beta, stop_on_failure=False):
+    """check_pair on every pair in verify_extension's order, stopping at the
+    first failure when asked: (passed, the verdicts of the pairs that ran
+    the cascade)."""
+    passed, cascaded = True, []
+    for i, um in enumerate(fam):
+        for vm in fam[i:]:
+            before = pair_check_info()["cascade"]
+            v = check_pair(ctx, um, vm, beta)
+            if pair_check_info()["cascade"] > before:
+                cascaded.append(v)
+            passed = passed and v.passed
+            if stop_on_failure and not v.passed:
+                return passed, cascaded
+    return passed, cascaded
+
+
+def _assert_sweep_matches(make_ctx, fam, beta, **kw):
+    """verify_extension on one fresh context and the reference loop on
+    another reach the same verdicts with the same pair_check_info deltas."""
+    def delta(run):
+        before = pair_check_info()
+        got = run()
+        after = pair_check_info()
+        return got, {k: after[k] - before[k] for k in after}
+
+    (passed, want), ref_counts = delta(lambda: _reference_sweep(
+        make_ctx(), fam, beta, kw.get("stop_on_failure", False)))
+    rep, counts = delta(lambda: verify_extension(make_ctx(), fam, beta, **kw))
+    assert counts == ref_counts
+    assert rep.passed == passed
+    assert rep.failing_pairs == tuple((v.u_mask, v.v_mask) for v in want
+                                      if not v.passed)
+    assert rep.verdicts == tuple(want)
+    return rep
+
+
+def test_verify_extension_matches_per_pair_checks_graph_kernels():
+    stopped = 0
+    for k in enumerate_graph_kernels():
+        fam = family_all_subsets(active_vertices(k, "graph").vertices)
+        _assert_sweep_matches(lambda: KernelContext(k), fam, BETA_GRAPH_STAGE)
+        for beta in (Fraction(6), Fraction(11, 2)):
+            rep = _assert_sweep_matches(lambda: KernelContext(k), fam, beta,
+                                        stop_on_failure=True)
+            stopped += not rep.passed
+    assert stopped
+
+
+def test_verify_extension_matches_per_pair_checks_tree_kernels():
+    beta = beta_tr_upper()
+    failed = 0
+    for k in enumerate_tree_kernels():
+        fam = family_singletons(active_vertices(k, "tree").vertices)
+        rep = _assert_sweep_matches(lambda: KernelContext(k), fam, beta,
+                                    dist2_vertex=True)
+        failed += not rep.passed
+    assert failed == 3
+
+
+def test_verify_extension_matches_per_pair_checks_after_refinement():
+    """With enclosures of width 1/4, cascades refine enclosures in the
+    middle of the sweep, and later pairs must use the refined shift keys."""
+    beta = BETA_GRAPH_STAGE
+    refined = 0
+    for k in (conjectured_graph_kernel(),) + exceptional_graph_kernels():
+        fam = family_all_subsets(active_vertices(k, "graph").vertices)
+
+        def coarse():
+            c = KernelContext(k)
+            for m in fam:
+                c._lam[m] = isolate_largest_root(c._attachment_poly(m),
+                                                 Fraction(1, 4))
+            return c
+
+        start = coarse()._lam
+        rep = _assert_sweep_matches(coarse, fam, beta)
+        refined += sum(v.shift_point != max(start[v.u_mask].lo,
+                                            start[v.v_mask].lo)
+                       for v in rep.verdicts)
+    assert refined
 
 
 # -- resolvent sanity on random kernels ---------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from perronbalance import reports
 from perronbalance.cli import main
 from perronbalance.algebra import RationalInterval
-from perronbalance.bounds import mask_vertices
+from perronbalance.bounds import mask_vertices, pair_check_info
 from perronbalance.graphs import (
     RootedKernel,
     active_vertices,
@@ -94,6 +94,18 @@ def test_graph_stage_deterministic_rerun(graph_stage):
     again = graph_kernel_stage(kernels=enumerate_graph_kernels())
     assert again is not graph_stage
     assert _strip_time(again.to_json_dict()) == _strip_time(graph_stage.to_json_dict())
+
+
+def test_graph_stage_keeps_only_cascade_verdicts():
+    """The reports of a stage, two-step reports included, keep no verdict
+    for a pair the packed test settled."""
+    before = pair_check_info()["cascade"]
+    stage = graph_kernel_stage(kernels=enumerate_graph_kernels())
+    cascade = pair_check_info()["cascade"] - before
+    reps = [o.report for o in stage.outcomes]
+    reps += [r for o in stage.outcomes if o.two_step is not None
+             for r in (o.two_step.step1, o.two_step.step2)]
+    assert 0 < sum(len(r.verdicts) for r in reps) <= cascade
 
 
 def test_tree_stage_deterministic_rerun(tree_stage):
