@@ -364,9 +364,6 @@ class RationalInterval:
     def sub(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(self.lo - other.hi, self.hi - other.lo)
 
-    def neg(self) -> "RationalInterval":
-        return RationalInterval(-self.hi, -self.lo)
-
     def mul_interval(self, other: "RationalInterval") -> "RationalInterval":
         vals = (self.lo * other.lo, self.lo * other.hi,
                 self.hi * other.lo, self.hi * other.hi)
@@ -377,13 +374,6 @@ class RationalInterval:
         if c >= 0:
             return RationalInterval(self.lo * c, self.hi * c)
         return RationalInterval(self.hi * c, self.lo * c)
-
-    def square(self) -> "RationalInterval":
-        if self.lo >= 0:
-            return RationalInterval(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return RationalInterval(self.hi * self.hi, self.lo * self.lo)
-        return RationalInterval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
 
     def recip(self) -> "RationalInterval":
         if self.contains_zero():
@@ -951,28 +941,6 @@ class ResolventData:
             self._adjugate = tuple(self.column(j) for j in range(self.n))
             self._column_of = None
         return self._adjugate
-
-    def verify(self, A: Sequence[Sequence[int]]) -> bool:
-        """Check (xI - A) * adjugate == char_poly * I coefficient-exactly,
-        plus symmetry of the adjugate for symmetric input."""
-        n = self.n
-        x = IntPoly([0, 1])
-        for i in range(n):
-            for j in range(n):
-                # entry (i,j) of (xI - A) @ adjugate
-                total = x * self.adjugate[i][j]
-                for k in range(n):
-                    if A[i][k]:
-                        total = total - self.adjugate[k][j] * A[i][k]
-                want = self.char_poly if i == j else IntPoly()
-                if total != want:
-                    return False
-        if all(A[i][j] == A[j][i] for i in range(n) for j in range(n)):
-            for i in range(n):
-                for j in range(i):
-                    if self.adjugate[i][j] != self.adjugate[j][i]:
-                        return False
-        return True
 
 
 def bareiss_det(A: Sequence[Sequence[int]]) -> int:

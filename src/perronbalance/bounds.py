@@ -39,11 +39,12 @@ those coefficients (Kronecker substitution), with K chosen from a majorant
 that holds for every pair of the kernel.  That integer is affine in the
 indicator vector of the second set V: every V-dependent term of Q is a sum
 over v in V of data of adjugate column v, so for a fixed first set U and
-grid point it is c_U + sum_{v in V} w_U[v].  The weights w_U[v] are formed
-on first use from the adjugate columns evaluated at that point and cached.
-verify_extension runs the test inline: a pair it settles costs |V| integer
-additions and a sign test and leaves no verdict.  Only a pair that fails it
-goes to check_pair, which builds Q_{U,V} and runs the full cascade.
+grid point it is c_U + sum_{v in V} w_U[v] (_PackedSet).  verify_extension
+runs this test inline and keeps the first sets' data for the sweep, forming
+each weight w_U[v] on first use from the adjugate columns at that point: a
+pair it settles costs |V| integer additions and a sign test and leaves no
+verdict.  Only a pair that fails it goes to check_pair, which builds Q_{U,V}
+and runs the full cascade.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, zip_longest
+from itertools import combinations, combinations_with_replacement, zip_longest
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -102,9 +103,9 @@ def first_lambda_cache_info() -> dict:
     return dict(_FIRST_LAMBDA_COUNTS, size=len(_FIRST_LAMBDA))
 
 
-# Pair checks settled by the packed coefficient test (in check_pair or
-# inline in verify_extension), those that ran the full cascade (q_poly and
-# ray_verdict), and the per-vertex weights the packed test formed.
+# Pair checks settled by the packed coefficient test (inline in
+# verify_extension), those that ran the full cascade (check_pair), and the
+# per-vertex weights the packed test formed.
 _PAIR_COUNTS = {"packed": 0, "cascade": 0, "weights": 0}
 
 
@@ -135,15 +136,14 @@ def scaled_eval(coeffs: Sequence[int], x: int, bits: int, m: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _digit_sign_bits(k: int, d: int) -> int:
+def digit_sign_bits(k: int, d: int) -> int:
     """The top bit of each of the lowest d base-2^k digits."""
     return ((1 << k * d) - 1) // ((1 << k) - 1) << (k - 1)
 
 
-def packed_nonneg(n: int, k: int, d: int) -> bool:
+def packed_nonneg(n: int, sign: int) -> bool:
     """Whether n = sum_{i<=d} s_i 2^(k*i) has every s_i >= 0, given that
-    every |s_i| < 2^(k-1).
+    every |s_i| < 2^(k-1), where sign = digit_sign_bits(k, d).
 
     Such a sum is the balanced base-2^k expansion of n, which is unique, and
     |n| < 2^(k(d+1)-1).  If every s_i >= 0, the s_i are the plain base-2^k
@@ -154,18 +154,20 @@ def packed_nonneg(n: int, k: int, d: int) -> bool:
     negative s_d alone leaves the lower digits unchanged, and a negative
     lower digit with a positive s_d leaves n > 0.
     """
-    return n >= 0 and not n & _digit_sign_bits(k, d)
+    return n >= 0 and not n & sign
 
 
 class _GridPoint:
     """The packed test's grid point X = 2^K + a of one kernel at one beta:
-    the digit width K, P_X = 2^(n*PACK_BITS) P(X / 2^PACK_BITS), and the
-    adjugate columns at X / 2^PACK_BITS, evaluated on first use."""
+    the sign mask digit_sign_bits(K, 2n) of packed_nonneg for its digit
+    width K, P_X = 2^(n*PACK_BITS) P(X / 2^PACK_BITS), and the adjugate
+    columns at X / 2^PACK_BITS, evaluated on first use."""
 
-    __slots__ = ("x", "k", "px", "_resolvent", "_cols")
+    __slots__ = ("x", "sign", "px", "_resolvent", "_cols")
 
     def __init__(self, resolvent, x: int, k: int):
-        self.x, self.k = x, k
+        self.x = x
+        self.sign = digit_sign_bits(k, 2 * resolvent.n)
         self.px = scaled_eval(resolvent.char_poly.coeffs, x, PACK_BITS,
                               resolvent.n)
         self._resolvent = resolvent
@@ -185,12 +187,60 @@ class _GridPoint:
 
 class _PackedSet(dict):
     """The packed integer of one first set U at one grid point and beta, as
-    an affine function of the second set: N(U, V) = c + sum_{v in V} self[v]
-    (KernelContext.packed_pass derives it).  The weight of a vertex is
-    formed on first use and kept; being a dict lets value() sum the kept
-    weights by plain lookups, with __missing__ forming the others."""
+    an affine function of the second set: N(U, V) = c + sum_{v in V} self[v].
+    packed_nonneg(N(U, V), grid.sign) decides whether q(x + y), q the pair
+    polynomial of KernelContext.q_poly, has all its coefficients >= 0 as a
+    polynomial in y, at the grid point x = a/b, b = 2^PACK_BITS.  The
+    weight of a vertex is formed on first use and kept; being a dict lets
+    the sweep sum the kept weights by plain lookups, with __missing__
+    forming the others.
 
-    __slots__ = ("c", "k", "_t", "_grid", "_root", "_num", "_ta", "_to")
+    The test.  Let D = 2n >= deg q, write q(x + y) = sum_k r_k y^k and
+    put s_k = b^(D-k) r_k, a positive multiple of r_k (an integer: r_k
+    is a sum of q_j C(j,k) a^(j-k) / b^(j-k), j <= D).  For X = 2^K + a,
+
+        N = b^D q(X/b) = b^D q(x + 2^K/b) = sum_{k<=D} s_k 2^(K*k),
+
+    and if every |s_k| < 2^(K-1), packed_nonneg(N, digit_sign_bits(K, D))
+    decides whether every s_k >= 0.  N is built from the integers col_v[u] =
+    b^(n-1) adj[u][v](X/b) (grid.column), their sums T_W[u] = sum_{v in W}
+    col_v[u] = b^(n-1) (P*Bt_{u,W})(X/b), and P_X = b^n P(X/b):
+
+        A_W = b^n (P s_W + P)(X/b)   = b * sum_u T_W[u] + P_X,
+        b^D (P^2 Bt_{o,W})(X/b)      = b * T_W[o] * P_X,
+        b^D (P^2 c_{U,V})(X/b)       = b^2 * sum_u T_U[u] T_V[u],
+
+    so that, with beta = num/den,
+
+        N = 2 den A_U A_V - num (2 b^2 T_U.T_V + b (T_U[o] + T_V[o]) P_X).
+
+    The affine form.  Every factor of N that depends on V is a sum over
+    v in V: A_V = P_X + b * sum_v tot_v, where tot_v = sum_u col_v[u],
+    T_V[o] = sum_v col_v[o] and T_U.T_V = sum_v T_U.col_v.  Hence
+    N = c_U + sum_{v in V} w_U[v], where
+
+        c_U    = 2 den A_U P_X - num b T_U[o] P_X,
+        w_U[v] = 2 den b A_U tot_v - num (2 b^2 T_U.col_v + b col_v[o] P_X),
+
+    and only the weights of vertices some pair asks for are formed.
+
+    The digit width.  For any polynomial p of degree <= D,
+
+        sum_k |s_k| <= sum_k b^(D-k) sum_{j>=k} |p_j| C(j,k) |a|^(j-k)
+                       / b^(j-k)
+                     = sum_j |p_j| b^(D-j) (1 + |a|)^j
+                     = b^D |p|((1 + |a|)/b),
+
+    |p| the polynomial of absolute coefficients.  Every q of the kernel
+    at this beta has |q| <= KernelContext._majorant(beta) coefficientwise,
+    because absolute values of sums and products are majorized by the sums
+    and products of the absolute values.  K (KernelContext._grid_point) is
+    one more than the bit length of b^D times that majorant at
+    (1 + |a|)/b; then every |s_k| < 2^(K-1) for every nonempty U, V,
+    whatever family the caller checks.
+    """
+
+    __slots__ = ("c", "_t", "_grid", "_root", "_num", "_ta", "_to")
 
     def __init__(self, grid: _GridPoint, vertices: tuple, root: int,
                  beta: Fraction):
@@ -201,8 +251,7 @@ class _PackedSet(dict):
         self._ta = 2 * beta.denominator * a_u
         self._to = num * px
         self.c = self._ta * px - (self._to * t[root] << PACK_BITS)
-        self.k, self._t = grid.k, t
-        self._grid, self._root, self._num = grid, root, num
+        self._t, self._grid, self._root, self._num = t, grid, root, num
 
     def __missing__(self, v: int) -> int:
         col = self._grid.column(v)
@@ -212,21 +261,16 @@ class _PackedSet(dict):
         _PAIR_COUNTS["weights"] += 1
         return w
 
-    def value(self, vertices: tuple) -> int:
-        """N(U, V) for V given by its vertices."""
-        return sum(map(self.__getitem__, vertices), self.c)
-
 
 class KernelContext:
     """Per-kernel cache of the resolvent polynomials and attachment data.
 
     Every pair quantity is read from the partial column sums of the two
-    boundary sets.  The packed coefficient test (packed_pass, inline in
-    verify_extension) takes them as integers at a grid point, where its
-    integer is affine in the second set: per first set and grid point it
-    keeps a constant and one weight per vertex (_packed_set), formed on
-    first use from the adjugate columns at that point, so a pair it settles
-    costs |V| integer additions.  The cascade takes them as polynomials
+    boundary sets.  The packed coefficient test, which verify_extension runs
+    inline, takes them as integers at a grid point: the context keeps each
+    grid point with its digit width and the adjugate columns evaluated there
+    (_grid_point), and the sweep keeps its first sets' affine data
+    (_PackedSet).  The cascade of check_pair takes them as polynomials
     (pbt_column, cached per set): the pair polynomial (q_poly) is built only
     for the pairs the packed test does not settle.
     """
@@ -239,23 +283,17 @@ class KernelContext:
         self.char = self.resolvent.char_poly
         self._pbt: dict[int, tuple] = {}
         self._lam: dict[int, RationalInterval] = {}
-        self._shift: dict[int, tuple] = {}
         self._majorants: dict[tuple, tuple] = {}
         self._grid: dict[tuple, _GridPoint] = {}
-        self._packed: dict[tuple, _PackedSet] = {}
 
     # -- resolvent polynomials ------------------------------------------------
-
-    def pb_column(self, v: int) -> tuple:
-        """Column v of the adjugate: entries P*B_{u,v} for u in V(H)."""
-        return self.resolvent.column(v)
 
     def pbt_column(self, mask: int) -> tuple:
         """Entries P*Bt_{u,U} for the vertex set given as a bitmask."""
         got = self._pbt.get(mask)
         if got is None:
             n = self.graph.n
-            cols = [self.pb_column(v) for v in mask_vertices(mask)]
+            cols = [self.resolvent.column(v) for v in mask_vertices(mask)]
             got = tuple(sum((c[u] for c in cols), IntPoly()) for u in range(n))
             self._pbt[mask] = got
         return got
@@ -283,7 +321,7 @@ class KernelContext:
         vs = mask_vertices(mask)
         diag = off = IntPoly()
         for k, j in enumerate(vs):
-            col = self.pb_column(j)
+            col = self.resolvent.column(j)
             diag = diag + col[j]
             for i in vs[:k]:
                 off = off + col[i]
@@ -296,7 +334,9 @@ class KernelContext:
         Without eps, the context's enclosure of the set is returned as it
         stands (never wider than LAMBDA_EPS), at the cost of one lookup.  The
         first isolation at each eps comes from the shared cache (a hit runs
-        no hint); a tighter eps later refines this context's own.
+        no hint); a tighter eps later refines this context's own, which is
+        how check_pair moves the lower end that verify_extension reads as
+        the set's shift key.
         """
         cur = self._lam.get(mask)
         if cur is not None and (eps is None or cur.width <= eps):
@@ -318,18 +358,7 @@ class KernelContext:
         else:
             cur = refine_root(poly, cur, eps)
         self._lam[mask] = cur
-        self._shift.pop(mask, None)
         return cur
-
-    def shift_key(self, mask: int) -> tuple:
-        """(grid_index(lo), lo) for the lower end lo of the set's current
-        enclosure of its attachment eigenvalue; a refinement by lambda_U
-        replaces it."""
-        got = self._shift.get(mask)
-        if got is None:
-            lo = self.lambda_U(mask).lo
-            got = self._shift[mask] = (grid_index(lo), lo)
-        return got
 
     # -- the certificate polynomial ---------------------------------------------
 
@@ -366,11 +395,14 @@ class KernelContext:
 
         Coefficientwise, |P s_W + P| <= A, |P^2 Bt_{o,W}| <= S |P| and
         |P^2 c_{U,V}| <= sum_u (sum_i |adj[i][u]|)^2 <= S^2, so |q| <=
-        2*den A^2 + num (2 S^2 + 2 S |P|), which is the majorant.
+        2*den A^2 + num (2 S^2 + 2 S |P|), which is the majorant.  It needs
+        num >= 0.
         """
         key = (beta.numerator, beta.denominator)
         got = self._majorants.get(key)
         if got is None:
+            if beta < 0:
+                raise ValueError("beta must be nonnegative")
             entries = [e.coeffs for row in self.resolvent.adjugate for e in row]
             s = IntPoly._from_ints([sum(map(abs, cs)) for cs in
                                     zip_longest(*entries, fillvalue=0)])
@@ -382,7 +414,8 @@ class KernelContext:
 
     def _grid_point(self, beta: Fraction, a: int) -> _GridPoint:
         """The grid point a / 2^PACK_BITS at this beta: X = 2^K + a, where K
-        is a digit width sound for every pair of the kernel."""
+        is a digit width sound for every pair of the kernel (see
+        _PackedSet)."""
         key = (beta.numerator, beta.denominator, a)
         got = self._grid.get(key)
         if got is None:
@@ -390,75 +423,6 @@ class KernelContext:
                             2 * self.graph.n).bit_length() + 1
             got = self._grid[key] = _GridPoint(self.resolvent, (1 << k) + a, k)
         return got
-
-    def _packed_set(self, mask: int, beta: Fraction, a: int) -> _PackedSet:
-        """The set's affine packed data as first set at grid index a."""
-        key = (mask, beta.numerator, beta.denominator, a)
-        got = self._packed.get(key)
-        if got is None:
-            if beta < 0:
-                raise ValueError("beta must be nonnegative")
-            got = self._packed[key] = _PackedSet(
-                self._grid_point(beta, a), mask_vertices(mask), self.root, beta)
-        return got
-
-    def packed_pass(self, u_mask: int, v_mask: int, beta: Fraction,
-                    a: int) -> bool:
-        """Whether q(x + y), q the pair polynomial of q_poly, has all its
-        coefficients >= 0 as a polynomial in y, at the grid point
-        x = a/b, b = 2^PACK_BITS.
-
-        The result is symmetric in U and V, but only the first set's data
-        are kept per grid point: check_pair and verify_extension put first
-        the set whose attachment eigenvalue gives the shift point, which
-        every pair of that set with a lower eigenvalue shares.
-
-        The test.  Let D = 2n >= deg q, write q(x + y) = sum_k r_k y^k and
-        put s_k = b^(D-k) r_k, a positive multiple of r_k (an integer: r_k
-        is a sum of q_j C(j,k) a^(j-k) / b^(j-k), j <= D).  For X = 2^K + a,
-
-            N = b^D q(X/b) = b^D q(x + 2^K/b) = sum_{k<=D} s_k 2^(K*k),
-
-        and if every |s_k| < 2^(K-1), packed_nonneg(N, K, D) decides whether
-        every s_k >= 0.  N is built from the integers col_v[u] =
-        b^(n-1) adj[u][v](X/b), their sums T_W[u] = sum_{v in W} col_v[u]
-        = b^(n-1) (P*Bt_{u,W})(X/b), and P_X = b^n P(X/b):
-
-            A_W = b^n (P s_W + P)(X/b)   = b * sum_u T_W[u] + P_X,
-            b^D (P^2 Bt_{o,W})(X/b)      = b * T_W[o] * P_X,
-            b^D (P^2 c_{U,V})(X/b)       = b^2 * sum_u T_U[u] T_V[u],
-
-        so that, with beta = num/den,
-
-            N = 2 den A_U A_V - num (2 b^2 T_U.T_V + b (T_U[o] + T_V[o]) P_X).
-
-        The affine form.  Every factor of N that depends on V is a sum over
-        v in V: A_V = P_X + b * sum_v tot_v, where tot_v = sum_u col_v[u],
-        T_V[o] = sum_v col_v[o] and T_U.T_V = sum_v T_U.col_v.  Hence
-        N = c_U + sum_{v in V} w_U[v], where
-
-            c_U    = 2 den A_U P_X - num b T_U[o] P_X,
-            w_U[v] = 2 den b A_U tot_v - num (2 b^2 T_U.col_v + b col_v[o] P_X),
-
-        and only the weights of vertices some pair asks for are formed.
-
-        The digit width.  For any polynomial p of degree <= D,
-
-            sum_k |s_k| <= sum_k b^(D-k) sum_{j>=k} |p_j| C(j,k) |a|^(j-k)
-                           / b^(j-k)
-                         = sum_j |p_j| b^(D-j) (1 + |a|)^j
-                         = b^D |p|((1 + |a|)/b),
-
-        |p| the polynomial of absolute coefficients.  Every q of the kernel
-        at this beta has |q| <= _majorant(beta) coefficientwise, because
-        absolute values of sums and products are majorized by the sums and
-        products of the absolute values.  K is one more than the bit length
-        of b^D times that majorant at (1 + |a|)/b; then every |s_k| <
-        2^(K-1) for every nonempty U, V, whatever family the caller checks.
-        """
-        got = self._packed_set(u_mask, beta, a)
-        return packed_nonneg(got.value(mask_vertices(v_mask)), got.k,
-                             2 * self.graph.n)
 
 
 @dataclass(frozen=True)
@@ -479,7 +443,8 @@ class PairVerdict:
 
 def check_pair(ctx: KernelContext, u_mask: int, v_mask: int,
                beta: Fraction) -> PairVerdict:
-    """Certify Q_{U,V}(lam) >= 0 for all lam >= max(lam_U, lam_V).
+    """Certify Q_{U,V}(lam) >= 0 for all lam >= max(lam_U, lam_V) by the
+    cascade of algebra.ray_verdict on the pair polynomial.
 
     The shift point is a certified rational lower bound of the attachment
     eigenvalue, so coefficient positivity after shifting is sound (and
@@ -488,28 +453,16 @@ def check_pair(ctx: KernelContext, u_mask: int, v_mask: int,
     rational witness.  An undecided verdict tightens both attachment
     eigenvalues and asks again.
 
-    The packed test at the grid point x = floor(lo*b)/b <= lo, b =
-    2^PACK_BITS, just below the shift point lo, settles most pairs first
-    (verify_extension runs it inline and calls this only for the pairs it
-    fails), and a pair it does not settle runs the cascade.  A pass at x
-    proves the same at lo: q(lo + y) is q(x + y) shifted by lo - x >= 0, and
-    shifting a polynomial with nonnegative coefficients by a nonnegative
-    amount keeps them nonnegative.  So a pass is the cascade's
-    "coefficients" verdict at the same shift point.  The set with the larger
-    shift key goes first; the keys order the sets by the lower ends of their
-    enclosures, comparing those exactly only when the grid indices tie, and
-    hold the grid index of x.
+    verify_extension calls this only for the pairs its packed test fails.
+    A pair that test passes at the grid point x = floor(lo*b)/b <= lo, b =
+    2^PACK_BITS, gets the "coefficients" verdict here at the shift point
+    lo: q(lo + y) is q(x + y) shifted by lo - x >= 0, and shifting a
+    polynomial with nonnegative coefficients by a nonnegative amount keeps
+    them nonnegative.
     """
-    if not isinstance(beta, Fraction):
-        beta = Fraction(beta)
-    ku, kv = ctx.shift_key(u_mask), ctx.shift_key(v_mask)
-    first, second, (a, lo) = ((u_mask, v_mask, ku) if ku >= kv
-                              else (v_mask, u_mask, kv))
-    if ctx.packed_pass(first, second, beta, a):
-        _PAIR_COUNTS["packed"] += 1
-        return PairVerdict(u_mask, v_mask, beta, "coefficients", lo)
-    _PAIR_COUNTS["cascade"] += 1
+    beta = Fraction(beta)
     q, _ = ctx.q_poly(u_mask, v_mask, beta)
+    _PAIR_COUNTS["cascade"] += 1
     lu, lv = ctx.lambda_U(u_mask), ctx.lambda_U(v_mask)
     eps = LAMBDA_EPS
     for _ in range(8):
@@ -564,11 +517,14 @@ def verify_extension(ctx: KernelContext, family: Sequence[int], beta: Fraction,
     from the root) so that a bound on the restricted vector transfers to
     the whole graph whenever its top eigenvalue exceeds 2.
 
-    Pairs, and the first set of each, follow check_pair.  The packed test
-    runs inline, the sign test of packed_nonneg on the first set's weights
-    summed over the second set; only a pair it fails calls check_pair, and
-    the pair's shift keys are read again after that cascade, which may have
-    refined both enclosures.
+    Pairs run in family order, (U, V) with U at or before V, each through
+    the packed test (_PackedSet) inline.  Its integer is symmetric in U and
+    V, but only the first set's data are kept: the set with the larger shift
+    key (grid_index(lo), lo), lo the lower end of its current enclosure of
+    lam_U, whose lo is the pair's shift point, so every pair of that set
+    with a lower eigenvalue shares its data.  Only a pair the test fails
+    calls check_pair, whose cascade may refine both enclosures, so the two
+    sets' keys are read again after it.
     """
     beta = Fraction(beta)
     guard = GUARD_DIST2 if dist2_vertex else GUARD_PLAIN
@@ -577,37 +533,34 @@ def verify_extension(ctx: KernelContext, family: Sequence[int], beta: Fraction,
     if any(m == 0 for m in family):
         raise ValueError("boundary family contains the empty set")
     fam = tuple(sorted(set(family), key=lambda m: (m.bit_count(), m)))
-    d = 2 * ctx.graph.n
     verts = {m: mask_vertices(m) for m in fam}
     keys, sets = {}, {}
     verdicts, packed = [], 0
-    done = False
-    for i, um in enumerate(fam):
-        if done:
+
+    def read_key(m):
+        lo = ctx.lambda_U(m).lo
+        keys[m] = key = (grid_index(lo), lo)
+        return key
+
+    for um, vm in combinations_with_replacement(fam, 2):
+        ku = keys.get(um) or read_key(um)
+        kv = keys.get(vm) or read_key(vm)
+        first, second, a = (um, vm, ku[0]) if ku >= kv else (vm, um, kv[0])
+        got = sets.get((first, a))
+        if got is None:
+            grid = ctx._grid_point(beta, a)
+            ps = _PackedSet(grid, verts[first], ctx.root, beta)
+            got = sets[first, a] = (ps.__getitem__, ps.c, grid.sign)
+        weight, c, sign = got
+        if packed_nonneg(sum(map(weight, verts[second]), c), sign):
+            packed += 1
+            continue
+        v = check_pair(ctx, um, vm, beta)
+        verdicts.append(v)
+        if stop_on_failure and not v.passed:
             break
-        ku = keys[um] = ctx.shift_key(um)
-        for vm in fam[i:]:
-            kv = keys.get(vm)
-            if kv is None:          # first row: isolated as check_pair would
-                kv = keys[vm] = ctx.shift_key(vm)
-            first, second, a = (um, vm, ku[0]) if ku >= kv else (vm, um, kv[0])
-            got = sets.get((first, a))
-            if got is None:
-                ps = ctx._packed_set(first, beta, a)
-                got = sets[first, a] = (ps.__getitem__, ps.c,
-                                        _digit_sign_bits(ps.k, d))
-            weight, c, sign = got
-            n = sum(map(weight, verts[second]), c)
-            if n >= 0 and not n & sign:
-                packed += 1
-                continue
-            v = check_pair(ctx, um, vm, beta)
-            verdicts.append(v)
-            if stop_on_failure and not v.passed:
-                done = True
-                break
-            ku = keys[um] = ctx.shift_key(um)
-            keys[vm] = ctx.shift_key(vm)
+        read_key(um)
+        read_key(vm)
     _PAIR_COUNTS["packed"] += packed
     return ExtensionReport(beta, fam, tuple(verdicts), packed)
 

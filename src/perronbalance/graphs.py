@@ -140,19 +140,6 @@ class Graph:
             adj[perm[v]] = row
         return Graph(self.n, tuple(adj))
 
-    def induced(self, vertices: Sequence[int]) -> "Graph":
-        """Induced subgraph; vertex k of the result is vertices[k]."""
-        idx = {v: i for i, v in enumerate(vertices)}
-        adj = [0] * len(vertices)
-        for v in vertices:
-            for u in _bits(self.adj[v]):
-                if u in idx:
-                    adj[idx[v]] |= 1 << idx[u]
-        return Graph(len(vertices), tuple(adj))
-
-    def adjacency_rows(self) -> list:
-        return [[self.adj[v] >> u & 1 for u in range(self.n)] for v in range(self.n)]
-
 
 def _bits(mask: int) -> list:
     out = []

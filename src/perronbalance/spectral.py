@@ -268,22 +268,6 @@ class PerronData:
     weights: tuple                # RationalInterval per vertex
     normalization: str
 
-    def residual_contains_zero(self, g: Graph) -> bool:
-        """Eigenvalue-equation residual check: lam*w_v - sum_nbr w_u must
-        admit zero for every vertex.
-
-        The weights are an adjugate column, so rows other than the column
-        index satisfy the equation identically; the column row's residual is
-        the characteristic polynomial, which vanishes at the eigenvalue.
-        """
-        for v in range(g.n):
-            acc = self.lam.mul_interval(self.weights[v])
-            for u in g.neighbors(v):
-                acc = acc.sub(self.weights[u])
-            if not acc.contains_zero():
-                return False
-        return True
-
 
 def _column_vertex(g: Graph) -> int:
     degs = g.degrees()

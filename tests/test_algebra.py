@@ -31,7 +31,7 @@ from perronbalance.algebra import (
     sturm_count,
     substitute_t,
 )
-from perronbalance.bounds import packed_nonneg, scaled_eval
+from perronbalance.bounds import digit_sign_bits, packed_nonneg, scaled_eval
 from perronbalance.graphs import (
     Graph,
     attach_path,
@@ -40,6 +40,8 @@ from perronbalance.graphs import (
 )
 from perronbalance.spectral import resolvent_data
 from perronbalance.tails import _rf_nonneg_on_closed
+
+from oracles import adjacency_rows, resolvent_identity_holds
 
 K3P3 = attach_path(complete_graph(3), 0, 3)
 
@@ -71,7 +73,7 @@ def test_char_and_adjugate_trivial():
     rd = resolvent_data(Graph(1, (0,)))
     assert rd.char_poly == IntPoly([0, 1])
     assert rd.adjugate[0][0] == IntPoly([1])
-    assert rd.verify([[0]])
+    assert resolvent_identity_holds(rd, [[0]])
 
 
 def test_resolvent_identity_random_graphs():
@@ -80,8 +82,8 @@ def test_resolvent_identity_random_graphs():
         n = rng.randint(2, 10)
         g = rand_graph(rng, n)
         rd = resolvent_data(g)
-        rows = g.adjacency_rows()
-        assert rd.verify(rows)
+        rows = adjacency_rows(g)
+        assert resolvent_identity_holds(rd, rows)
         # symmetric adjugate
         for i in range(n):
             for j in range(i):
@@ -93,7 +95,7 @@ def test_two_charpoly_algorithms_agree():
     for _ in range(40):
         n = rng.randint(2, 8)
         g = rand_graph(rng, n)
-        rows = g.adjacency_rows()
+        rows = adjacency_rows(g)
         assert charpoly_by_interpolation(rows) == resolvent_data(g).char_poly
         c = rng.randint(-3, 6)
         m = [[(c if i == j else 0) - rows[i][j] for j in range(n)]
@@ -189,7 +191,8 @@ def test_packed_shift_sign_matches_coefficients(case):
     big_x = (1 << k) + a
     packed = scaled_eval(p.coeffs, big_x, t, d)
     shifted = fraction_taylor_shift(p.coeffs, x)
-    assert packed_nonneg(packed, k, d) == all(c >= 0 for c in shifted)
+    want = all(c >= 0 for c in shifted)
+    assert packed_nonneg(packed, digit_sign_bits(k, d)) == want
     # the digits are the shifted coefficients times 2^(t(D-j)), all within K
     digits = [c * 2 ** (t * (d - j)) for j, c in enumerate(shifted)]
     assert all(s.denominator == 1 and abs(s) < 2 ** (k - 1) for s in digits)

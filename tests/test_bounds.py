@@ -19,6 +19,7 @@ from perronbalance.bounds import (
     LAMBDA_EPS,
     PACK_BITS,
     KernelContext,
+    _PackedSet,
     bound_curves,
     check_pair,
     family_all_subsets,
@@ -26,6 +27,7 @@ from perronbalance.bounds import (
     first_lambda_cache_info,
     grid_index,
     mask_vertices,
+    packed_nonneg,
     pair_check_info,
     scaled_eval,
     subset_mask,
@@ -56,6 +58,8 @@ from perronbalance.spectral import (
     resolvent_data,
 )
 
+from oracles import induced
+
 K3P3 = attach_path(complete_graph(3), 0, 3)
 U3 = 1 << 5
 
@@ -77,7 +81,7 @@ def rand_connected(rng, n):
 # -- resolvent polynomials against the worked example ---------------------------
 
 def test_pb_column_worked_example(ctx):
-    col = ctx.pb_column(5)
+    col = ctx.resolvent.column(5)
     assert [c.coeffs for c in col] == [
         (-1, 0, 1), (1, 1), (1, 1), (-2, -3, 0, 1),
         (1, -2, -4, 0, 1), (2, 4, -2, -5, 0, 1)]
@@ -86,7 +90,7 @@ def test_pb_column_worked_example(ctx):
 def test_pb_column_clique_pendant():
     g = attach_path(complete_graph(4), 0, 1)
     c = KernelContext(RootedKernel(g, 0))
-    col = c.pb_column(4)
+    col = c.resolvent.column(4)
     sq = IntPoly([1, 1]) ** 2
     assert col[1] == sq and col[2] == sq and col[3] == sq
     assert col[0] == IntPoly([-2, 1]) * sq
@@ -96,7 +100,7 @@ def test_pb_column_clique_pendant():
 def test_pb_column_star_path():
     g = attach_path(star_graph(5), 0, 4)
     c = KernelContext(RootedKernel(g, 0))
-    col = c.pb_column(8)
+    col = c.resolvent.column(8)
     x = IntPoly([0, 1])
     want = [x ** 3, x ** 3, x ** 3, x ** 3, x ** 4,
             x ** 5 - 4 * x ** 3, x ** 6 - 5 * x ** 4,
@@ -305,6 +309,8 @@ def test_verify_extension_vacuous_and_guards(ctx):
         verify_extension(ctx, (1,), Fraction(7))
     with pytest.raises(ValueError):
         verify_extension(ctx, (1, 0), Fraction(21, 4))
+    with pytest.raises(ValueError):
+        verify_extension(ctx, (1,), Fraction(-1, 4))
     # the strong guard admits targets up to 23/3
     rep = verify_extension(ctx, (1 << 4,), Fraction(15, 2), dist2_vertex=True)
     assert rep.beta == Fraction(15, 2)
@@ -360,17 +366,37 @@ def _packed_points():
                     yield c, um, vm, beta, lo
 
 
+def _sweep_packed(c, first, second, beta, a, sets):
+    """The packed integer N(first, second) at grid index a as
+    verify_extension forms it, and the grid point's sign mask; sets keeps
+    the first sets' data, as the sweep does."""
+    got = sets.get((c, first, a))
+    if got is None:
+        grid = c._grid_point(beta, a)
+        got = sets[c, first, a] = (
+            _PackedSet(grid, mask_vertices(first), c.root, beta), grid.sign)
+    ps, sign = got
+    return sum(map(ps.__getitem__, mask_vertices(second)), ps.c), sign
+
+
 def test_packed_pass_matches_shifted_coefficients():
+    """The sweep's packed test, with either set first, against the signs of
+    the shifted coefficients at the grid point; a pass at the pair's shift
+    point is check_pair's "coefficients" verdict there."""
     grid = 2 ** PACK_BITS
-    seen = set()
+    seen, sets = set(), {}
     for c, um, vm, beta, lo in _packed_points():
         q, _ = c.q_poly(um, vm, beta)
         x = Fraction(math.floor(lo * grid), grid)
-        got = c.packed_pass(um, vm, beta, grid_index(lo))
+        a = grid_index(lo)
+        got = packed_nonneg(*_sweep_packed(c, um, vm, beta, a, sets))
         assert got == q.certifies_no_roots_above(x)
-        assert c.packed_pass(vm, um, beta, grid_index(lo)) == got
+        assert packed_nonneg(*_sweep_packed(c, vm, um, beta, a, sets)) == got
         if got:
             assert q.certifies_no_roots_above(lo)
+            if lo == max(c.lambda_U(um).lo, c.lambda_U(vm).lo):
+                v = check_pair(c, um, vm, beta)
+                assert (v.kind, v.shift_point) == ("coefficients", lo)
         seen.add(got)
     assert seen == {True, False}
 
@@ -395,12 +421,12 @@ def _product_form_packed(c, um, vm, beta, a):
 def test_packed_affine_value_equals_product_form():
     """c_U + sum_{v in V} w_U[v] is the product-form integer exactly, with
     either set first."""
+    sets = {}
     for c, um, vm, beta, lo in _packed_points():
         a = grid_index(lo)
         want = _product_form_packed(c, um, vm, beta, a)
         for first, second in ((um, vm), (vm, um)):
-            got = c._packed_set(first, beta, a).value(mask_vertices(second))
-            assert got == want
+            assert _sweep_packed(c, first, second, beta, a, sets)[0] == want
 
 
 def test_check_pair_negative_beta_raises(ctx):
@@ -506,36 +532,59 @@ def test_pair_check_info_counts_every_check():
 
 # -- the inline sweep against per-pair checks ---------------------------------------
 
-def _reference_sweep(ctx, fam, beta, stop_on_failure=False):
-    """check_pair on every pair in verify_extension's order, stopping at the
-    first failure when asked: (passed, the verdicts of the pairs that ran
-    the cascade)."""
-    passed, cascaded = True, []
+def _pair_terms(ctx, fam):
+    """For each pair (U, V) of the family, U at or before V, the polynomials
+    (A, B) with q_poly(U, V, beta)[0] = 2 den A - num B at beta = num/den:
+    A = (P s_U + P)(P s_V + P), B = 2 P^2 c_{U,V} + (P Bt_{o,U} + P Bt_{o,V})
+    P.  They depend on neither beta nor the enclosures, so the reference
+    sweeps of one kernel at several targets share them."""
+    p, o = ctx.char, ctx.root
+    a = {m: ctx.s_poly(m) + p for m in fam}
+    return {(um, vm): (a[um] * a[vm], ctx.c_poly(um, vm) * 2
+                       + (ctx.pbt_column(um)[o] + ctx.pbt_column(vm)[o]) * p)
+            for i, um in enumerate(fam) for vm in fam[i:]}
+
+
+def _reference_sweep(ctx, fam, beta, terms, stop_on_failure=False):
+    """verify_extension's pair order without its packed integer: a pair
+    counts as packed iff the coefficients of its pair polynomial (from
+    terms, the _pair_terms of fam) shifted to x = floor(lo * 2^PACK_BITS) /
+    2^PACK_BITS, lo the larger lower end of the two enclosures, are
+    nonnegative; every other pair runs check_pair, stopping at the first
+    failure when asked.  Returns (passed, the number of packed pairs, the
+    verdicts of the pairs that ran the cascade)."""
+    grid = 2 ** PACK_BITS
+    passed, packed, cascaded = True, 0, []
     for i, um in enumerate(fam):
         for vm in fam[i:]:
-            before = pair_check_info()["cascade"]
+            lo = max(ctx.lambda_U(um).lo, ctx.lambda_U(vm).lo)
+            a, b = terms[um, vm]
+            q = a * (2 * beta.denominator) - b * beta.numerator
+            if q.certifies_no_roots_above(Fraction(math.floor(lo * grid), grid)):
+                packed += 1
+                continue
+            assert q == ctx.q_poly(um, vm, beta)[0]
             v = check_pair(ctx, um, vm, beta)
-            if pair_check_info()["cascade"] > before:
-                cascaded.append(v)
+            cascaded.append(v)
             passed = passed and v.passed
             if stop_on_failure and not v.passed:
-                return passed, cascaded
-    return passed, cascaded
+                return passed, packed, cascaded
+    return passed, packed, cascaded
 
 
-def _assert_sweep_matches(make_ctx, fam, beta, **kw):
+def _assert_sweep_matches(make_ctx, fam, beta, terms=None, **kw):
     """verify_extension on one fresh context and the reference loop on
-    another reach the same verdicts with the same pair_check_info deltas."""
-    def delta(run):
-        before = pair_check_info()
-        got = run()
-        after = pair_check_info()
-        return got, {k: after[k] - before[k] for k in after}
-
-    (passed, want), ref_counts = delta(lambda: _reference_sweep(
-        make_ctx(), fam, beta, kw.get("stop_on_failure", False)))
-    rep, counts = delta(lambda: verify_extension(make_ctx(), fam, beta, **kw))
-    assert counts == ref_counts
+    another reach the same verdicts, and the sweep's pair_check_info deltas
+    count the reference's packed pairs and cascades."""
+    ctx = make_ctx()
+    passed, packed, want = _reference_sweep(
+        ctx, fam, beta, terms or _pair_terms(ctx, fam),
+        kw.get("stop_on_failure", False))
+    before = pair_check_info()
+    rep = verify_extension(make_ctx(), fam, beta, **kw)
+    after = pair_check_info()
+    assert after["packed"] - before["packed"] == rep.packed == packed
+    assert after["cascade"] - before["cascade"] == len(want)
     assert rep.passed == passed
     assert rep.failing_pairs == tuple((v.u_mask, v.v_mask) for v in want
                                       if not v.passed)
@@ -547,10 +596,12 @@ def test_verify_extension_matches_per_pair_checks_graph_kernels():
     stopped = 0
     for k in enumerate_graph_kernels():
         fam = family_all_subsets(active_vertices(k, "graph").vertices)
-        _assert_sweep_matches(lambda: KernelContext(k), fam, BETA_GRAPH_STAGE)
+        terms = _pair_terms(KernelContext(k), fam)
+        _assert_sweep_matches(lambda: KernelContext(k), fam, BETA_GRAPH_STAGE,
+                              terms)
         for beta in (Fraction(6), Fraction(11, 2)):
             rep = _assert_sweep_matches(lambda: KernelContext(k), fam, beta,
-                                        stop_on_failure=True)
+                                        terms, stop_on_failure=True)
             stopped += not rep.passed
     assert stopped
 
@@ -629,7 +680,7 @@ def test_boundary_reconstruction():
         g = rand_connected(rng, n)
         h_size = rng.randint(2, min(6, n - 1))
         verts = sorted(rng.sample(range(n), h_size))
-        h = g.induced(verts)
+        h = induced(g, verts)
         if not h.is_connected():
             continue
         pd = perron_enclosure(g, Fraction(1, 10 ** 8))
@@ -685,10 +736,10 @@ def test_bound_soundness_on_true_extensions():
         s = ws[0]
         for w in ws[1:]:
             s = w.add(s)
-        sq = ws[0].square()
+        sq = ws[0].mul_interval(ws[0])
         for w in ws[1:]:
-            sq = sq.add(w.square())
-        ratio = s.square().div(sq)
+            sq = sq.add(w.mul_interval(w))
+        ratio = s.mul_interval(s).div(sq)
         ctx = KernelContext(k)
         lam = pd.lam
         pvals = ctx.char.eval_interval(lam)

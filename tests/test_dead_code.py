@@ -2,8 +2,11 @@
 its classes apart from dunder methods, has a caller.
 
 A name counts as used when it appears (as a name, an attribute or an
-imported name) anywhere in src/, tests/ or perfbench/ outside its own
-definition.
+imported name) outside its own definition: for top-level definitions
+anywhere in src/, tests/ or perfbench/, for methods in src/ or perfbench/
+only, so that a method the program never calls moves to the tests or goes.
+METHOD_ALLOWLIST names the methods kept for the tests alone, each with its
+reason.
 """
 
 import ast
@@ -11,6 +14,11 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+METHOD_ALLOWLIST = {
+    # the exact value of the sp infinite-tail limit, a paper acceptance check
+    "algebra.py:SqrtRat.as_fraction",
+}
 
 
 def referenced_names(node) -> Counter:
@@ -39,8 +47,8 @@ def definitions(tree, methods: bool):
 
 
 def unused_definitions(root: Path, methods: bool = False) -> list:
-    files = [f for d in ("src", "tests", "perfbench")
-             for f in sorted((root / d).rglob("*.py"))]
+    dirs = ("src", "perfbench") if methods else ("src", "tests", "perfbench")
+    files = [f for d in dirs for f in sorted((root / d).rglob("*.py"))]
     trees = {f: ast.parse(f.read_text(), filename=str(f)) for f in files}
     total = Counter()
     for tree in trees.values():
@@ -60,4 +68,5 @@ def test_no_unused_top_level_definitions():
 
 
 def test_no_unused_methods():
-    assert unused_definitions(ROOT, methods=True) == []
+    assert sorted(set(unused_definitions(ROOT, methods=True))
+                  - METHOD_ALLOWLIST) == []

@@ -178,7 +178,7 @@ def test_alpha_interpolation_reproduces_finite_perron():
     for _ in range(k - 1):
         tk = tk.mul_interval(t)
     tmk = tk.recip()
-    alpha = tmk.neg().div(tk.sub(tmk))
+    alpha = RationalInterval(0, 0).sub(tmk).div(tk.sub(tmk))
     # normalize the certified vector at the first path vertex
     x0 = pd.weights[4]
     for i in range(k):
