@@ -1,10 +1,11 @@
 """Exact univariate polynomial arithmetic and certified real-root tools.
 
 Everything in this module is exact: integer polynomials, rational
-intervals, Taylor shifts, root counts by Descartes bisection with Sturm
-sequences as the fallback, rational functions reduced over the integers,
-and exact sign comparisons of quadratic irrationals a + b*sqrt(m) with
-each other and with rationals.  Floating point appears only as a
+intervals, Taylor shifts, gcds by integer evaluation with an exact-division
+check, root counts by Descartes bisection with Sturm sequences as the
+fallback, rational functions reduced over the integers, and exact sign
+comparisons of quadratic irrationals a + b*sqrt(m) with each other and
+with rationals.  Floating point appears only as a
 root-location hint, which changes no output; every returned enclosure or
 sign verdict is certified by integer or rational arithmetic.
 
@@ -164,7 +165,7 @@ class IntPoly:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x: Rat) -> Fraction:
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return Fraction(acc)
@@ -244,27 +245,24 @@ class IntPoly:
     # -- exact division -------------------------------------------------------
 
     def divexact(self, g: "IntPoly") -> "IntPoly":
-        """Exact quotient self / g; raises if the division is not exact."""
+        """Exact quotient self / g by integer long division; raises
+        ValueError as soon as the division is not exact."""
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        num = [Fraction(c) for c in self.coeffs]
-        gd, gl = g.degree, g.leading
-        out = [Fraction(0)] * max(0, len(num) - gd)
+        num = list(self.coeffs)
+        gd, gl, gs = g.degree, g.leading, g.coeffs[:-1]
+        out = [0] * max(0, len(num) - gd)
         for i in range(len(num) - 1, gd - 1, -1):
-            q = num[i] / gl
+            q, r = divmod(num[i], gl)
+            if r:
+                raise ValueError("inexact polynomial division")
             out[i - gd] = q
             if q:
-                for j, gc in enumerate(g.coeffs):
-                    num[i - gd + j] -= q * gc
-        if any(num[: gd if gd > 0 else len(num)]):
-            if any(num):
-                raise ValueError("inexact polynomial division")
-        res = []
-        for q in out:
-            if q.denominator != 1:
-                raise ValueError("inexact polynomial division")
-            res.append(q.numerator)
-        return IntPoly(res)
+                for j, c in enumerate(gs, i - gd):
+                    num[j] -= q * c
+        if any(num[:gd]):
+            raise ValueError("inexact polynomial division")
+        return IntPoly._from_ints(out)
 
     # -- text form -------------------------------------------------------------
 
@@ -417,12 +415,49 @@ def _prem_keep_sign(f: IntPoly, g: IntPoly) -> IntPoly:
     return r
 
 
+# Evaluation points poly_gcd tries before the pseudo-remainder sequence.
+GCD_EVALUATIONS = 6
+
+
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd over the integers (sign-normalized, leading > 0)."""
+    """Primitive gcd over the integers (sign-normalized, leading > 0) by
+    integer evaluation (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989).
+
+    With a, b the primitive parts, |.| the largest absolute coefficient and
+    xi > 2 min(|a|, |b|) + 2, G has the digits of h = gcd(a(xi), b(xi)) in
+    base xi, each in (-xi/2, xi/2], as coefficients, and pp(G) is returned
+    only if it divides a and b exactly.  Then it is the gcd g = pp(G) q:
+    g(xi) divides h = cont(G) pp(G)(xi), not 0 as xi exceeds the roots of
+    a, so q(xi) divides cont(G) and |q(xi)| <= |G| <= xi/2; a root r of q
+    is one of a and of b, so |r| < 1 + min(|a|, |b|) < xi/2 (Cauchy), and a
+    nonconstant q would have |q(xi)| >= prod |xi - r| > xi/2.  So q is a
+    constant, 1 as g and pp(G) are primitive with leading coefficients > 0.
+    Else xi grows; after GCD_EVALUATIONS points, _prs_gcd decides.
+    """
     a, b = f.primitive(), g.primitive()
+    if not (a and b):
+        return a or b
+    xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 29
+    for _ in range(GCD_EVALUATIONS):
+        h = math.gcd(a.eval(xi).numerator, b.eval(xi).numerator)
+        digits, half = [], (xi - 1) // 2
+        while h:
+            digits.append((h + half) % xi - half)
+            h = (h - digits[-1]) // xi
+        G = IntPoly._from_ints(digits).primitive()
+        try:
+            a.divexact(G)
+            b.divexact(G)
+            return G
+        except ValueError:
+            xi = xi * 73794 // 27011
+    return _prs_gcd(a, b)
+
+
+def _prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """poly_gcd's fallback: the primitive pseudo-remainder sequence."""
     while not b.is_zero():
-        r = _prem_keep_sign(a, b)
-        a, b = b, r.primitive() if not r.is_zero() else IntPoly()
+        a, b = b, _prem_keep_sign(a, b).primitive()
     return a
 
 
@@ -791,7 +826,8 @@ def _root_separating_points(q: IntPoly, a: Fraction) -> list:
 # ---------------------------------------------------------------------------
 
 class RationalFunction:
-    """Quotient of integer polynomials, stored gcd-reduced.
+    """Quotient of integer polynomials, stored gcd-reduced by poly_gcd
+    (integer evaluation, checked by exact division).
 
     The denominator has positive leading coefficient and the pair carries
     no common integer content.  Arithmetic is among rational functions

@@ -128,19 +128,17 @@ def cmd_gamma(args) -> int:
     first = RootEnclosure(enc.lam.poly, enc.lam.iv)   # printed, not enc.lam
     gv = spectral.gamma_enclosure(enc, args.eps)
     lam = first.refine(args.eps)
-    print("graph6   %s" % args.graph if ";" not in args.graph else "")
+    text = reports.dump_json(reports.gamma_json(write_graph6(g), lam, gv))
+    if args.format == "json" and not args.out:
+        print(text, end="")     # the document alone, so stdout parses
+        return EXIT_OK
+    print("graph6   %s" % write_graph6(g))
     print("lambda   [%s, %s]" % (lam.lo, lam.hi))
     print("lambda ~ %.10f" % lam.mid_float())
     print("gamma    %s" % _interval_text(gv))
     print("gamma  ~ %.10f" % gv.mid_float())
-    if args.format == "json" or args.out:
-        doc = reports.gamma_json(write_graph6(g), lam, gv)
-        text = reports.dump_json(doc)
-        if args.out:
-            path = _write_out(args, "gamma.json", text)
-            print("wrote %s" % path)
-        elif args.format == "json":
-            print(text, end="")
+    if args.out:
+        print("wrote %s" % _write_out(args, "gamma.json", text))
     return EXIT_OK
 
 

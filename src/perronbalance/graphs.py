@@ -14,7 +14,7 @@ of the parent's group and keep each representative's canonical ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Optional, Sequence
 
 MAX_VERTICES = 64
@@ -397,12 +397,11 @@ def subtree_codes(g: Graph, root: int, codes: Optional[dict] = None) -> bytes:
 
 
 def _subtree_walk(g: Graph, root: int, codes: Optional[dict],
-                  gens: Optional[list] = None) -> tuple:
+                  pairs: Optional[list] = None) -> tuple:
     """subtree_codes(g, root, codes), and the vertices depth first from
     root with the children of each in increasing (code, label) order.
-    gens, when given, receives the swap of each two adjacent children with
-    equal codes, as bytes image lists (see _tree_canon)."""
-    ident = bytes(range(g.n)) if gens is not None else b""
+    pairs, when given, receives the walks of each two adjacent children
+    with equal codes (see _tree_canon)."""
 
     def encode(v: int, parent: int) -> tuple:
         # ties on the code compare the walks, which start at distinct labels
@@ -413,24 +412,20 @@ def _subtree_walk(g: Graph, root: int, codes: Optional[dict],
         walk = [v]
         for _, w in subs:
             walk += w
-        if gens is not None and len(subs) > 1:
+        if pairs is not None and len(subs) > 1:
             for (c, w), (d, x) in zip(subs, subs[1:]):
                 if c == d:
-                    img = bytearray(ident)
-                    for a, b in zip(w, x):
-                        img[a] = b
-                        img[b] = a
-                    gens.append(bytes(img))
+                    pairs.append((w, x))
         return code, walk
 
     return encode(root, -1)
 
 
 def _tree_canon(g: Graph, root: Optional[int]) -> tuple:
-    """Canonical code, order and automorphism generators of a tree (rooted
-    or free): the sorted subtree code and the walk of _subtree_walk.  A
-    free tree is rooted at the center with the least code, the lower label
-    on a tie.
+    """Code, order and generators (a function, see _canon) of a tree
+    (rooted or free): the sorted subtree code and the walk of
+    _subtree_walk.  A free tree is rooted at the center with the least
+    code, the lower label on a tie.
 
     Two children with equal codes root isomorphic subtrees, and their walks
     list them in matching order, so w1[i] <-> w2[i] is an automorphism.  The
@@ -442,23 +437,33 @@ def _tree_canon(g: Graph, root: Optional[int]) -> tuple:
     bicenter {c, d}, the group fixing c, which is the group fixing d, comes
     from the walk from c alone, and when the two rootings have equal codes
     the map walk_c[i] -> walk_d[i] adds the automorphisms exchanging c and
-    d.
+    d.  It is an involution, swapping the walks position by position: the
+    halves at d and at c are the only children of c and of d of their
+    height, and the other children of both have equal codes in order.
     """
-    gens: list = []
+    pairs: list = []
     if root is not None:
-        code, order = _subtree_walk(g, root, None, gens)
-        return b"R" + code, order, gens
+        code, order = _subtree_walk(g, root, None, pairs)
+        return b"R" + code, order, partial(_swaps, g.n, pairs)
     c, *rest = _tree_centers(g)
-    code, order = _subtree_walk(g, c, None, gens)
+    code, order = _subtree_walk(g, c, None, pairs)
     if rest:
         other = _subtree_walk(g, rest[0], None)
         if other[0] == code:
-            img = bytearray(g.n)
-            for a, b in zip(order, other[1]):
-                img[a] = b
-            gens.append(bytes(img))
+            pairs.append((order, other[1]))
         code, order = min((code, order), other)
-    return b"T" + code, order, gens
+    return b"T" + code, order, partial(_swaps, g.n, pairs)
+
+
+def _swaps(n: int, pairs: Sequence[tuple]) -> list:
+    """The involutions w[i] <-> x[i] of the walk pairs, as bytes image lists."""
+    out = []
+    for w, x in pairs:
+        img = bytearray(range(n))
+        for a, b in zip(w, x):
+            img[a], img[b] = b, a
+        out.append(bytes(img))
+    return out
 
 
 def _tree_centers(g: Graph) -> list:
@@ -483,9 +488,9 @@ def _tree_centers(g: Graph) -> list:
 
 
 def _graph_canon(g: Graph, root: Optional[int]) -> tuple:
-    """Canonical code, vertex order and automorphisms: color refinement,
-    then the least code over the orderings consistent with the stable
-    coloring.
+    """Canonical code, vertex order and a function giving the
+    automorphisms: color refinement, then the least code over the orderings
+    consistent with the stable coloring.
 
     The code lists the columns j = 1..n-1 of the relabelled adjacency
     matrix, column j being the bits adj[order[i]][order[j]] for i < j, first
@@ -581,7 +586,7 @@ def _graph_canon(g: Graph, root: Optional[int]) -> tuple:
         bits = bits << j | best_cols[j]
     tag = b"G" if root is None else b"g"
     code = tag + n.to_bytes(1, "big") + bits.to_bytes((n * n + 7) // 8, "big")
-    return code, best_order, autos
+    return code, best_order, lambda: autos
 
 
 def _orbit_closure(mask: int, gens: Sequence[Sequence[int]]) -> int:
@@ -598,7 +603,9 @@ def _orbit_closure(mask: int, gens: Sequence[Sequence[int]]) -> int:
     return mask
 
 
+@lru_cache(maxsize=1)   # _add_class rereads what canonical_form just computed
 def _canon(g: Graph, root: Optional[int]) -> tuple:
+    """Code, order and a function building the generators of (g, root)."""
     return (_tree_canon if g.is_tree() else _graph_canon)(g, root)
 
 
@@ -621,7 +628,7 @@ def canonical_form(g: Graph, root: Optional[int] = None,
     """
     code, order, gens = _canon(g, root)
     if found is not None:
-        found[:] = order, gens
+        found[:] = order, gens()
     return code
 
 
@@ -744,23 +751,22 @@ def _mask_action(a: Sequence[int]) -> list:
 def vertex_orbits(g: Graph) -> list:
     """Automorphism orbits of the vertices, each in increasing order, by
     least vertex."""
-    gens = _canon(g, None)[2]
+    gens = _canon(g, None)[2]()
     return [_bits(_orbit_closure(1 << v, gens))
             for v in _orbit_minima(range(g.n), gens)]
 
 
-def _add_class(out: dict, g: Graph, root: Optional[int], item) -> list:
+def _add_class(out: dict, g: Graph, root: Optional[int], item):
     """Put item in out under the code of (g, root) unless its class is
-    there already.  A new class keeps its canonical ordering, and the
-    result is then [order, generators] as canonical_form gives them; else
-    it is empty."""
-    found: list = []
-    code = canonical_form(g, root, found)
+    there already.  A new class keeps its canonical ordering and gives back
+    the function building its generators (see _canon); else None."""
+    code = canonical_form(g, root)
     if code in out:
-        return []
+        return None
     out[code] = item
-    _ORDERS[g, root] = tuple(found[0])
-    return found
+    _, order, gens = _canon(g, root)
+    _ORDERS[g, root] = tuple(order)
+    return gens
 
 
 def _augment(parents: Iterable[Graph], cap: int, subsets: bool) -> tuple:
@@ -781,8 +787,8 @@ def _augment(parents: Iterable[Graph], cap: int, subsets: bool) -> tuple:
         for mask in masks:
             h = g.add_vertex(mask)
             found = _add_class(out, h, None, h)
-            if found and found[1] and h.n < cap:
-                _AUTOMORPHISMS[h] = tuple(found[1])
+            if found is not None and h.n < cap and (kept := tuple(found())):
+                _AUTOMORPHISMS[h] = kept
     return tuple(h for _, h in sorted(out.items()))
 
 

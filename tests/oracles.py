@@ -6,6 +6,25 @@ from perronbalance.algebra import IntPoly
 from perronbalance.graphs import Graph, _bits
 
 
+def prs_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Primitive gcd (leading coefficient > 0) by the primitive
+    pseudo-remainder sequence: Euclid's algorithm in which each remainder
+    step first scales by the divisor's leading coefficient, so every
+    quotient digit is an integer."""
+    a, b = f.primitive(), g.primitive()
+    while b:
+        r = list(a.coeffs)
+        while len(r) >= len(b.coeffs):
+            k, c = len(r) - len(b.coeffs), r[-1]
+            r = [x * b.leading for x in r]
+            for j, bc in enumerate(b.coeffs):
+                r[k + j] -= c * bc
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, IntPoly(r).primitive()
+    return a
+
+
 def induced(g: Graph, vertices: Sequence[int]) -> Graph:
     """Induced subgraph; vertex k of the result is vertices[k]."""
     idx = {v: i for i, v in enumerate(vertices)}

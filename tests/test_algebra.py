@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perronbalance import algebra
 from perronbalance.algebra import (
     DESCARTES_DEPTH,
+    GCD_EVALUATIONS,
     IntPoly,
     NoRealRootError,
     RationalFunction,
@@ -23,11 +25,13 @@ from perronbalance.algebra import (
     count_roots_above,
     count_roots_in,
     isolate_largest_root,
+    poly_gcd,
     poly_to_text,
     ray_verdict,
     refine_root,
     root_bound,
     root_count_info,
+    squarefree_part,
     sturm_count,
     substitute_t,
 )
@@ -41,7 +45,7 @@ from perronbalance.graphs import (
 from perronbalance.spectral import resolvent_data
 from perronbalance.tails import _rf_nonneg_on_closed
 
-from oracles import adjacency_rows, resolvent_identity_holds
+from oracles import adjacency_rows, prs_gcd, resolvent_identity_holds
 
 K3P3 = attach_path(complete_graph(3), 0, 3)
 
@@ -197,6 +201,93 @@ def test_packed_shift_sign_matches_coefficients(case):
     digits = [c * 2 ** (t * (d - j)) for j, c in enumerate(shifted)]
     assert all(s.denominator == 1 and abs(s) < 2 ** (k - 1) for s in digits)
     assert packed == sum(int(s) << k * j for j, s in enumerate(digits))
+
+
+# -- gcd and exact division ------------------------------------------------------
+
+@st.composite
+def _int_polys(draw, bits):
+    """A polynomial of degree 0..5 (or zero) with coefficients of at most
+    `bits` bits and a leading coefficient of either sign."""
+    degree = draw(st.integers(-1, 5))
+    if degree < 0:
+        return IntPoly()
+    low = draw(st.lists(st.integers(-2 ** bits, 2 ** bits),
+                        min_size=degree, max_size=degree))
+    return IntPoly(low + [draw(st.integers(1, 2 ** bits))
+                          * draw(st.sampled_from((1, -1)))])
+
+
+@st.composite
+def _gcd_cases(draw):
+    """f = c1 g p and h = c2 g q: a shared factor g of degree 0..4, the
+    cofactors p, q of degree 0..5 or zero, contents c1, c2 of either sign,
+    coefficients of 3, 60 or about 1,000 bits (the tail certificates reduce
+    degree-20 fractions with ~1,050-bit coefficients)."""
+    bits = draw(st.sampled_from((3, 60, 1000)))
+    g = draw(_int_polys(bits).filter(lambda q: q.degree <= 4 and q))
+    f, h = (draw(_int_polys(bits)) * g * draw(st.integers(-50, 50).filter(bool))
+            for _ in range(2))
+    return f, h
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gcd_cases())
+@example((IntPoly(), IntPoly()))
+@example((IntPoly(), IntPoly([-6, 0, -4])))
+@example((IntPoly([-7]), IntPoly([3, 1])))
+def test_poly_gcd_matches_pseudo_remainder_sequence(case):
+    f, h = case
+    g = poly_gcd(f, h)
+    assert g == prs_gcd(f, h)
+    if g:
+        assert g.leading > 0 and g.content() == 1
+        f.divexact(g), h.divexact(g)
+
+
+def test_poly_gcd_falls_back_when_every_evaluation_misleads(monkeypatch):
+    """a = x - 5, b = x - c with c - 5 a multiple of every xi - 5 poly_gcd
+    tries: gcd(a(xi), b(xi)) = xi - 5 > xi/2 gives back G = a, which does
+    not divide b, so each evaluation is rejected and the pseudo-remainder
+    sequence finds gcd 1."""
+    xis = [2 * 5 + 29]
+    while len(xis) < GCD_EVALUATIONS:
+        xis.append(xis[-1] * 73794 // 27011)
+    c = 5 + math.lcm(*(xi - 5 for xi in xis))
+    calls = []
+    prs = algebra._prs_gcd
+    monkeypatch.setattr(algebra, "_prs_gcd", lambda a, b: calls.append(1) or prs(a, b))
+    a, b = IntPoly([-5, 1]), IntPoly([-c, 1])
+    assert poly_gcd(a, b) == prs_gcd(a, b) == IntPoly([1])
+    assert calls == [1]
+    assert poly_gcd(a * b, a * a) == a and calls == [1]
+
+
+def test_divexact():
+    x2m1 = IntPoly([-1, 0, 1])
+    assert x2m1.divexact(IntPoly([-1, 1])) == IntPoly([1, 1])
+    assert IntPoly([4, -6, 2]).divexact(IntPoly([-2])) == IntPoly([-2, 3, -1])
+    assert IntPoly().divexact(IntPoly([3, 1])) == IntPoly()
+    for num, den in ((IntPoly([1, 0, 1]), IntPoly([1, 1])),   # remainder 2
+                     (IntPoly([1, 2]), IntPoly([2])),          # 1/2 not integral
+                     (IntPoly([1, 0, 3]), IntPoly([0, 2])),    # 3/2 x
+                     (IntPoly([1, 1]), x2m1)):                 # degree too low
+        with pytest.raises(ValueError):
+            num.divexact(den)
+    with pytest.raises(ZeroDivisionError):
+        x2m1.divexact(IntPoly())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(-30, 30, max_denominator=12), min_size=1,
+                max_size=7, unique=True),
+       st.integers(0, 7), st.integers(-9, 9).filter(bool))
+def test_squarefree_part_of_p_times_q_squared(roots, split, c):
+    # p and q have distinct rational roots, so p q is squarefree
+    factors = [IntPoly([-r.numerator, r.denominator]) for r in roots]
+    p = math.prod(factors[:split], start=IntPoly([c]))
+    q = math.prod(factors[split:], start=IntPoly([1]))
+    assert squarefree_part(p * q * q) == (p * q).primitive()
 
 
 # -- Sturm counting -------------------------------------------------------------

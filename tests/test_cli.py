@@ -10,7 +10,13 @@ import pytest
 
 from perronbalance import reports
 from perronbalance.cli import main
-from perronbalance.graphs import attach_path, complete_graph, write_edge_list, e_graph
+from perronbalance.graphs import (
+    attach_path,
+    complete_graph,
+    e_graph,
+    write_edge_list,
+    write_graph6,
+)
 
 
 SCHEMA = json.loads(reports.schema_text())
@@ -30,16 +36,18 @@ def test_gamma_edge_list(capsys):
     g = attach_path(complete_graph(4), 0, 2)
     assert run_cli(["gamma", write_edge_list(g)]) == 0
     out = capsys.readouterr().out
+    assert out.splitlines()[0] == "graph6   " + write_graph6(g)
     assert "4.8777978" in out
 
 
 def test_gamma_fixture_file(tmp_path, capsys):
     # the 7-vertex three-arm extension has ratio exactly 6
     path = tmp_path / "fixture.g6"
-    from perronbalance.graphs import write_graph6
-    path.write_text(write_graph6(e_graph("E6hat")) + "\n")
+    g6 = write_graph6(e_graph("E6hat"))
+    path.write_text(g6 + "\n")
     assert run_cli(["gamma", str(path)]) == 0
     out = capsys.readouterr().out
+    assert out.splitlines()[0] == "graph6   " + g6
     assert "gamma    [6, 6]" in out
 
 
@@ -49,11 +57,19 @@ def test_gamma_json_valid(tmp_path, capsys):
     jsonschema.validate(doc, SCHEMA)
 
 
+def test_gamma_json_stdout_is_the_document_alone(capsys):
+    g = attach_path(complete_graph(4), 0, 2)
+    assert run_cli(["--format", "json", "gamma", write_edge_list(g)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["graph6"] == write_graph6(g)
+
+
 def test_gamma_short_endpoints(capsys):
     # P6: exact endpoints have hundreds of digits; the printed ones are
     # 20-place decimals rounded outward
     from fractions import Fraction
-    from perronbalance.graphs import path_graph, write_graph6
+    from perronbalance.graphs import path_graph
     from perronbalance.spectral import gamma_enclosure
     g = path_graph(6)
     assert run_cli(["gamma", write_graph6(g)]) == 0
@@ -85,7 +101,7 @@ def test_gamma_isolates_once(monkeypatch, capsys, eps):
     from fractions import Fraction
     from perronbalance import spectral
     from perronbalance.algebra import count_roots_above
-    from perronbalance.graphs import path_graph, write_graph6
+    from perronbalance.graphs import path_graph
     calls = []
     real = spectral.lambda_enclosure
 

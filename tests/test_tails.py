@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from perronbalance import algebra
 from perronbalance.algebra import (
     IntPoly,
     RationalFunction,
@@ -314,6 +315,33 @@ def test_gamma_lower_s5_falls_back_once_at_the_tangency():
     assert cert.passed
     assert cert.conditions[0].branch == "value-comparison"
     assert fallbacks == 1
+
+
+def test_tail_certificates_settle_every_gcd_by_evaluation(monkeypatch):
+    """With poly_gcd's pseudo-remainder fallback made to raise, the four
+    tail certificates (K4 and S5, lower and upper) still pass from fresh
+    contexts: every gcd they reduce by is found by integer evaluation."""
+    def no_fallback(a, b):
+        raise AssertionError("poly_gcd fell back to the pseudo-remainder sequence")
+
+    calls = []
+    gcd = algebra.poly_gcd
+    monkeypatch.setattr(algebra, "_prs_gcd", no_fallback)
+    monkeypatch.setattr(algebra, "poly_gcd", lambda f, g: calls.append(1) or gcd(f, g))
+    _sturm_chain.cache_clear()
+    k4 = TailContext(complete_graph(4), 0, exact_limit_ratio=BETA_STAR)
+    s5 = TailContext(star_graph(5), 0, exact_limit_ratio=BETA_TR)
+    assert check_gamma_lower(k4, 1).passed
+    assert check_gamma_lower(s5, 1).passed
+    k4p1 = TailContext(attach_path(complete_graph(4), 0, 1), 4, o=0,
+                       exact_limit_ratio=BETA_STAR)
+    assert check_gamma_upper(k4p1, 2, Fraction(311, 100), Fraction(318, 100),
+                             Fraction(1)).passed
+    s5p4 = TailContext(attach_path(star_graph(5), 0, 4), 8, o=0,
+                       exact_limit_ratio=BETA_TR)
+    assert check_gamma_upper(s5p4, 4, Fraction(2312, 1000), Fraction(234, 100),
+                             Fraction(3, 2)).passed
+    assert len(calls) > 100
 
 
 def test_gamma_upper_ordering_errors(k4p1_ctx):
