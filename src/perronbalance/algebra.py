@@ -3,11 +3,12 @@
 Everything in this module is exact: integer polynomials, rational
 intervals, Taylor shifts, gcds by integer evaluation with an exact-division
 check, root counts by Descartes bisection with Sturm sequences as the
-fallback, rational functions reduced over the integers, and exact sign
-comparisons of quadratic irrationals a + b*sqrt(m) with each other and
-with rationals.  Floating point appears only as a
-root-location hint, which changes no output; every returned enclosure or
-sign verdict is certified by integer or rational arithmetic.
+fallback, root bisection and interval Horner on integer numerators over one
+denominator, rational functions reduced over the integers, and exact signs
+of quadratic irrationals a + b*sqrt(m) against each other and rationals.
+Floating point appears only as a root-location hint, which changes no
+output; every returned enclosure or sign verdict is certified by integer or
+rational arithmetic.
 
 Conventions: polynomial coefficients are stored ascending (coeffs[k] is
 the coefficient of x^k) with trailing zeros trimmed, and intervals are
@@ -171,22 +172,9 @@ class IntPoly:
         return Fraction(acc)
 
     def sign_at(self, x: Rat) -> int:
-        """Exact sign of p(x) at a rational point, integer arithmetic only.
-
-        Uses the cleared Horner form v^d * p(u/v) = sum c_k u^k v^(d-k).
-        """
-        d = self.degree
-        if d < 0:
-            return 0
+        """Exact sign of p(x) at a rational point, by _cleared."""
         q = Fraction(x)
-        u, v = q.numerator, q.denominator
-        acc = 0
-        vp = 1
-        for k in range(d, -1, -1):
-            acc = acc * u + self.coeffs[k] * vp
-            if k:
-                vp *= v
-        return _sign(acc)
+        return _sign(_cleared(self.coeffs, q.numerator, q.denominator))
 
     def eval_interval(self, iv: "RationalInterval") -> "RationalInterval":
         """Interval Horner enclosure of p over iv.
@@ -213,24 +201,6 @@ class IntPoly:
                 c[i] += a * c[i + 1]
         return IntPoly._from_ints(c)
 
-    def shift_scaled(self, q: Rat) -> "IntPoly":
-        """Integer polynomial whose coefficients have the same signs as those
-        of p(x + q) for rational q.
-
-        With q = a/b, returns sum_k (b^(d-k) * ptilde_k) x^k where ptilde is
-        the true shifted polynomial; each coefficient is scaled by a positive
-        power of b, so the sign pattern is preserved exactly.
-        """
-        q = Fraction(q)
-        a, b = q.numerator, q.denominator
-        if b == 1:
-            return self.shift_int(a)
-        d = self.degree
-        if d < 0:
-            return self
-        scaled = [self.coeffs[k] * b ** (d - k) for k in range(d + 1)]
-        return IntPoly._from_ints(scaled).shift_int(a)
-
     def certifies_no_roots_above(self, q: Rat) -> bool:
         """True if the shifted coefficients prove p has no real root > q.
 
@@ -239,8 +209,9 @@ class IntPoly:
         polynomials of symmetric matrices) this test succeeds for every q
         strictly above the largest root.
         """
-        s = self.shift_scaled(q).coeffs
-        return bool(s) and all(c >= 0 for c in s) and any(c > 0 for c in s)
+        q = Fraction(q)
+        s = _shifted(self.coeffs, q.numerator, q.denominator)
+        return bool(s) and min(s) >= 0
 
     # -- exact division -------------------------------------------------------
 
@@ -277,20 +248,52 @@ def horner_interval(coeffs: Sequence[int], lo: int, hi: int,
     For ascending coefficients of degree m = len(coeffs) - 1 and the
     interval [lo/den, hi/den], den > 0, returns integers (a, b) such that
     [a/den^m, b/den^m] is exactly the rational interval Horner enclosure.
-    After k steps the accumulator is [a, b]/den^(k-1): the product with
+    After k steps the accumulator is [a, b]/den^(k-1): its product with
     [lo, hi]/den is the min and max of four integer products (den^k > 0
-    keeps their order), and adding c adds c*den^k to both ends.  The
-    endpoints may have any sign and need not be dyadic.
+    keeps their order), and adding c adds c*den^k to both ends.  Signs pick
+    the two products (Moore 1966): for lo >= 0, as on every eigenvalue
+    enclosure, [a*lo, b*hi] if a >= 0, [a*hi, b*lo] if b <= 0, else
+    [a*hi, b*hi]; hi <= 0 mirrors this, and only when both intervals
+    straddle 0 are all four formed.  The ends need not be dyadic.
     """
     a = b = 0
     s = 1
     for c in reversed(coeffs):
-        p, q, r, t = a * lo, a * hi, b * lo, b * hi
+        if lo >= 0:
+            a, b = a * (lo if a >= 0 else hi), b * (hi if b >= 0 else lo)
+        elif hi <= 0:
+            a, b = b * (lo if b >= 0 else hi), a * (hi if a >= 0 else lo)
+        elif a >= 0:
+            a, b = b * lo, b * hi
+        elif b <= 0:
+            a, b = a * hi, a * lo
+        else:
+            a, b = min(a * hi, b * lo), max(a * lo, b * hi)
         cs = c * s
-        a = min(p, q, r, t) + cs
-        b = max(p, q, r, t) + cs
+        a += cs
+        b += cs
         s *= den
     return a, b
+
+
+def _cleared(cs: Sequence[int], u: int, v: int) -> int:
+    """v^d p(u/v) = sum_k c_k u^k v^(d-k) by integer Horner, d = deg p; for
+    v > 0 it has the sign of p(u/v), whether or not u/v is reduced."""
+    acc = 0
+    vp = 1
+    for c in reversed(cs):
+        acc = acc * u + c * vp
+        vp *= v
+    return acc
+
+
+def _shifted(cs: Sequence[int], u: int, v: int) -> tuple:
+    """The Taylor shift by u of v^d p(y/v) = sum_k c_k v^(d-k) y^k, v > 0:
+    sum_k t_k v^(d-k) y^k with t the coefficients of p(u/v + y), so it has
+    their signs whether or not u/v is reduced.  For p != 0 the last one is
+    not 0, so min >= 0 is certifies_no_roots_above(u/v)."""
+    d = len(cs) - 1
+    return IntPoly._from_ints([c * v ** (d - k) for k, c in enumerate(cs)]).shift_int(u).coeffs
 
 
 def poly_to_text(coeffs: Sequence[Fraction]) -> str:
@@ -525,7 +528,7 @@ def count_roots_in(p: IntPoly, interval: RationalInterval) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi],
     as sturm_count, by Descartes bisection (Collins & Akritas 1976).
 
-    With lo = a/b, shift_scaled(lo) is b^d p(lo + x/b); scaling x by
+    With lo = a/b, _shifted(a, b) is b^d p(lo + x/b); scaling x by
     w = (hi - lo)*b = u/v and clearing v^d gives p1, a positive multiple of
     p(lo + (hi - lo) y), so the roots of p in (lo, hi) are those of p1 in
     (0, 1).  For a polynomial q of degree d, the roots of q in (0, 1) are the
@@ -546,7 +549,7 @@ def count_roots_in(p: IntPoly, interval: RationalInterval) -> int:
     lo, hi = interval.lo, interval.hi
     if lo == hi:
         return 0
-    s = p.shift_scaled(lo).coeffs
+    s = _shifted(p.coeffs, lo.numerator, lo.denominator)
     w = (hi - lo) * lo.denominator
     u, v = w.numerator, w.denominator
     d = len(s) - 1
@@ -616,10 +619,12 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
     p.certifies_no_roots_above(hi), which puts none above hi.  A float hint
     only picks the cells tried: the aligned cells of width w, 2^-20, 2^-10,
     2^-4 and 1 (those not below w) that hold the hint, each followed by its
-    two neighbours.  Failing those, the start is (0, 2^K] if a root lies
+    two neighbours (the index ceil(hint/width) is exact on the double's
+    integer ratio).  Failing those, the start is (0, 2^K] if a root lies
     above 0 and otherwise (-2^K, 0], with 2^K >= root_bound(p) and >= w.
     Every start is an aligned cell of width at least w, and halving keeps a
-    cell aligned, so _refine_largest reaches the same cell from each.
+    cell, integer numerators over a power of two, aligned, so
+    _refine_largest reaches the same cell from each.
     """
     if p.degree < 1:
         raise NoRealRootError("constant polynomial has no roots")
@@ -630,28 +635,32 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
     if w > eps:
         w /= 2
     p = p.primitive()
+    cs = p.coeffs
     if hint is not None and math.isfinite(hint):
+        hn, hd = hint.as_integer_ratio()
         for width in [w] + [c for c in _START_WIDTHS if c > w]:
-            m = math.ceil(Fraction(hint) / width) - 1
-            for lo in (m * width, (m - 1) * width, (m + 1) * width):
-                if p.sign_at(lo) < 0 and p.certifies_no_roots_above(lo + width):
-                    return _refine_largest(p, lo, lo + width, w)
-    top = Fraction(max(1 << (root_bound(p) - 1).bit_length(), w))
+            a, b = width.numerator, width.denominator
+            m = -(-hn * b // (hd * a)) - 1
+            for k in (m, m - 1, m + 1):
+                if _cleared(cs, k * a, b) < 0 and min(_shifted(cs, (k + 1) * a, b)) >= 0:
+                    return _refine_largest(p, k * a, (k + 1) * a, b, w)
+    top = int(max(1 << (root_bound(p) - 1).bit_length(), w))
     if count_roots_above(p, 0):
-        return _refine_largest(p, Fraction(0), top, w)
+        return _refine_largest(p, 0, top, 1, w)
     if count_roots_in(p, RationalInterval(-top, 0)):
-        return _refine_largest(p, -top, Fraction(0), w)
+        return _refine_largest(p, -top, 0, 1, w)
     raise NoRealRootError("polynomial has no real roots")
 
 
-def _refine_largest(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> RationalInterval:
-    """Halve (lo, hi] around the largest real root of p to width <= eps and
-    certify that the result contains no other root.
+def _refine_largest(p: IntPoly, lo: int, hi: int, v: int,
+                    eps: Fraction) -> RationalInterval:
+    """Halve (lo/v, hi/v] around the largest real root of p to width <= eps
+    and certify that the result contains no other root.
 
     Requires p primitive, so its leading coefficient is positive, and the
-    largest real root in (lo, hi].  Then no root lies above hi and p > 0 on
-    (hi, infinity).  Each step keeps the invariant, and each decision is the
-    one a count of the roots above mid would make:
+    largest real root in (lo/v, hi/v].  Then no root lies above hi and
+    p > 0 on (hi, infinity).  Each step keeps the invariant, and each
+    decision is the one a count of the roots above mid would make:
 
     (a) p(mid) < 0.  Since p(x) -> +infinity, a root lies in (mid, infinity),
         so in (mid, hi]: set lo = mid.  An exact zero at hi is the largest
@@ -664,13 +673,14 @@ def _refine_largest(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> Ra
         so p is strictly increasing there and has at most one root in it.
         For every later mid > lo, p(mid) > 0 then leaves no root above mid,
         so hi = mid on the sign alone, and the closing check "exactly one
-        root in (lo, hi]" needs no count.  The test is made at entry and
-        again each time lo moves, until it holds.  It holds whenever every
-        root of p', real or not, has real part below lo: the real factors
-        of p'(lo + y) are then y + a and y^2 + b*y + c with a, b, c > 0,
-        whose product has positive coefficients.  For a characteristic
-        polynomial every root is real, and the test holds once lo passes
-        the largest root of p', which lies below the largest root of p.
+        root in (lo, hi]" needs no count: the rest is _bisect with the sign
+        +1 at hi.  The test is made at entry and again each time lo moves,
+        until it holds.  It holds whenever every root of p', real or not,
+        has real part below lo: the real factors of p'(lo + y) are then
+        y + a and y^2 + b*y + c with a, b, c > 0, whose product has positive
+        coefficients.  For a characteristic polynomial every root is real,
+        and the test holds once lo passes the largest root of p', which
+        lies below the largest root of p.
 
     Until (c) holds, root counts still run: a step with p(mid) > 0 sets
     hi = mid when p.certifies_no_roots_above(mid) holds and otherwise asks
@@ -681,26 +691,32 @@ def _refine_largest(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> Ra
     end, and otherwise when eps is coarser than the distance from the
     bracket to the largest root of p'.
     """
-    if p.sign_at(hi) == 0:
-        return RationalInterval(hi, hi)
-    dp = p.derivative()
-    rising = dp.certifies_no_roots_above(lo)
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        s = p.sign_at(mid)
+    cs = p.coeffs
+    if _cleared(cs, hi, v) == 0:
+        return RationalInterval.point(Fraction(hi, v))
+    dp = p.derivative().coeffs
+    en, ed = eps.numerator, eps.denominator
+    rising = min(_shifted(dp, lo, v)) >= 0
+    while not rising and (hi - lo) * ed > en * v:
+        mid = lo + hi
+        lo, hi, v = lo << 1, hi << 1, v << 1
+        s = _sign(_cleared(cs, mid, v))
         if s < 0:
             lo = mid
-            rising = rising or dp.certifies_no_roots_above(lo)
-        elif rising or p.certifies_no_roots_above(mid) \
-                or count_roots_above(p, mid) == 0:
+            rising = min(_shifted(dp, lo, v)) >= 0
+        elif min(_shifted(cs, mid, v)) >= 0 \
+                or count_roots_above(p, Fraction(mid, v)) == 0:
             if s == 0:
-                return RationalInterval(mid, mid)
+                return RationalInterval.point(Fraction(mid, v))
             hi = mid
         else:
             # a root lies above mid, so (c) cannot hold at mid
             lo = mid
+    if rising:
+        return _bisect(cs, lo, hi, v, en, ed, 1)
+    lo, hi = Fraction(lo, v), Fraction(hi, v)
     iv = RationalInterval(lo, hi)
-    if not rising and count_roots_in(p, iv) != 1:
+    if count_roots_in(p, iv) != 1:
         # shrink further until separated
         for _ in range(200):
             mid = (lo + hi) / 2
@@ -716,32 +732,43 @@ def _refine_largest(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> Ra
     return iv
 
 
+def _bisect(cs: Sequence[int], lo: int, hi: int, v: int, en: int, ed: int,
+            shi: int) -> RationalInterval:
+    """Halve (lo/v, hi/v] to width <= en/ed around the one root of p in it,
+    where p changes sign to shi != 0, its sign at hi/v.  Halving doubles
+    lo, hi and v, so the midpoint is the integer lo + hi of the old ends."""
+    width, bound = (hi - lo) * ed, en * v
+    while width > bound:
+        mid = lo + hi
+        lo, hi, v, bound = lo << 1, hi << 1, v << 1, bound << 1
+        s = _sign(_cleared(cs, mid, v))
+        if s == 0:
+            return RationalInterval.point(Fraction(mid, v))
+        if s == shi:
+            hi = mid
+        else:
+            lo = mid
+    return RationalInterval(Fraction(lo, v), Fraction(hi, v))
+
+
 def refine_root(p: IntPoly, iv: RationalInterval, eps: Rat) -> RationalInterval:
     """Shrink an isolating interval of a simple root of p to width <= eps.
 
     The root is the only one in (lo, hi], and p changes sign across it, so
     each decision compares the sign at mid with the sign at hi.  A root of
-    p at lo, outside (lo, hi], is never returned.
+    p at lo, outside (lo, hi], is never returned.  The ends are halved as
+    integer numerators over their common denominator (_bisect).
     """
     eps = Fraction(eps)
-    if iv.width <= eps:
+    lo, hi, v = iv.numerators()
+    if (hi - lo) * eps.denominator <= eps.numerator * v:
         return iv
-    lo, hi = iv.lo, iv.hi
-    shi = p.sign_at(hi)
+    shi = _sign(_cleared(p.coeffs, hi, v))
     if shi == 0:
-        return RationalInterval(hi, hi)
-    if p.sign_at(lo) == shi:
+        return RationalInterval.point(iv.hi)
+    if _sign(_cleared(p.coeffs, lo, v)) == shi:
         raise ValueError("interval endpoints do not bracket a sign change")
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        sm = p.sign_at(mid)
-        if sm == 0:
-            return RationalInterval(mid, mid)
-        if sm == shi:
-            hi = mid
-        else:
-            lo = mid
-    return RationalInterval(lo, hi)
+    return _bisect(p.coeffs, lo, hi, v, eps.numerator, eps.denominator, shi)
 
 
 class RootEnclosure:

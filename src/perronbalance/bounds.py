@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, zip_longest
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -387,6 +387,14 @@ class KernelContext:
 
     # -- the packed coefficient test --------------------------------------------
 
+    @cached_property
+    def _abs_sums(self) -> tuple:
+        """(A, S) of _majorant, the same for every beta."""
+        entries = [e.coeffs for row in self.resolvent.adjugate for e in row]
+        s = IntPoly._from_ints([sum(map(abs, cs)) for cs in
+                                zip_longest(*entries, fillvalue=0)])
+        return IntPoly._from_ints([abs(c) for c in self.char.coeffs]) + s, s
+
     def _majorant(self, beta: Fraction) -> tuple:
         """Coefficients of a majorant of |q| at beta, valid for every pair of
         nonempty U, V: A (2*den(beta) A + 2*num(beta) S), where |p| is the
@@ -403,10 +411,7 @@ class KernelContext:
         if got is None:
             if beta < 0:
                 raise ValueError("beta must be nonnegative")
-            entries = [e.coeffs for row in self.resolvent.adjugate for e in row]
-            s = IntPoly._from_ints([sum(map(abs, cs)) for cs in
-                                    zip_longest(*entries, fillvalue=0)])
-            a = IntPoly._from_ints([abs(c) for c in self.char.coeffs]) + s
+            a, s = self._abs_sums
             got = (a * (a * (2 * beta.denominator)
                         + s * (2 * beta.numerator))).coeffs
             self._majorants[key] = got

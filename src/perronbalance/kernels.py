@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
@@ -307,11 +307,11 @@ def _kernel_stage(kind: str, one, beta: Fraction, beta_note: str,
     """one(kernel, beta=, stop_on_failure=) for every kernel (all of
     enumerate_kernels() when None), sorted by id, with the single graphs
     they left collected once each.  Full sweeps are cached per (kind, beta,
-    mode): the sweep is deterministic and pure."""
+    mode), being deterministic and pure; a hit takes the caller's beta_note."""
     beta = Fraction(beta)
     cache_key = (kind, beta, stop_on_failure) if kernels is None else None
     if cache_key in _STAGE_CACHE:
-        return _STAGE_CACHE[cache_key]
+        return replace(_STAGE_CACHE[cache_key], beta_note=beta_note)
     t0 = time.monotonic()
     if kernels is None:
         kernels = enumerate_kernels()

@@ -20,9 +20,10 @@ the full n x n matrix is built only where a caller asks for it.
 A ColumnEnclosure holds the eigenvalue as one algebra.RootEnclosure with
 the adjugate column and narrows it in place, so each request continues
 where the last one stopped.  The column is evaluated on integer numerators
-over one denominator (algebra.horner_interval), with exactly the endpoints
-of rational interval Horner, so the gamma enclosure needs only sums of
-integers and two fractions.
+over one denominator (algebra.horner_interval, two products per step on an
+enclosure above 0), with exactly the endpoints of rational interval Horner,
+so the gamma enclosure needs only sums of integers and two fractions, and
+table rows sort on an integer prefix of the gamma midpoint.
 
 Floating point is used only to seed root searches, and changes no output.
 The seed for the top eigenvalue (_power_iteration_hint) takes one power
@@ -538,6 +539,13 @@ class TableRow:
     lam: RationalInterval
 
 
+def _row_order(r: TableRow) -> tuple:
+    """(mid, graph6) order, led by floor(mid*2^64), which is monotone in mid,
+    so that Fractions are compared only on a tie."""
+    mid = r.gamma.mid
+    return (mid.numerator << 64) // mid.denominator, mid, r.graph6
+
+
 @lru_cache(maxsize=64)
 def min_gamma_table(n: int, kind: str, threshold: Threshold,
                     eps: Fraction = Fraction(1, 10 ** 6)) -> tuple:
@@ -566,5 +574,5 @@ def min_gamma_table(n: int, kind: str, threshold: Threshold,
         rows.append(TableRow(write_graph6(canonical_relabel(g)), gv, lam))
         if certified_below(enc.refine, threshold, eps):
             below += 1
-    rows.sort(key=lambda r: (r.gamma.mid, r.graph6))
+    rows.sort(key=_row_order)
     return tuple(rows), below

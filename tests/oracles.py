@@ -1,8 +1,17 @@
 """Independent checks and graph helpers that only the tests use."""
 
+import math
+from fractions import Fraction
 from typing import Sequence
 
-from perronbalance.algebra import IntPoly
+from perronbalance.algebra import (
+    IntPoly,
+    NoRealRootError,
+    RationalInterval,
+    count_roots_above,
+    count_roots_in,
+    root_bound,
+)
 from perronbalance.graphs import Graph, _bits
 
 
@@ -78,3 +87,108 @@ def residual_contains_zero(pd, g: Graph) -> bool:
         if not acc.contains_zero():
             return False
     return True
+
+
+def horner_interval_four(coeffs: Sequence[int], lo: int, hi: int, den: int) -> tuple:
+    """algebra.horner_interval with the min and max of all four integer
+    products in every step, whatever the signs."""
+    a = b = 0
+    s = 1
+    for c in reversed(coeffs):
+        p, q, r, t = a * lo, a * hi, b * lo, b * hi
+        cs = c * s
+        a = min(p, q, r, t) + cs
+        b = max(p, q, r, t) + cs
+        s *= den
+    return a, b
+
+
+_START_WIDTHS = tuple(Fraction(1, 2 ** k) for k in (20, 10, 4, 0))
+
+
+def isolate_largest_root_fractions(p: IntPoly, eps=Fraction(1, 2 ** 40),
+                                   hint=None) -> RationalInterval:
+    """algebra.isolate_largest_root with every cell end a Fraction: the same
+    start cells, the same decisions and the same root counts, in the same
+    order."""
+    if p.degree < 1:
+        raise NoRealRootError("constant polynomial has no roots")
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    w = Fraction(2) ** (eps.numerator.bit_length() - eps.denominator.bit_length())
+    if w > eps:
+        w /= 2
+    p = p.primitive()
+    if hint is not None and math.isfinite(hint):
+        for width in [w] + [c for c in _START_WIDTHS if c > w]:
+            m = math.ceil(Fraction(hint) / width) - 1
+            for lo in (m * width, (m - 1) * width, (m + 1) * width):
+                if p.sign_at(lo) < 0 and p.certifies_no_roots_above(lo + width):
+                    return _refine_largest_fractions(p, lo, lo + width, w)
+    top = Fraction(max(1 << (root_bound(p) - 1).bit_length(), w))
+    if count_roots_above(p, 0):
+        return _refine_largest_fractions(p, Fraction(0), top, w)
+    if count_roots_in(p, RationalInterval(-top, 0)):
+        return _refine_largest_fractions(p, -top, Fraction(0), w)
+    raise NoRealRootError("polynomial has no real roots")
+
+
+def _refine_largest_fractions(p: IntPoly, lo: Fraction, hi: Fraction,
+                              eps: Fraction) -> RationalInterval:
+    """algebra._refine_largest on Fractions; its docstring has the proofs."""
+    if p.sign_at(hi) == 0:
+        return RationalInterval(hi, hi)
+    dp = p.derivative()
+    rising = dp.certifies_no_roots_above(lo)
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        s = p.sign_at(mid)
+        if s < 0:
+            lo = mid
+            rising = rising or dp.certifies_no_roots_above(lo)
+        elif rising or p.certifies_no_roots_above(mid) \
+                or count_roots_above(p, mid) == 0:
+            if s == 0:
+                return RationalInterval(mid, mid)
+            hi = mid
+        else:
+            lo = mid
+    iv = RationalInterval(lo, hi)
+    if not rising and count_roots_in(p, iv) != 1:
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if count_roots_above(p, mid) >= 1:
+                lo = mid
+            else:
+                hi = mid
+            iv = RationalInterval(lo, hi)
+            if count_roots_in(p, iv) == 1:
+                break
+        else:
+            raise ArithmeticError("failed to separate largest root")
+    return iv
+
+
+def refine_root_fractions(p: IntPoly, iv: RationalInterval, eps) -> RationalInterval:
+    """algebra.refine_root on Fractions: bisection comparing the sign at the
+    midpoint with the sign at hi."""
+    eps = Fraction(eps)
+    if iv.width <= eps:
+        return iv
+    lo, hi = iv.lo, iv.hi
+    shi = p.sign_at(hi)
+    if shi == 0:
+        return RationalInterval(hi, hi)
+    if p.sign_at(lo) == shi:
+        raise ValueError("interval endpoints do not bracket a sign change")
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        sm = p.sign_at(mid)
+        if sm == 0:
+            return RationalInterval(mid, mid)
+        if sm == shi:
+            hi = mid
+        else:
+            lo = mid
+    return RationalInterval(lo, hi)

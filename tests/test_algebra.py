@@ -19,11 +19,13 @@ from perronbalance.algebra import (
     RationalInterval,
     RootEnclosure,
     SqrtRat,
+    _shifted,
     _sturm_chain,
     bareiss_det,
     charpoly_by_interpolation,
     count_roots_above,
     count_roots_in,
+    horner_interval,
     isolate_largest_root,
     poly_gcd,
     poly_to_text,
@@ -45,7 +47,14 @@ from perronbalance.graphs import (
 from perronbalance.spectral import resolvent_data
 from perronbalance.tails import _rf_nonneg_on_closed
 
-from oracles import adjacency_rows, prs_gcd, resolvent_identity_holds
+from oracles import (
+    adjacency_rows,
+    horner_interval_four,
+    isolate_largest_root_fractions,
+    prs_gcd,
+    refine_root_fractions,
+    resolvent_identity_holds,
+)
 
 K3P3 = attach_path(complete_graph(3), 0, 3)
 
@@ -149,10 +158,12 @@ def test_scaled_integer_shift_sign_pattern():
         if p.is_zero():
             continue
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 32))
-        scaled = p.shift_scaled(a)
+        # the point a as u/v, reduced or not
+        k = rng.choice([1, 1, 2, 6])
+        scaled = _shifted(p.coeffs, a.numerator * k, a.denominator * k)
         true = fraction_taylor_shift(p.coeffs, a)
         signs = [(c > 0) - (c < 0) for c in true]
-        got = [(c > 0) - (c < 0) for c in scaled.coeffs]
+        got = [(c > 0) - (c < 0) for c in scaled]
         assert got[:len(signs)] == signs
 
 
@@ -623,6 +634,104 @@ def test_isolate_matches_sturm_only_reference(roots, pairs, scale, eps, hint):
     assert got.width <= eps
 
 
+def _poly_from(roots=(), pairs=(), scale=1):
+    """scale * prod (q x - r) over the rational roots r/q, times
+    (d x - e)^2 + t for each (d, e, t) in pairs."""
+    p = IntPoly([scale])
+    for r in roots:
+        r = Fraction(r)
+        p = p * IntPoly([-r.numerator, r.denominator])
+    for d, e, t in pairs:
+        p = p * IntPoly([e * e + t, -2 * d * e, d * d])
+    return p
+
+
+W30 = Fraction(1, 2 ** 30)
+
+
+@pytest.mark.parametrize("p, eps, hints", [
+    # the largest root at a cell end: the root itself, a multiple of w
+    (_poly_from([Fraction(1, 2), -3]), Fraction(1, 2 ** 10), [None, 0.5, 0.3, 0.75]),
+    (_poly_from([3, -1]), W30, [None, 3.0, 2.9999999, 3.5]),
+    # a midpoint of the start cell (0, 1] is the largest root, p(mid) = 0
+    (_poly_from([Fraction(3, 4), -2]), W30, [None, 0.9, 0.6]),
+    # a midpoint is a root with the largest root above it
+    (_poly_from([Fraction(1, 2), Fraction(7, 8)]), W30, [None, 0.9, 0.5]),
+    # eps >= 1: cells of width 1, 2 and 8
+    (IntPoly([-2, 0, 1]), 1, [None, 1.4, 7.0]),
+    (IntPoly([-50, 0, 1]), 3, [None, 7.07, -7.07, 100.0]),
+    (_poly_from([5, -1]), 8, [None, 5.0, 13.0]),
+    (_poly_from([Fraction(1, 2)]), 8, [None, 0.5]),
+    # hints far off, NaN, infinite, huge and subnormal
+    (IntPoly([-2, 0, 1]), W30, [math.nan, math.inf, -math.inf, 1e300, -1e300,
+                                5e-324, 2 ** 0.5 + 5 * 2 ** -30, 2 ** 0.5 - 7 * 2 ** -30,
+                                2 ** 0.5 + 3 * 2 ** -20, 2 ** 0.5 - 0.1]),
+    # nonreal roots keep the p' test from holding: the closing count runs
+    (_poly_from([3], [(10, 20, 1)]), 2, [None, 3.4]),
+    (_poly_from([Fraction(29, 10), 3], [(1, 3, 1)]), 2, [None, 2.95]),
+    (_poly_from([Fraction(1, 3)], [(10, 20, 1)]), W30, [None, 0.3]),
+    (_poly_from([Fraction(1, 3), Fraction(2, 5)]), Fraction(1, 4), [None, 0.4, 0.3]),
+    (_poly_from([Fraction(3, 8), Fraction(2, 5)]), Fraction(1, 4), [None, 0.4]),
+    # no real root at all
+    (_poly_from([], [(1, 2, 3), (2, -1, 1)]), W30, [None, 1.0]),
+])
+def test_isolate_matches_fraction_oracle(p, eps, hints):
+    # the integer bisection returns the Fraction reference's interval, with
+    # the same root counts in the same order
+    for hint in hints:
+        before = root_count_info()
+        try:
+            want = isolate_largest_root_fractions(p, eps, hint)
+        except NoRealRootError:
+            with pytest.raises(NoRealRootError):
+                isolate_largest_root(p, eps, hint)
+            continue
+        mid = root_count_info()
+        got = isolate_largest_root(p, eps, hint)
+        after = root_count_info()
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+        assert {k: after[k] - mid[k] for k in after} == \
+            {k: mid[k] - before[k] for k in mid}
+
+
+@pytest.mark.parametrize("p, lo, hi, eps", [
+    # non-dyadic brackets, ends over different denominators
+    (IntPoly([-2, 0, 5]), Fraction(1, 3), Fraction(2, 3), Fraction(1, 10 ** 9)),
+    (IntPoly([-2, 0, 5]), Fraction(3, 7), Fraction(5, 6), Fraction(1, 7)),
+    (IntPoly([-2, 0, 5]), Fraction(-5, 6), Fraction(-3, 7), W30),
+    # the midpoint 7/12 of (1/3, 5/6] is the root
+    (IntPoly([-7, 12]), Fraction(1, 3), Fraction(5, 6), W30),
+    # a root at hi, a root at lo (never returned), a bracket already narrow
+    (IntPoly([-7, 12]), Fraction(1, 3), Fraction(7, 12), W30),
+    (IntPoly([-7, 12]) * IntPoly([-9, 10]), Fraction(7, 12), Fraction(19, 20), W30),
+    (IntPoly([-2, 0, 5]), Fraction(1, 3), Fraction(2, 3), 1),
+    # eps above 1 and a wide bracket
+    (IntPoly([-50, 0, 1]), Fraction(-1, 3), Fraction(31, 3), 2),
+])
+def test_refine_root_matches_fraction_oracle(p, lo, hi, eps):
+    iv = RationalInterval(lo, hi)
+    got, want = refine_root(p, iv, eps), refine_root_fractions(p, iv, eps)
+    assert (got.lo, got.hi) == (want.lo, want.hi) and got.width <= eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ROOTS, _PAIRS, st.fractions(-7, 7, max_denominator=30),
+       st.fractions(0, 9, max_denominator=30),
+       st.sampled_from([W30, Fraction(1, 3 ** 9), Fraction(2, 7), 1, 3]))
+def test_refine_root_matches_fraction_oracle_random(roots, pairs, lo, width, eps):
+    # any bracket: both bisect on the same signs, or both refuse it
+    p = _poly_from(roots, pairs)
+    iv = RationalInterval(lo, lo + width)
+    try:
+        want = refine_root_fractions(p, iv, eps)
+    except ValueError:
+        with pytest.raises(ValueError):
+            refine_root(p, iv, eps)
+        return
+    got = refine_root(p, iv, eps)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
 def test_perron_root_sign_change():
     # the top adjacency eigenvalue is simple: signs differ across it
     for g in enumerate_connected_graphs(5):
@@ -779,6 +888,39 @@ def test_eval_interval_matches_rational_horner(coeffs, ends):
     p = IntPoly(coeffs)
     got = p.eval_interval(RationalInterval(lo, hi))
     assert (got.lo, got.hi) == _interval_horner_reference(p.coeffs, lo, hi)
+
+
+_DEN = st.sampled_from([1, 3, 2 ** 30])
+
+
+@st.composite
+def _horner_cases(draw):
+    """(coeffs, lo, hi, den): mixed-sign coefficients and [lo, hi]/den with
+    lo >= 0, hi <= 0, straddling 0, or a point."""
+    den = draw(_DEN)
+    coeffs = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=13))
+    mag = st.integers(0, 5 * den)
+    kind = draw(st.sampled_from(("nonneg", "nonpos", "straddle", "point")))
+    if kind == "point":
+        lo = hi = draw(st.integers(-5 * den, 5 * den))
+    else:
+        lo, hi = sorted((draw(mag), draw(mag)))
+        if kind == "nonpos":
+            lo, hi = -hi, -lo
+        elif kind == "straddle":
+            lo, hi = -lo - 1, hi + 1
+    return coeffs, lo, hi, den
+
+
+@settings(max_examples=200, deadline=None)
+@given(_horner_cases())
+@example(([3, -5, 1], 0, 0, 1))
+@example(([0, 0, 0, 7], -2, 2, 3))
+@example(([-1, 4, -4, 1], 2 ** 30, 2 ** 31, 2 ** 30))
+def test_horner_interval_matches_four_products(case):
+    coeffs, lo, hi, den = case
+    assert horner_interval(coeffs, lo, hi, den) == \
+        horner_interval_four(coeffs, lo, hi, den)
 
 
 def test_eval_interval_width_shrinks():

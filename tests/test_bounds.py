@@ -332,6 +332,21 @@ def test_check_pair_monotone_in_beta(ctx):
 
 # -- the packed coefficient test --------------------------------------------------
 
+def test_majorant_bounds_every_pair_at_each_beta(ctx):
+    # the beta-free sums are built once per context and every beta's
+    # majorant still bounds |q| coefficientwise for every pair
+    n = ctx.graph.n
+    sets = range(1, 1 << n)
+    for beta in (Fraction(0), Fraction(21, 4), beta_tr_upper(), Fraction(7)):
+        maj = ctx._majorant(beta)
+        for um in sets:
+            for vm in (um, (1 << n) - 1, 1):
+                q = ctx.q_poly(um, vm, beta)[0].coeffs
+                assert len(q) <= len(maj)
+                assert all(abs(c) <= m for c, m in zip(q, maj))
+    assert "_abs_sums" in vars(ctx)
+
+
 def _packed_cases():
     """(context, family, beta): three 6-vertex graph kernels (one relabelled
     so that its root is not vertex 0) and the 7-vertex two-step kernel with

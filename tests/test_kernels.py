@@ -114,6 +114,26 @@ def test_tree_stage_deterministic_rerun(tree_stage):
     assert _strip_time(again.to_json_dict()) == _strip_time(tree_stage.to_json_dict())
 
 
+@pytest.mark.parametrize("default_first", [True, False])
+def test_stage_cache_hit_keeps_the_callers_beta_note(monkeypatch, default_first):
+    # the default tree target and the same Fraction passed explicitly share
+    # one cached sweep, whichever runs first, but each keeps its own note
+    from perronbalance import kernels
+    monkeypatch.setattr(kernels, "_STAGE_CACHE", {})
+    few = enumerate_tree_kernels()[:3]
+    monkeypatch.setattr(kernels, "enumerate_tree_kernels", lambda: few)
+    calls = [("default", lambda: tree_kernel_stage()),
+             ("explicit", lambda: tree_kernel_stage(beta_tr_upper()))]
+    if not default_first:
+        calls.reverse()
+    got = {name: call() for name, call in calls}
+    assert len(kernels._STAGE_CACHE) == 1
+    assert got["default"].beta == got["explicit"].beta
+    assert got["default"].beta_note.startswith("certified rational upper bound")
+    assert got["explicit"].beta_note == "exact rational stage target"
+    assert got["default"].outcomes is got["explicit"].outcomes
+
+
 def _strip_time(d):
     d = dict(d)
     d.pop("elapsed_seconds", None)

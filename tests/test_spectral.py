@@ -1,5 +1,6 @@
 """Certified eigenvalue, Perron vector, and balance-ratio computations."""
 
+import hashlib
 import math
 import os
 import random
@@ -45,12 +46,14 @@ from perronbalance.spectral import (
     BETA_TR,
     ColumnEnclosure,
     DEFAULT_EPS,
+    TableRow,
     LAMBDA_K4_INF,
     LAMBDA_S5_INF,
     _SUBTREE_PHI,
     _column_vertex,
     _faddeev_leverrier,
     _power_iteration_hint,
+    _row_order,
     _tree_resolvent,
     beta_d,
     certified_below,
@@ -675,6 +678,33 @@ def test_min_gamma_table_trees_10():
     assert below == 6
     assert rows[0].graph6 == write_graph6(
         canonical_relabel(attach_path(star_graph(5), 0, 5)))
+
+
+def test_table_rows_pinned():
+    # graph6 and the gamma and lambda endpoints of every row of the
+    # 7-vertex graph table and the 8..11-vertex tree tables, in table order
+    h = hashlib.sha256()
+    tables = [(7, "graph", BETA_STAR)] + [(n, "tree", BETA_TR) for n in range(8, 12)]
+    for n, kind, threshold in tables:
+        for r in min_gamma_table(n, kind, threshold)[0]:
+            h.update(("%s,%s,%s,%s,%s\n" % (r.graph6, r.gamma.lo, r.gamma.hi,
+                                             r.lam.lo, r.lam.hi)).encode())
+    assert h.hexdigest() == (
+        "5e14d521c95d7ed7e7c400def7d691abe3f08f2f1dd7b5c773c123af91498576")
+
+
+def test_row_order_is_mid_then_graph6():
+    # mids closer than 2^-64 share the integer prefix and fall back to the
+    # Fractions; equal mids fall back to graph6
+    def row(g6, lo, hi):
+        return TableRow(g6, RationalInterval(lo, hi), RationalInterval(0, 0))
+    five = Fraction(5)
+    rows = [row("C", five, five + Fraction(2, 2 ** 70)), row("B", five, five),
+            row("A", five - 1, five + 1), row("D", Fraction(-1, 3), 0),
+            row("E", five - Fraction(1, 2 ** 80), five)]
+    got = [r.graph6 for r in sorted(rows, key=_row_order)]
+    assert got == [r.graph6 for r in sorted(rows, key=lambda r: (r.gamma.mid, r.graph6))]
+    assert got == ["D", "E", "A", "B", "C"]
 
 
 def test_certified_below_refines():
