@@ -338,6 +338,11 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
+    def width_at_most(self, eps: Rat) -> bool:
+        """Whether hi - lo <= eps, decided on the integer numerators."""
+        lo, hi, den = self.numerators()
+        return (hi - lo) * eps.denominator <= eps.numerator * den
+
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -600,7 +605,7 @@ class NoRealRootError(ValueError):
     pass
 
 
-_START_WIDTHS = tuple(Fraction(1, 2 ** k) for k in (20, 10, 4, 0))
+_START_EXPONENTS = (-20, -10, -4, 0)
 
 
 def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
@@ -631,15 +636,16 @@ def isolate_largest_root(p: IntPoly, eps: Rat = Fraction(1, 2 ** 40),
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    w = Fraction(2) ** (eps.numerator.bit_length() - eps.denominator.bit_length())
-    if w > eps:
-        w /= 2
+    e = eps.numerator.bit_length() - eps.denominator.bit_length()
+    if eps.denominator << max(e, 0) > eps.numerator << max(-e, 0):
+        e -= 1
+    w = Fraction(1 << max(e, 0), 1 << max(-e, 0))
     p = p.primitive()
     cs = p.coeffs
     if hint is not None and math.isfinite(hint):
         hn, hd = hint.as_integer_ratio()
-        for width in [w] + [c for c in _START_WIDTHS if c > w]:
-            a, b = width.numerator, width.denominator
+        for j in [e] + [c for c in _START_EXPONENTS if c > e]:
+            a, b = 1 << max(j, 0), 1 << max(-j, 0)
             m = -(-hn * b // (hd * a)) - 1
             for k in (m, m - 1, m + 1):
                 if _cleared(cs, k * a, b) < 0 and min(_shifted(cs, (k + 1) * a, b)) >= 0:

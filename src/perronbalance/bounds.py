@@ -41,9 +41,10 @@ indicator vector of the second set V: every V-dependent term of Q is a sum
 over v in V of data of adjugate column v, so for a fixed first set U and
 grid point it is c_U + sum_{v in V} w_U[v] (_PackedSet).  verify_extension
 runs this test inline and keeps the first sets' data for the sweep, forming
-each weight w_U[v] on first use from the adjugate columns at that point: a
-pair it settles costs |V| integer additions and a sign test and leaves no
-verdict.  Only a pair that fails it goes to check_pair, which builds Q_{U,V}
+each weight w_U[v] on first use from the adjugate columns at that point,
+for a singleton U = {u} by the identity adj^2 = P' adj - P adj' in place
+of an n-term inner product: a pair it settles costs |V| integer additions
+and a sign test and leaves no verdict.  Only a pair that fails it goes to check_pair, which builds Q_{U,V}
 and runs the full cascade.
 """
 
@@ -136,6 +137,12 @@ def scaled_eval(coeffs: Sequence[int], x: int, bits: int, m: int) -> int:
     return acc
 
 
+def scaled_derivative_eval(coeffs: Sequence[int], x: int, bits: int,
+                           m: int) -> int:
+    """scaled_eval of the derivative: 2^(bits*m) * p'(x / 2^bits)."""
+    return scaled_eval([k * c for k, c in enumerate(coeffs)][1:], x, bits, m)
+
+
 def digit_sign_bits(k: int, d: int) -> int:
     """The top bit of each of the lowest d base-2^k digits."""
     return ((1 << k * d) - 1) // ((1 << k) - 1) << (k - 1)
@@ -160,28 +167,32 @@ def packed_nonneg(n: int, sign: int) -> bool:
 class _GridPoint:
     """The packed test's grid point X = 2^K + a of one kernel at one beta:
     the sign mask digit_sign_bits(K, 2n) of packed_nonneg for its digit
-    width K, P_X = 2^(n*PACK_BITS) P(X / 2^PACK_BITS), and the adjugate
-    columns at X / 2^PACK_BITS, evaluated on first use."""
+    width K, P_X = 2^(n*PACK_BITS) P(X / 2^PACK_BITS), the same scaling of
+    P' as dpx = 2^((n-1)*PACK_BITS) P'(X / 2^PACK_BITS), and the adjugate
+    columns at X / 2^PACK_BITS with their totals, evaluated on first use."""
 
-    __slots__ = ("x", "sign", "px", "_resolvent", "_cols")
+    __slots__ = ("x", "sign", "px", "dpx", "tots", "_resolvent", "_cols")
 
     def __init__(self, resolvent, x: int, k: int):
+        p, n = resolvent.char_poly.coeffs, resolvent.n
         self.x = x
-        self.sign = digit_sign_bits(k, 2 * resolvent.n)
-        self.px = scaled_eval(resolvent.char_poly.coeffs, x, PACK_BITS,
-                              resolvent.n)
+        self.sign = digit_sign_bits(k, 2 * n)
+        self.px = scaled_eval(p, x, PACK_BITS, n)
+        self.dpx = scaled_derivative_eval(p, x, PACK_BITS, n - 1)
+        self.tots: dict[int, int] = {}
         self._resolvent = resolvent
         self._cols: dict[int, tuple] = {}
 
     def column(self, v: int) -> tuple:
         """Column v of the adjugate at X / 2^PACK_BITS, each entry times
-        2^((n-1)*PACK_BITS)."""
+        2^((n-1)*PACK_BITS); its total goes to tots[v]."""
         got = self._cols.get(v)
         if got is None:
             rd = self._resolvent
             got = self._cols[v] = tuple(
                 scaled_eval(e.coeffs, self.x, PACK_BITS, rd.n - 1)
                 for e in rd.column(v))
+            self.tots[v] = sum(got)
         return got
 
 
@@ -215,14 +226,28 @@ class _PackedSet(dict):
         N = 2 den A_U A_V - num (2 b^2 T_U.T_V + b (T_U[o] + T_V[o]) P_X).
 
     The affine form.  Every factor of N that depends on V is a sum over
-    v in V: A_V = P_X + b * sum_v tot_v, where tot_v = sum_u col_v[u],
-    T_V[o] = sum_v col_v[o] and T_U.T_V = sum_v T_U.col_v.  Hence
-    N = c_U + sum_{v in V} w_U[v], where
+    v in V: A_V = P_X + b * sum_v tot_v, where tot_v = sum_u col_v[u]
+    (grid.tots), T_V[o] = sum_v col_v[o] and T_U.T_V = sum_v T_U.col_v.
+    Hence N = c_U + sum_{v in V} w_U[v], where
 
         c_U    = 2 den A_U P_X - num b T_U[o] P_X,
         w_U[v] = 2 den b A_U tot_v - num (2 b^2 T_U.col_v + b col_v[o] P_X),
 
     and only the weights of vertices some pair asks for are formed.
+
+    Singleton first sets.  For U = {u}, T_U.col_v is b^(2n-2) (adj^2)[u][v]
+    at X/b, adj being symmetric.  With R = (xI - A)^-1, adj = P R and
+    R' = -R^2, so adj' = P' R - P R^2 and, multiplying by P,
+
+        adj^2 = P' adj - P adj',   T_U.col_v = dpx t[v] - P_X D,
+
+    scaled by b^(2n-2): dpx = b^(n-1) P'(X/b) (grid.dpx), t[v] = b^(n-1)
+    adj[u][v](X/b) and D = b^(n-2) adj'[u][v](X/b), a Horner pass by the
+    K-bit X.  Two products of ~nK bits replace the n of the inner product.
+    Singletons are the first sets of all 3,088 weights of the tree-kernel
+    stage but of 2,309 of 22,313 in the graph-kernel stage, where summing D
+    over a larger U measured slower (at ~800 bits the derivative evaluations
+    cost more than the products saved): a larger U keeps T_U.col_v.
 
     The digit width.  For any polynomial p of degree <= D,
 
@@ -240,7 +265,7 @@ class _PackedSet(dict):
     whatever family the caller checks.
     """
 
-    __slots__ = ("c", "_t", "_grid", "_root", "_num", "_ta", "_to")
+    __slots__ = ("c", "_t", "_grid", "_root", "_num", "_ta", "_to", "_adj_u")
 
     def __init__(self, grid: _GridPoint, vertices: tuple, root: int,
                  beta: Fraction):
@@ -252,12 +277,21 @@ class _PackedSet(dict):
         self._to = num * px
         self.c = self._ta * px - (self._to * t[root] << PACK_BITS)
         self._t, self._grid, self._root, self._num = t, grid, root, num
+        self._adj_u = (grid._resolvent.column(vertices[0])
+                       if len(vertices) == 1 else None)
 
     def __missing__(self, v: int) -> int:
-        col = self._grid.column(v)
+        grid = self._grid
+        col = grid.column(v)
+        adj_u = self._adj_u
+        if adj_u is None:
+            tc = sum(map(mul, self._t, col))
+        else:
+            tc = grid.dpx * self._t[v] - grid.px * scaled_derivative_eval(
+                adj_u[v].coeffs, grid.x, PACK_BITS, len(col) - 2)
         w = self[v] = (
-            ((self._ta * sum(col) - self._to * col[self._root]) << PACK_BITS)
-            - (self._num * sum(map(mul, self._t, col)) << 2 * PACK_BITS + 1))
+            ((self._ta * grid.tots[v] - self._to * col[self._root]) << PACK_BITS)
+            - (self._num * tc << 2 * PACK_BITS + 1))
         _PAIR_COUNTS["weights"] += 1
         return w
 
@@ -317,15 +351,14 @@ class KernelContext:
         """Characteristic polynomial of H plus one vertex joined to the set:
         the bordered determinant x*P(x) - 1_U^T adj 1_U, the quadratic form
         read off the U x U block of the symmetric adjugate as its diagonal
-        plus twice the entries above it."""
+        plus twice the entries above it, summed coefficientwise in one
+        pass."""
         vs = mask_vertices(mask)
-        diag = off = IntPoly()
-        for k, j in enumerate(vs):
-            col = self.resolvent.column(j)
-            diag = diag + col[j]
-            for i in vs[:k]:
-                off = off + col[i]
-        return self.char.shifted_degree(1) - diag - off * 2
+        col = self.resolvent.column
+        upper = [col(j)[i].coeffs for k, j in enumerate(vs) for i in vs[:k]]
+        terms = upper + upper + [col(j)[j].coeffs for j in vs]
+        return IntPoly._from_ints([xp - sum(cs) for xp, *cs in zip_longest(
+            (0,) + self.char.coeffs, *terms, fillvalue=0)])
 
     def lambda_U(self, mask: int, eps: Fraction | None = None) -> RationalInterval:
         """Top eigenvalue of H with one new vertex joined to the set, with
@@ -339,7 +372,7 @@ class KernelContext:
         the set's shift key.
         """
         cur = self._lam.get(mask)
-        if cur is not None and (eps is None or cur.width <= eps):
+        if cur is not None and (eps is None or cur.width_at_most(eps)):
             return cur
         eps = LAMBDA_EPS if eps is None else min(eps, LAMBDA_EPS)
         if not mask:

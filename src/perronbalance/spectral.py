@@ -320,8 +320,8 @@ class ColumnEnclosure:
                                            Fraction(s_hi * s_hi, q_lo))
 
     def _narrow_until(self, met) -> None:
-        while self._gamma is None or not (self.lam.iv.width == 0 or met()):
-            if self.lam.iv.width == 0:
+        while self._gamma is None or not (self.lam.iv.lo == self.lam.iv.hi or met()):
+            if self.lam.iv.lo == self.lam.iv.hi:
                 raise ArithmeticError("adjugate column not positive at exact eigenvalue")
             self._rounds += 1
             if self._rounds == 220:
@@ -333,7 +333,7 @@ class ColumnEnclosure:
     def refine(self, eps: Fraction) -> RationalInterval:
         """Enclosure of gamma(G) with width <= eps; gamma is scale-invariant,
         so the unnormalized column serves."""
-        self._narrow_until(lambda: self._gamma.width <= eps)
+        self._narrow_until(lambda: self._gamma.width_at_most(eps))
         return self._gamma
 
     def weights(self, eps: Fraction) -> PerronData:
@@ -384,7 +384,7 @@ def certified_below(refine: Callable[[Fraction], RationalInterval],
         th = threshold_enclosure(threshold, eps)
         if iv.hi < th.lo:
             return True
-        if iv.lo > th.hi or (iv.width == 0 and iv == th):
+        if iv.lo > th.hi or (iv.lo == iv.hi and iv == th):
             return False
         eps = eps / 2 ** 8
     raise ArithmeticError("comparison undecided at maximal refinement")
@@ -568,7 +568,7 @@ def min_gamma_table(n: int, kind: str, threshold: Threshold,
         # the first isolation narrowed to eps, on a copy: gamma narrows
         # enc.lam on a schedule of its own
         lam = enc.lam.iv
-        if lam.width > eps:
+        if not lam.width_at_most(eps):
             lam = RootEnclosure(enc.lam.poly, lam).refine(eps)
         gv = gamma_enclosure(enc, eps)
         rows.append(TableRow(write_graph6(canonical_relabel(g)), gv, lam))

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from hypothesis import strategies as st
+
 from perronbalance.algebra import (
     IntPoly,
     NoRealRootError,
@@ -43,6 +45,17 @@ def induced(g: Graph, vertices: Sequence[int]) -> Graph:
             if u in idx:
                 adj[idx[v]] |= 1 << idx[u]
     return Graph(len(vertices), tuple(adj))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree plus random extra edges, on 1..8 vertices."""
+    n = draw(st.integers(1, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    extra = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges |= {e for e, keep in zip(pairs, extra) if keep}
+    return Graph.from_edges(n, sorted(edges))
 
 
 def adjacency_rows(g: Graph) -> list:

@@ -923,6 +923,17 @@ def test_horner_interval_matches_four_products(case):
         horner_interval_four(coeffs, lo, hi, den)
 
 
+def test_width_at_most_matches_fraction_width():
+    """The integer width test against hi - lo <= eps in Fractions: unequal
+    denominators, points, and eps an int, a point width or in between."""
+    rng = random.Random(83)
+    for _ in range(500):
+        lo = Fraction(rng.randrange(-50, 50), rng.randrange(1, 40))
+        iv = RationalInterval(lo, lo + Fraction(rng.randrange(0, 30), rng.randrange(1, 40)))
+        for eps in (0, 1, iv.width, Fraction(rng.randrange(1, 50), rng.randrange(1, 60))):
+            assert iv.width_at_most(eps) == (iv.width <= eps)
+
+
 def test_eval_interval_width_shrinks():
     p = resolvent_data(K3P3).char_poly
     w1 = p.eval_interval(RationalInterval(2, Fraction(21, 10))).width

@@ -7,6 +7,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
 
 from perronbalance import bounds
 from perronbalance.algebra import (
@@ -29,6 +30,7 @@ from perronbalance.bounds import (
     mask_vertices,
     packed_nonneg,
     pair_check_info,
+    scaled_derivative_eval,
     scaled_eval,
     subset_mask,
     verify_extension,
@@ -58,7 +60,7 @@ from perronbalance.spectral import (
     resolvent_data,
 )
 
-from oracles import induced
+from oracles import connected_graphs, induced
 
 K3P3 = attach_path(complete_graph(3), 0, 3)
 U3 = 1 << 5
@@ -332,6 +334,52 @@ def test_check_pair_monotone_in_beta(ctx):
 
 # -- the packed coefficient test --------------------------------------------------
 
+def _assert_singleton_identity(c):
+    """c_poly of every two singletons, the entry (adj^2)[u][v], is
+    P' adj[u][v] - P adj'[u][v]."""
+    p, n = c.char, c.graph.n
+    dp = p.derivative()
+    for u in range(n):
+        for v in range(n):
+            e = c.resolvent.column(v)[u]
+            assert c.c_poly(1 << u, 1 << v) == dp * e - p * e.derivative()
+
+
+def test_singleton_c_poly_is_resolvent_identity():
+    """The identity adj^2 = P' adj - P adj' (adj = P (xI - A)^-1, so
+    adj^2 = -P^2 (adj/P)') behind the packed weights of a singleton first
+    set, on every graph-kernel and tree-kernel graph and every graph of
+    _packed_cases, the 14-vertex S5 branch-point graph among them."""
+    graphs = {k.graph for k in enumerate_graph_kernels()}
+    graphs |= {k.graph for k in enumerate_tree_kernels()}
+    graphs |= {c.graph for c, _, _ in _packed_cases()}
+    assert max(g.n for g in graphs) == 14
+    for g in graphs:
+        _assert_singleton_identity(KernelContext(RootedKernel(g, 0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs())
+def test_singleton_c_poly_is_resolvent_identity_random(g):
+    _assert_singleton_identity(KernelContext(RootedKernel(g, 0)))
+
+
+@pytest.mark.parametrize("coeffs, m", [
+    ((1,), -1),                  # the adjugate entry of a 1-vertex graph
+    ((7,), 3),                   # constant: the derivative is 0
+    ((3, -5, 2), 4),             # degree below m + 1
+    ((-1, 4, -9, 0, -6), 3),     # negative coefficients, deg p' = m
+])
+def test_scaled_derivative_eval_against_fractions(coeffs, m):
+    b = PACK_BITS
+    for a in (-300, 0, 77):
+        for x in (a, (1 << 40) + a):
+            t = Fraction(x, 1 << b)
+            want = Fraction(2) ** (b * m) * sum(
+                k * c * t ** (k - 1) for k, c in enumerate(coeffs) if k)
+            assert scaled_derivative_eval(coeffs, x, b, m) == want
+
+
 def test_majorant_bounds_every_pair_at_each_beta(ctx):
     # the beta-free sums are built once per context and every beta's
     # majorant still bounds |q| coefficientwise for every pair
@@ -425,6 +473,7 @@ def _product_form_packed(c, um, vm, beta, a):
     n, b, o = c.graph.n, PACK_BITS, c.root
     px = scaled_eval(c.char.coeffs, g.x, b, n)
     assert g.px == px
+    assert g.dpx == scaled_eval(c.char.derivative().coeffs, g.x, b, n - 1)
     tu, tv = ([scaled_eval(e.coeffs, g.x, b, n - 1) for e in c.pbt_column(m)]
               for m in (um, vm))
     au, av = ((sum(t) << b) + px for t in (tu, tv))

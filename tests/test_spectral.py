@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import perronbalance
 from perronbalance import spectral
@@ -74,6 +73,7 @@ from perronbalance.spectral import (
 
 from oracles import (
     adjacency_rows,
+    connected_graphs,
     induced,
     residual_contains_zero,
     resolvent_identity_holds,
@@ -470,19 +470,8 @@ def test_certified_below_first_round_reuses_the_request(monkeypatch):
     assert enc.refine(Fraction(1, 10 ** 6)) is first
 
 
-@st.composite
-def _connected_graphs(draw):
-    """A random spanning tree plus random extra edges, on 1..8 vertices."""
-    n = draw(st.integers(1, 8))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    extra = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges |= {e for e, keep in zip(pairs, extra) if keep}
-    return Graph.from_edges(n, sorted(edges))
-
-
 @settings(max_examples=60, deadline=None)
-@given(_connected_graphs())
+@given(connected_graphs())
 @example(cycle_graph(7))
 @example(complete_graph(5))
 def test_gamma_equals_n_exactly_for_regular_graphs(g):
