@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -979,22 +979,20 @@ class ResolventData:
     adjugate adj(xI - A), entrywise integer polynomials.
 
     The adjugate is read by column: column(j) is the tuple of entries
-    adj[i][j], i = 0..n-1, built by column_of(j) on first request and kept
-    (columns, when given, holds some already built).  The full matrix,
-    adjugate[i][j], is assembled from the columns on first access, after
-    which column_of is dropped.  A is symmetric, so is its adjugate, and
-    column j serves as row j.
+    adj[i][j], i = 0..n-1, built by column_of(j) on first request and kept.
+    The full matrix, adjugate[i][j], is assembled from the columns on first
+    access, after which column_of is dropped.  A is symmetric, so is its
+    adjugate, and column j serves as row j.
     """
 
     __slots__ = ("char_poly", "n", "_column_of", "_columns", "_adjugate")
 
     def __init__(self, char_poly: IntPoly, n: int,
-                 column_of: Callable[[int], tuple],
-                 columns: Optional[dict] = None):
+                 column_of: Callable[[int], tuple]):
         self.char_poly = char_poly
         self.n = n
         self._column_of = column_of
-        self._columns = {} if columns is None else columns
+        self._columns = {}
         self._adjugate = None
 
     def column(self, j: int) -> tuple:
@@ -1010,57 +1008,6 @@ class ResolventData:
             self._adjugate = tuple(self.column(j) for j in range(self.n))
             self._column_of = None
         return self._adjugate
-
-
-def bareiss_det(A: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss)."""
-    n = len(A)
-    M = [[int(x) for x in row] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for r in range(k + 1, n):
-                if M[r][k]:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-def charpoly_by_interpolation(A: Sequence[Sequence[int]]) -> IntPoly:
-    """Characteristic polynomial via determinant evaluations at integer
-    points; independent of the Faddeev-LeVerrier route."""
-    n = len(A)
-    pts = list(range(n + 1))
-    vals = []
-    for c in pts:
-        M = [[(c if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
-        vals.append(bareiss_det(M))
-    # Newton divided differences, exact
-    coeffs = [Fraction(v) for v in vals]
-    for j in range(1, n + 1):
-        for i in range(n, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (pts[i] - pts[i - j])
-    # expand Newton form
-    poly = [Fraction(0)] * (n + 1)
-    acc = [Fraction(1)]
-    for j in range(n + 1):
-        for d, a in enumerate(acc):
-            poly[d] += coeffs[j] * a
-        new = [Fraction(0)] * (len(acc) + 1)
-        for d, a in enumerate(acc):
-            new[d] -= pts[j] * a
-            new[d + 1] += a
-        acc = new
-    return IntPoly([int(c) for c in poly])
 
 
 # ---------------------------------------------------------------------------

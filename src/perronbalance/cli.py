@@ -61,23 +61,30 @@ def _parse_beta(text: str):
             "21/4, or beta-star/beta-tr")
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(
             "beta must be an exact fraction like 21/4, or beta-star/beta-tr"
         ) from exc
 
 
-def _parse_jobs(text: str) -> int:
+def _parse_count(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError("jobs must be a whole number >= 1")
+        raise argparse.ArgumentTypeError("expected a whole number >= 1")
     return int(text)
 
 
-def _parse_eps(text: str) -> Fraction:
+def _parse_number(text: str) -> Fraction:
+    """An exact rational: a fraction like 9/4 or a decimal like 2.25.
+    Fraction("1/0") raises ZeroDivisionError, which argparse would let
+    through as a traceback, so it becomes a usage error here."""
     try:
-        f = Fraction(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("eps must be an exact fraction") from exc
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError("expected an exact number like 9/4 or 2.25") from exc
+
+
+def _parse_eps(text: str) -> Fraction:
+    f = _parse_number(text)
     if f <= 0:
         raise argparse.ArgumentTypeError("eps must be positive")
     return f
@@ -124,7 +131,7 @@ def cmd_gamma(args) -> int:
     if not g.is_connected():
         print("input error: graph is disconnected", file=sys.stderr)
         return EXIT_INPUT
-    enc = spectral.ColumnEnclosure(g)
+    enc = spectral.GammaEnclosure(g)
     first = RootEnclosure(enc.lam.poly, enc.lam.iv)   # printed, not enc.lam
     gv = spectral.gamma_enclosure(enc, args.eps)
     lam = first.refine(args.eps)
@@ -230,8 +237,9 @@ def cmd_curves(args) -> int:
     k3p3 = attach_path(complete_graph(3), 0, 3)
     ctx = bounds.KernelContext(RootedKernel(k3p3, 0))
     u3 = 1 << 5
-    rows = bounds.bound_curves(ctx, u3, Fraction(args.lo), Fraction(args.hi),
-                               args.samples)
+    if not args.lo < args.hi:
+        raise ValueError("--lo must be below --hi")
+    rows = bounds.bound_curves(ctx, u3, args.lo, args.hi, args.samples)
     path = _write_out(args, "bound-curves.csv", reports.curves_csv(rows))
     print("wrote %s" % path)
     tctx = tails.TailContext(complete_graph(4), 0)
@@ -248,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="perronbalance",
         description="certified extremal analysis of the Perron-vector "
                     "balance ratio")
-    ap.add_argument("--jobs", type=_parse_jobs, default=1,
+    ap.add_argument("--jobs", type=_parse_count, default=1,
                     help="worker processes for kernel sweeps, at most one "
                          "per kernel and per CPU")
     ap.add_argument("--out", help="output directory for artifacts")
@@ -285,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     tb.set_defaults(func=cmd_tables)
 
     cv = sub.add_parser("curves", help="emit bound-comparison curve data")
-    cv.add_argument("--lo", default="2.24")
-    cv.add_argument("--hi", default="2.75")
-    cv.add_argument("--samples", type=int, default=120)
+    cv.add_argument("--lo", type=_parse_number, default="2.24")
+    cv.add_argument("--hi", type=_parse_number, default="2.75")
+    cv.add_argument("--samples", type=_parse_count, default=120)
     cv.set_defaults(func=cmd_curves)
     return ap
 

@@ -262,10 +262,6 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError("bad edge-list text: %s" % exc) from exc
 
 
-def write_edge_list(g: Graph) -> str:
-    return "%d; %s" % (g.n, ", ".join("%d-%d" % e for e in g.edges()))
-
-
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
@@ -387,28 +383,18 @@ def _refine_colors(g: Graph, colors: list) -> list:
     return colors
 
 
-def subtree_codes(g: Graph, root: int, codes: Optional[dict] = None) -> bytes:
+def _subtree_walk(g: Graph, root: int, pairs: Optional[list] = None) -> tuple:
     """Sorted-subtree code of the tree g rooted at root: "(" then the codes
-    of the child subtrees in sorted order, then ")".  Equal codes mean
-    rooted-isomorphic subtrees.  codes, when given, receives the code of
-    every rooted subtree keyed by (vertex, parent), parent -1 at the root,
-    in post-order (each vertex after its children)."""
-    return _subtree_walk(g, root, codes)[0]
-
-
-def _subtree_walk(g: Graph, root: int, codes: Optional[dict],
-                  pairs: Optional[list] = None) -> tuple:
-    """subtree_codes(g, root, codes), and the vertices depth first from
-    root with the children of each in increasing (code, label) order.
-    pairs, when given, receives the walks of each two adjacent children
-    with equal codes (see _tree_canon)."""
+    of the child subtrees in sorted order, then ")", so that equal codes
+    mean rooted-isomorphic subtrees; and the vertices depth first from root
+    with the children of each in increasing (code, label) order.  pairs,
+    when given, receives the walks of each two adjacent children with equal
+    codes (see _tree_canon)."""
 
     def encode(v: int, parent: int) -> tuple:
         # ties on the code compare the walks, which start at distinct labels
         subs = sorted([encode(u, v) for u in _bits(g.adj[v]) if u != parent])
         code = b"(" + b"".join([c for c, _ in subs]) + b")"
-        if codes is not None:
-            codes[(v, parent)] = code
         walk = [v]
         for _, w in subs:
             walk += w
@@ -443,12 +429,12 @@ def _tree_canon(g: Graph, root: Optional[int]) -> tuple:
     """
     pairs: list = []
     if root is not None:
-        code, order = _subtree_walk(g, root, None, pairs)
+        code, order = _subtree_walk(g, root, pairs)
         return b"R" + code, order, partial(_swaps, g.n, pairs)
     c, *rest = _tree_centers(g)
-    code, order = _subtree_walk(g, c, None, pairs)
+    code, order = _subtree_walk(g, c, pairs)
     if rest:
-        other = _subtree_walk(g, rest[0], None)
+        other = _subtree_walk(g, rest[0])
         if other[0] == code:
             pairs.append((order, other[1]))
         code, order = min((code, order), other)
@@ -746,14 +732,6 @@ def _mask_action(a: Sequence[int]) -> list:
         low = m & -m
         img[m] = img[m ^ low] | 1 << a[low.bit_length() - 1]
     return img
-
-
-def vertex_orbits(g: Graph) -> list:
-    """Automorphism orbits of the vertices, each in increasing order, by
-    least vertex."""
-    gens = _canon(g, None)[2]()
-    return [_bits(_orbit_closure(1 << v, gens))
-            for v in _orbit_minima(range(g.n), gens)]
 
 
 def _add_class(out: dict, g: Graph, root: Optional[int], item):

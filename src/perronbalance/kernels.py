@@ -54,7 +54,7 @@ from .graphs import (
 from .spectral import (
     BETA_STAR,
     BETA_TR,
-    ColumnEnclosure,
+    GammaEnclosure,
     beta_d,
     certified_below,
     gamma_enclosure,
@@ -230,7 +230,7 @@ def _canon6(g: Graph) -> str:
 
 def _classify_single(g: Graph, beta: Fraction, limit: SqrtRat) -> LeftoverGraph:
     eps = Fraction(1, 10 ** 6)
-    enc = ColumnEnclosure(g)
+    enc = GammaEnclosure(g)
     gv = gamma_enclosure(enc, eps)
     below_beta = certified_below(enc.refine, beta, eps)
     below_limit = certified_below(enc.refine, limit, eps)
@@ -618,7 +618,7 @@ def lambda_le_2_link(kind: str) -> LinkResult:
         for name, g in lambda_le_2_graphs(n):
             if kind == "trees" and not g.is_tree():
                 continue
-            above = not certified_below(ColumnEnclosure(g).refine, threshold)
+            above = not certified_below(GammaEnclosure(g).refine, threshold)
             certified.append((name, n, above))
             ok = ok and above
     # monotonicity spot check (floating point, display-level)
@@ -677,7 +677,7 @@ def star_link() -> LinkResult:
     """
     ok = True
     for n in range(10, 21):
-        above = not certified_below(ColumnEnclosure(star_graph(n)).refine, BETA_TR)
+        above = not certified_below(GammaEnclosure(star_graph(n)).refine, BETA_TR)
         ok = ok and above
     ints_ok = all(4 * (n - 1) >= (15 - n) ** 2 for n in range(10, 15))
     half15_ok = (SqrtRat(Fraction(15, 2), 0, 3) - BETA_TR).sign() > 0
@@ -790,7 +790,7 @@ def _branching_tail_link(head: Graph, path: int, floor: int, window: tuple,
 
 def _extremal_family_link(head: Graph, limit: SqrtRat, spots: int) -> LinkResult:
     low = check_gamma_lower(TailContext(head, 0, exact_limit_ratio=limit), 1)
-    spots_ok = all(certified_below(ColumnEnclosure(attach_path(head, 0, k)).refine,
+    spots_ok = all(certified_below(GammaEnclosure(attach_path(head, 0, k)).refine,
                                    limit) for k in range(1, spots + 1))
     return LinkResult(
         "extremal family below the limit", low.passed and spots_ok,

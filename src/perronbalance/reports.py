@@ -13,15 +13,9 @@ import csv
 import io
 import json
 from datetime import datetime, timezone
-from importlib import resources
 
 from .algebra import RationalInterval
 from .kernels import ProofCertificate, StageReport
-
-
-def schema_text() -> str:
-    return resources.files("perronbalance").joinpath(
-        "data/report.schema.json").read_text()
 
 
 def _stamp() -> str:

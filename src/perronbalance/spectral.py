@@ -7,23 +7,28 @@ connected graph,
 
 which lies in [1, n] and equals n exactly for regular graphs.  All
 enclosures are produced by exact rational arithmetic: the top eigenvalue is
-isolated as the largest root of the characteristic polynomial, and the
-Perron vector is read off a column of the adjugate adj(lam*I - A), which is
-rank-one and entrywise positive at the top eigenvalue.
+isolated as the largest root of the characteristic polynomial phi, and
+gamma is read off two polynomials at it,
 
-Both polynomials come from resolvent_data: for a tree by Schwenk's
-recurrence over its rooted subtrees, memoised on their sorted subtree
-codes, and for any other graph by one integer Faddeev-LeVerrier pass.
-Adjugate columns are built on demand; a table row reads one column, so
-the full n x n matrix is built only where a caller asks for it.
+    gamma = W(lambda_1) / phi'(lambda_1),   W = 1^T adj(xI - A) 1,
 
-A ColumnEnclosure holds the eigenvalue as one algebra.RootEnclosure with
-the adjugate column and narrows it in place, so each request continues
-where the last one stopped.  The column is evaluated on integer numerators
-over one denominator (algebra.horner_interval, two products per step on an
-enclosure above 0), with exactly the endpoints of rational interval Horner,
-so the gamma enclosure needs only sums of integers and two fractions, and
-table rows sort on an integer prefix of the gamma midpoint.
+because at a simple eigenvalue the adjugate is phi'(lambda) x x^T for a
+unit eigenvector x.  W/phi is the walk generating function, so W comes
+from the walk counts 1^T A^k 1 and the coefficients of phi alone
+(_walk_numerator), for any graph.
+
+phi comes from resolvent_data: for a tree by Schwenk's recurrence in one
+bottom-up pass, and for any other graph by one integer Faddeev-LeVerrier
+pass, which also builds the adjugate columns that kernel contexts and tail
+bases read (for a tree, on first request).
+
+A GammaEnclosure holds the eigenvalue as one algebra.RootEnclosure and
+narrows it in place, so each request continues where the last one
+stopped.  W and phi' are evaluated on integer numerators over one
+denominator (algebra.horner_interval, two products per step on an
+enclosure above 0), with exactly the endpoints of rational interval Horner;
+they share one scale, so the gamma enclosure is two fractions of integers,
+and table rows sort on an integer prefix of the gamma midpoint.
 
 Floating point is used only to seed root searches, and changes no output.
 The seed for the top eigenvalue (_power_iteration_hint) takes one power
@@ -39,6 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
+from operator import mul
 from typing import Callable, Union
 
 from .algebra import (
@@ -60,8 +66,6 @@ from .graphs import (
     enumerate_trees,
     fork_graph,
     path_graph,
-    subtree_codes,
-    vertex_orbits,
     write_graph6,
 )
 
@@ -79,21 +83,17 @@ def resolvent_data(g: Graph) -> ResolventData:
     """Characteristic polynomial and adjugate of (xI - A_G), the adjugate
     built column by column on demand.
 
-    A tree takes the char poly and the column of its column vertex (the
-    one the Perron enclosures read) from Schwenk's recurrence over its
-    rooted subtrees (_tree_resolvent).  Any other graph, and any other
-    column of a tree, comes from one integer Faddeev-LeVerrier pass
-    (_faddeev_leverrier), run when first needed: readers of further tree
-    columns (kernel contexts, tail bases) mostly want the full matrix,
-    which that pass packs faster than n rerootings.  The polynomials are
-    unique, so both routes give the same ones.
+    A tree takes its char poly from Schwenk's recurrence
+    (_tree_char_poly); its adjugate, and everything of any other graph,
+    comes from one integer Faddeev-LeVerrier pass (_faddeev_leverrier),
+    run for a tree only when a column is first asked for (kernel contexts,
+    tail bases).  The char poly is unique, so both routes give the same
+    one.
     """
     if not g.is_tree():
         return _faddeev_leverrier(g)
-    j = _column_vertex(g)
-    char, col = _tree_resolvent(g, j)
     full = cache(partial(_faddeev_leverrier, g))
-    return ResolventData(char, g.n, lambda v: full().column(v), {j: col})
+    return ResolventData(_tree_char_poly(g), g.n, lambda v: full().column(v))
 
 
 def _faddeev_leverrier(g: Graph) -> ResolventData:
@@ -138,17 +138,11 @@ def _faddeev_leverrier(g: Graph) -> ResolventData:
     return ResolventData(char, n, column_of)
 
 
-# phi(T), phi(T - r) and, for each child subtree code c, the product of phi
-# over the other child subtrees, keyed by the sorted-subtree code of the
-# rooted tree T with root r; filled by _tree_resolvent
-_SUBTREE_PHI: dict[bytes, tuple] = {}
-
 _ONE = IntPoly([1])
 
 
 def _times(a: IntPoly, b: IntPoly) -> IntPoly:
-    """a * b, skipping the empty products (_ONE itself) that leaves, paths
-    and the root give."""
+    """a * b, skipping the empty products (_ONE itself) that leaves give."""
     if a is _ONE:
         return b
     if b is _ONE:
@@ -156,53 +150,67 @@ def _times(a: IntPoly, b: IntPoly) -> IntPoly:
     return a * b
 
 
-def _product(polys) -> IntPoly:
-    out = _ONE
-    for p in polys:
-        out = _times(out, p)
-    return out
-
-
-def _tree_resolvent(g: Graph, j: int) -> tuple:
-    """(char poly, adjugate column j) of a tree by Schwenk's recurrence
+def _tree_char_poly(g: Graph) -> IntPoly:
+    """Characteristic polynomial of a tree by Schwenk's recurrence
     (Schwenk, LNM 406, 1974; Godsil, Algebraic Combinatorics, ch. 2).
 
-    Rooted at j, with T_v the subtree of v and c running over its children,
+    Rooted at vertex 0, with T_v the subtree of v and c running over its
+    children, f_v = phi(T_v) and g_v = phi(T_v - v) = prod_c f_c satisfy
 
-        phi(T_v) = x * prod_c phi(T_c) - sum_c phi(T_c - c) * prod_{c' != c} phi(T_c'),
+        f_v = x * prod_c f_c - sum_c g_c * prod_{c' != c} f_c'.
 
-    where phi(T_c - c) is the product over the children of c.  Entry i of
-    the column is adj[i][j] = phi(T - P), P the path from j to i: the product
-    of phi over the subtrees hanging off P before i, kept as a running
-    product from the root down, times phi(T_i - i).  Every rooted subtree is
-    memoised on its code (graphs.subtree_codes) in _SUBTREE_PHI.
+    One bottom-up pass accumulates, per vertex, P = prod f_c and
+    S = sum_c g_c prod_{c' != c} f_c' over the children seen so far: each
+    child c updates S <- S*f_c + g_c*P, then P <- P*f_c.  At the end
+    f_v = x*P - S and g_v = P.
     """
-    codes: dict = {}
-    subtree_codes(g, j, codes)
-    for (v, parent), code in codes.items():     # children first
-        if code in _SUBTREE_PHI:
-            continue
-        kids = [codes[(u, v)] for u in g.neighbors(v) if u != parent]
-        phis = [_SUBTREE_PHI[c][0] for c in kids]
-        others = {}
-        for k, c in enumerate(kids):
-            if c not in others:
-                others[c] = _product(phis[:k] + phis[k + 1:])
-        minus = _product(phis)
-        phi = IntPoly._from_ints([0, *minus.coeffs])
-        for c in kids:
-            phi = phi - _times(_SUBTREE_PHI[c][1], others[c])
-        _SUBTREE_PHI[code] = (phi, minus, others)
-    col = [_ONE] * g.n
-    above = {j: _ONE}
-    for (v, parent), code in reversed(codes.items()):   # parents first
-        _, minus, others = _SUBTREE_PHI[code]
-        acc = above.pop(v)
-        col[v] = _times(acc, minus)
+    parent = [-1] * g.n
+    order = [0]
+    for v in order:
         for u in g.neighbors(v):
-            if u != parent:
-                above[u] = _times(acc, others[codes[(u, v)]])
-    return _SUBTREE_PHI[codes[(j, -1)]][0], tuple(col)
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    prod = [_ONE] * g.n
+    acc = [None] * g.n          # S; None while it is the zero polynomial
+    for v in reversed(order):
+        p, s = prod[v], acc[v]
+        f = IntPoly._from_ints([0, *p.coeffs])
+        if s is not None:
+            f = f - s
+        u = parent[v]
+        if u < 0:
+            return f
+        term = _times(p, prod[u])
+        acc[u] = term if acc[u] is None else acc[u] * f + term
+        prod[u] = _times(prod[u], f)
+
+
+def _walk_numerator(g: Graph, char: IntPoly) -> list:
+    """Ascending coefficients w_0..w_(n-1) of W = 1^T adj(xI - A) 1, from
+    the walk counts N_k = 1^T A^k 1 and the coefficients a_i of char.
+
+    With w_j = sum_{k=0}^{n-1-j} a_(j+k+1) N_k.  Proof: (xI - A)^-1 =
+    sum_{k>=0} A^k x^(-k-1) for large x, so W/phi = sum_k N_k x^(-k-1)
+    and W = phi * sum_k N_k x^(-k-1).  W is a polynomial of degree n - 1,
+    so it is the polynomial part of that product; a term with k >= n
+    carries x^(n-k-1), a negative power, and drops out, which leaves the
+    sum above.  N_0 = n and N_1 is the degree sum; each further N_k takes
+    one sparse product A * (A^(k-1) 1) over the edge list, n - 2 in all.
+    """
+    n = g.n
+    edges = g.edges()
+    walks = g.degrees()
+    counts = [n, sum(walks)]
+    for _ in range(n - 2):
+        nxt = [0] * n
+        for u, v in edges:
+            nxt[u] += walks[v]
+            nxt[v] += walks[u]
+        walks = nxt
+        counts.append(sum(walks))
+    a = char.coeffs
+    return [sum(map(mul, a[j + 1:], counts)) for j in range(n)]
 
 
 # Newton steps allowed to the hint; from the Collatz-Wielandt start the
@@ -249,7 +257,7 @@ def _power_iteration_hint(g: Graph, p: IntPoly) -> float:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue and Perron vector enclosures
+# eigenvalue and gamma enclosures
 # ---------------------------------------------------------------------------
 
 def lambda_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> RationalInterval:
@@ -260,102 +268,70 @@ def lambda_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> RationalInterval:
     return isolate_largest_root(char, eps, hint=_power_iteration_hint(g, char))
 
 
-@dataclass(frozen=True)
-class PerronData:
-    """Certified Perron data: eigenvalue enclosure plus entrywise positive
-    enclosures of an (unnormalized) Perron vector."""
-
-    lam: RationalInterval
-    weights: tuple                # RationalInterval per vertex
-    normalization: str
-
-
-def _column_vertex(g: Graph) -> int:
-    degs = g.degrees()
-    best = max(degs)
-    return degs.index(best)
-
-
 GAMMA_LAMBDA_EPS = Fraction(1, 2 ** 30)
 
 
-class ColumnEnclosure:
-    """The top eigenvalue of a connected graph as one RootEnclosure, lam,
-    and the adjugate column of a maximum-degree vertex evaluated on it,
-    which at the top eigenvalue is a positive eigenvector (the adjugate is
-    positive and of rank one there).
+class GammaEnclosure:
+    """gamma(G) of a connected graph as W(lambda_1)/phi'(lambda_1), with the
+    top eigenvalue held as one RootEnclosure, lam.
+
+    At a simple eigenvalue lambda with unit eigenvector x, adj(lambda I - A)
+    = phi'(lambda) x x^T, so W(lambda) = 1^T adj(lambda I - A) 1 =
+    phi'(lambda) (1^T x)^2, and gamma = W(lambda_1)/phi'(lambda_1) at the
+    Perron vector.  W comes from walk counts (_walk_numerator); W/phi is
+    the walk generating function (Godsil, Algebraic Combinatorics, 1993,
+    ch. 4).  W and phi' both have degree n - 1 and leading coefficient n,
+    so their horner_interval numerators share the scale den^(n-1), which
+    cancels: gamma lies in [W_lo/phi'_hi, W_hi/phi'_lo] once both lower
+    ends are > 0.
 
     lam starts as lambda_enclosure(g, lam_eps) and narrows in place, 16-fold
-    per round, until a request is met: every weight positive (gamma is None
-    until then) and, unless lam is an exact point, the asked width.  Weights
-    are integer pairs (a, b) over scale = den^(n-1), den the common
-    denominator of lam's ends: [a/scale, b/scale] is interval Horner.
+    per round, until a request is met: both lower ends positive (gamma is
+    None until then) and, unless lam is an exact point, the asked width.
+    At an exact point gamma is defined at once: lambda_1 is simple on a
+    connected graph, so phi'(lambda_1) > 0 and W(lambda_1) =
+    phi'(lambda_1) gamma > 0.  Elsewhere both enclosures shrink to these
+    positive values as lam narrows, so the loop ends; its round cap is a
+    guard only.
     """
 
     def __init__(self, g: Graph, lam_eps: Fraction = GAMMA_LAMBDA_EPS):
         if not g.is_connected():
             raise ValueError("graph is disconnected")
-        rd = resolvent_data(g)
-        self.n = g.n
-        self.vertex = _column_vertex(g)
-        # leading zeros put every entry on the scale of degree n - 1
-        self._col = [e.coeffs + (0,) * (g.n - len(e.coeffs))
-                     for e in rd.column(self.vertex)]
-        self.lam = RootEnclosure(rd.char_poly, lambda_enclosure(g, lam_eps))
+        char = resolvent_data(g).char_poly
+        self._walk = _walk_numerator(g, char)
+        self._slope = char.derivative().coeffs
+        self.lam = RootEnclosure(char, lambda_enclosure(g, lam_eps))
         self._round_eps = lam_eps
         self._rounds = 0
         self._evaluate()
 
     def _evaluate(self) -> None:
         lo, hi, den = self.lam.iv.numerators()
-        nums = self._nums = [horner_interval(cs, lo, hi, den) for cs in self._col]
-        self._scale = den ** (self.n - 1)
+        w_lo, w_hi = horner_interval(self._walk, lo, hi, den)
+        d_lo, d_hi = horner_interval(self._slope, lo, hi, den)
         self._gamma = None
-        if all(a > 0 for a, _ in nums):
-            # on one scale: gamma in [S_lo^2/Q_hi, S_hi^2/Q_lo], S the sum of
-            # the numerators and Q the sum of their squares, all positive
-            s_lo, s_hi = sum(a for a, _ in nums), sum(b for _, b in nums)
-            q_lo, q_hi = sum(a * a for a, _ in nums), sum(b * b for _, b in nums)
-            self._gamma = RationalInterval(Fraction(s_lo * s_lo, q_hi),
-                                           Fraction(s_hi * s_hi, q_lo))
+        if w_lo > 0 and d_lo > 0:
+            self._gamma = RationalInterval(Fraction(w_lo, d_hi), Fraction(w_hi, d_lo))
 
-    def _narrow_until(self, met) -> None:
-        while self._gamma is None or not (self.lam.iv.lo == self.lam.iv.hi or met()):
-            if self.lam.iv.lo == self.lam.iv.hi:
-                raise ArithmeticError("adjugate column not positive at exact eigenvalue")
+    def refine(self, eps: Fraction) -> RationalInterval:
+        """Enclosure of gamma(G) with width <= eps."""
+        while self._gamma is None or not (self.lam.iv.lo == self.lam.iv.hi
+                                          or self._gamma.width_at_most(eps)):
             self._rounds += 1
             if self._rounds == 220:
-                raise ArithmeticError("failed to refine the adjugate-column enclosure")
+                raise ArithmeticError("failed to refine the gamma enclosure")
             self._round_eps = self._round_eps * Fraction(1, 16)
             self.lam.refine(self._round_eps)
             self._evaluate()
-
-    def refine(self, eps: Fraction) -> RationalInterval:
-        """Enclosure of gamma(G) with width <= eps; gamma is scale-invariant,
-        so the unnormalized column serves."""
-        self._narrow_until(lambda: self._gamma.width_at_most(eps))
         return self._gamma
 
-    def weights(self, eps: Fraction) -> PerronData:
-        """Perron vector enclosure, every entry of relative width <= eps."""
-        self._narrow_until(lambda: all(Fraction(b - a, a) <= eps for a, b in self._nums))
-        scale = self._scale
-        return PerronData(self.lam.iv, tuple(
-            RationalInterval(Fraction(a, scale), Fraction(b, scale)) for a, b in self._nums),
-            "adjugate column of vertex %d, unnormalized" % self.vertex)
 
-
-def perron_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> PerronData:
-    """Perron vector enclosure from the adjugate column of a maximum-degree
-    vertex, refined until every entry has relative width <= eps."""
-    return ColumnEnclosure(g, DEFAULT_EPS).weights(eps)
-
-
-def gamma_enclosure(g: Union[Graph, ColumnEnclosure],
+def gamma_enclosure(g: Union[Graph, GammaEnclosure],
                     eps: Fraction = Fraction(1, 10 ** 8)) -> RationalInterval:
     """Certified enclosure of gamma(G) with width <= eps, from a graph or
-    from the first request to a fresh ColumnEnclosure the caller keeps."""
-    enc = g if isinstance(g, ColumnEnclosure) else ColumnEnclosure(g)
+    from the first request to a fresh GammaEnclosure the caller keeps."""
+    enc = g if isinstance(g, GammaEnclosure) else GammaEnclosure(g)
     return enc.refine(eps)
 
 
@@ -374,7 +350,7 @@ def certified_below(refine: Callable[[Fraction], RationalInterval],
                     threshold: Threshold,
                     eps0: Fraction = Fraction(1, 10 ** 6)) -> bool:
     """Decide value < threshold by joint refinement of both enclosures;
-    refine(eps) encloses the value with width <= eps (ColumnEnclosure.refine
+    refine(eps) encloses the value with width <= eps (GammaEnclosure.refine
     returns at once when eps is already met).  A value equal to a rational
     threshold is not below it once both enclosures are the same point.
     """
@@ -498,37 +474,6 @@ def two_sqrt_d_plus_3_exceeds(d: int, threshold: Fraction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# master vertex identification
-# ---------------------------------------------------------------------------
-
-def master_vertex(g: Graph, eps: Fraction = Fraction(1, 2 ** 60)) -> int:
-    """A vertex of certified maximal Perron weight (lowest id within ties).
-
-    Refines one Perron enclosure until one weight interval dominates, with
-    an orbit escape hatch: vertices in one automorphism orbit carry equal
-    weight, so comparing orbit representatives suffices.
-    """
-    orbits = vertex_orbits(g)
-    reps = [orb[0] for orb in orbits]
-    rep_of = {}
-    for orb in orbits:
-        for v in orb:
-            rep_of[v] = orb[0]
-    enc = ColumnEnclosure(g, DEFAULT_EPS)
-    cur = Fraction(1, 2 ** 20)
-    for _ in range(6):
-        ws = enc.weights(cur).weights
-        best = max(reps, key=lambda v: ws[v].lo)
-        if all(rep_of[v] == rep_of[best] or ws[best].lo > ws[v].hi
-               for v in range(g.n)):
-            return min(v for v in range(g.n) if rep_of[v] == rep_of[best])
-        if cur <= eps:
-            break
-        cur = cur * Fraction(1, 2 ** 10)
-    raise ArithmeticError("failed to separate a maximal-weight vertex")
-
-
-# ---------------------------------------------------------------------------
 # exhaustive tables
 # ---------------------------------------------------------------------------
 
@@ -564,7 +509,7 @@ def min_gamma_table(n: int, kind: str, threshold: Threshold,
     rows = []
     below = 0
     for g in items:
-        enc = ColumnEnclosure(g)
+        enc = GammaEnclosure(g)
         # the first isolation narrowed to eps, on a copy: gamma narrows
         # enc.lam on a schedule of its own
         lam = enc.lam.iv

@@ -1,7 +1,9 @@
 """Independent checks and graph helpers that only the tests use."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from typing import Sequence
 
 from hypothesis import strategies as st
@@ -10,11 +12,14 @@ from perronbalance.algebra import (
     IntPoly,
     NoRealRootError,
     RationalInterval,
+    RootEnclosure,
     count_roots_above,
     count_roots_in,
+    horner_interval,
     root_bound,
 )
-from perronbalance.graphs import Graph, _bits
+from perronbalance.graphs import Graph, _bits, _canon, _orbit_closure, _orbit_minima
+from perronbalance.spectral import DEFAULT_EPS, lambda_enclosure, resolvent_data
 
 
 def prs_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -205,3 +210,179 @@ def refine_root_fractions(p: IntPoly, iv: RationalInterval, eps) -> RationalInte
         else:
             lo = mid
     return RationalInterval(lo, hi)
+
+
+def schema_text() -> str:
+    """The JSON schema the report documents validate against."""
+    return resources.files("perronbalance").joinpath(
+        "data/report.schema.json").read_text()
+
+
+def write_edge_list(g: Graph) -> str:
+    """The edge-list text that graphs.parse_edge_list reads."""
+    return "%d; %s" % (g.n, ", ".join("%d-%d" % e for e in g.edges()))
+
+
+def bareiss_det(A: Sequence[Sequence[int]]) -> int:
+    """Fraction-free determinant of an integer matrix (Bareiss)."""
+    n = len(A)
+    M = [[int(x) for x in row] for row in A]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for r in range(k + 1, n):
+                if M[r][k]:
+                    M[k], M[r] = M[r], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def charpoly_by_interpolation(A: Sequence[Sequence[int]]) -> IntPoly:
+    """Characteristic polynomial via determinant evaluations at integer
+    points; independent of the Faddeev-LeVerrier route."""
+    n = len(A)
+    pts = list(range(n + 1))
+    vals = []
+    for c in pts:
+        M = [[(c if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
+        vals.append(bareiss_det(M))
+    # Newton divided differences, exact
+    coeffs = [Fraction(v) for v in vals]
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (pts[i] - pts[i - j])
+    # expand Newton form
+    poly = [Fraction(0)] * (n + 1)
+    acc = [Fraction(1)]
+    for j in range(n + 1):
+        for d, a in enumerate(acc):
+            poly[d] += coeffs[j] * a
+        new = [Fraction(0)] * (len(acc) + 1)
+        for d, a in enumerate(acc):
+            new[d] -= pts[j] * a
+            new[d + 1] += a
+        acc = new
+    return IntPoly([int(c) for c in poly])
+
+
+# -- the column-based oracle for gamma and the Perron vector ---------------------
+
+@dataclass(frozen=True)
+class PerronData:
+    """Certified Perron data: eigenvalue enclosure plus entrywise positive
+    enclosures of an (unnormalized) Perron vector."""
+
+    lam: RationalInterval
+    weights: tuple                # RationalInterval per vertex
+    normalization: str
+
+
+class ColumnEnclosure:
+    """The top eigenvalue of a connected graph as one RootEnclosure, lam,
+    and the adjugate column of its first maximum-degree vertex evaluated on
+    it, which at the top eigenvalue is a positive eigenvector (the adjugate
+    is positive and of rank one there).
+
+    lam starts as lambda_enclosure(g, lam_eps) and narrows in place, 16-fold
+    per round, until a request is met: every weight positive (gamma is None
+    until then) and, unless lam is an exact point, the asked width.  Weights
+    are integer pairs (a, b) over scale = den^(n-1), den the common
+    denominator of lam's ends: [a/scale, b/scale] is interval Horner.
+    """
+
+    def __init__(self, g: Graph, lam_eps: Fraction = Fraction(1, 2 ** 30)):
+        rd = resolvent_data(g)
+        degs = g.degrees()
+        self.n = g.n
+        self.vertex = degs.index(max(degs))
+        # leading zeros put every entry on the scale of degree n - 1
+        self._col = [e.coeffs + (0,) * (g.n - len(e.coeffs))
+                     for e in rd.column(self.vertex)]
+        self.lam = RootEnclosure(rd.char_poly, lambda_enclosure(g, lam_eps))
+        self._round_eps = lam_eps
+        self._evaluate()
+
+    def _evaluate(self) -> None:
+        lo, hi, den = self.lam.iv.numerators()
+        nums = self._nums = [horner_interval(cs, lo, hi, den) for cs in self._col]
+        self._scale = den ** (self.n - 1)
+        self._gamma = None
+        if all(a > 0 for a, _ in nums):
+            # on one scale: gamma in [S_lo^2/Q_hi, S_hi^2/Q_lo], S the sum of
+            # the numerators and Q the sum of their squares, all positive
+            s_lo, s_hi = sum(a for a, _ in nums), sum(b for _, b in nums)
+            q_lo, q_hi = sum(a * a for a, _ in nums), sum(b * b for _, b in nums)
+            self._gamma = RationalInterval(Fraction(s_lo * s_lo, q_hi),
+                                           Fraction(s_hi * s_hi, q_lo))
+
+    def _narrow_until(self, met) -> None:
+        for _ in range(220):
+            if self._gamma is not None and (self.lam.iv.lo == self.lam.iv.hi or met()):
+                return
+            self._round_eps = self._round_eps * Fraction(1, 16)
+            self.lam.refine(self._round_eps)
+            self._evaluate()
+        raise ArithmeticError("failed to refine the adjugate-column enclosure")
+
+    def refine(self, eps: Fraction) -> RationalInterval:
+        """Enclosure of gamma(G) with width <= eps."""
+        self._narrow_until(lambda: self._gamma.width_at_most(eps))
+        return self._gamma
+
+    def weights(self, eps: Fraction) -> PerronData:
+        """Perron vector enclosure, every entry of relative width <= eps."""
+        self._narrow_until(lambda: all(Fraction(b - a, a) <= eps for a, b in self._nums))
+        scale = self._scale
+        return PerronData(self.lam.iv, tuple(
+            RationalInterval(Fraction(a, scale), Fraction(b, scale)) for a, b in self._nums),
+            "adjugate column of vertex %d, unnormalized" % self.vertex)
+
+
+def perron_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> PerronData:
+    """Perron vector enclosure from the adjugate column of a maximum-degree
+    vertex, refined until every entry has relative width <= eps."""
+    return ColumnEnclosure(g, DEFAULT_EPS).weights(eps)
+
+
+def vertex_orbits(g: Graph) -> list:
+    """Automorphism orbits of the vertices, each in increasing order, by
+    least vertex."""
+    gens = _canon(g, None)[2]()
+    return [_bits(_orbit_closure(1 << v, gens))
+            for v in _orbit_minima(range(g.n), gens)]
+
+
+def master_vertex(g: Graph, eps: Fraction = Fraction(1, 2 ** 60)) -> int:
+    """A vertex of certified maximal Perron weight (lowest id within ties).
+
+    Refines one Perron enclosure until one weight interval dominates, with
+    an orbit escape hatch: vertices in one automorphism orbit carry equal
+    weight, so comparing orbit representatives suffices.
+    """
+    orbits = vertex_orbits(g)
+    reps = [orb[0] for orb in orbits]
+    rep_of = {}
+    for orb in orbits:
+        for v in orb:
+            rep_of[v] = orb[0]
+    enc = ColumnEnclosure(g, DEFAULT_EPS)
+    cur = Fraction(1, 2 ** 20)
+    for _ in range(6):
+        ws = enc.weights(cur).weights
+        best = max(reps, key=lambda v: ws[v].lo)
+        if all(rep_of[v] == rep_of[best] or ws[best].lo > ws[v].hi
+               for v in range(g.n)):
+            return min(v for v in range(g.n) if rep_of[v] == rep_of[best])
+        if cur <= eps:
+            break
+        cur = cur * Fraction(1, 2 ** 10)
+    raise ArithmeticError("failed to separate a maximal-weight vertex")

@@ -41,7 +41,7 @@ from perronbalance.kernels import (
 from perronbalance.spectral import (
     BETA_STAR,
     BETA_TR,
-    ColumnEnclosure,
+    GammaEnclosure,
     LAMBDA_K4_INF,
     LAMBDA_S5_INF,
     beta_d,
@@ -49,7 +49,6 @@ from perronbalance.spectral import (
     gamma_enclosure,
     lambda_enclosure,
     min_gamma_table,
-    perron_enclosure,
     sp_infinite_gamma,
 )
 from perronbalance.tails import (
@@ -62,6 +61,7 @@ from perronbalance.tails import (
 
 from oracles import (
     adjacency_rows,
+    perron_enclosure,
     residual_contains_zero,
     resolvent_identity_holds,
 )
@@ -149,7 +149,7 @@ def test_acceptance_04_tree_kernel_stage(tree_stage, acceptance_recorder):
         l = below[g6]
         ok &= abs(float((l.gamma_lo + l.gamma_hi) / 2) - mid) < 1e-4
         ok &= certified_below(
-            ColumnEnclosure(parse_graph6(g6)).refine, BETA_TR)
+            GammaEnclosure(parse_graph6(g6)).refine, BETA_TR)
     # the chain through the 6-star kernels ends with the 13-vertex tree
     largest = max(parse_graph6(x.graph6).n
                   for o in tree_stage.outcomes if o.elimination

@@ -21,8 +21,6 @@ from perronbalance.algebra import (
     SqrtRat,
     _shifted,
     _sturm_chain,
-    bareiss_det,
-    charpoly_by_interpolation,
     count_roots_above,
     count_roots_in,
     horner_interval,
@@ -49,6 +47,8 @@ from perronbalance.tails import _rf_nonneg_on_closed
 
 from oracles import (
     adjacency_rows,
+    bareiss_det,
+    charpoly_by_interpolation,
     horner_interval_four,
     isolate_largest_root_fractions,
     prs_gcd,

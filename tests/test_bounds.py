@@ -56,11 +56,10 @@ from perronbalance.kernels import (
 from perronbalance.spectral import (
     gamma_enclosure,
     lambda_enclosure,
-    perron_enclosure,
     resolvent_data,
 )
 
-from oracles import connected_graphs, induced
+from oracles import connected_graphs, induced, perron_enclosure
 
 K3P3 = attach_path(complete_graph(3), 0, 3)
 U3 = 1 << 5

@@ -8,18 +8,18 @@ import sys
 import jsonschema
 import pytest
 
-from perronbalance import reports
 from perronbalance.cli import main
 from perronbalance.graphs import (
     attach_path,
     complete_graph,
     e_graph,
-    write_edge_list,
     write_graph6,
 )
 
+from oracles import schema_text, write_edge_list
 
-SCHEMA = json.loads(reports.schema_text())
+
+SCHEMA = json.loads(schema_text())
 
 
 def run_cli(args):
@@ -153,6 +153,48 @@ def test_jobs_below_one_is_an_input_error(capsys, jobs):
     assert "--jobs" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, option", [
+    (["gamma", "A_", "--eps", "1/0"], "--eps"),
+    (["tables", "--eps", "1/0"], "--eps"),
+    (["kernel-stage", "graphs", "--beta", "1/0"], "--beta"),
+    (["prove", "graphs", "--tamper", "1/0"], "--tamper"),
+])
+def test_zero_denominator_is_an_input_error(capsys, args, option):
+    # Fraction("1/0") raises ZeroDivisionError, which argparse does not
+    # turn into a usage error by itself
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    errors = [l for l in err.splitlines() if "error:" in l]
+    assert len(errors) == 1 and option in errors[0] and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, option", [
+    (["--samples", "0"], "--samples"),
+    (["--samples", "-3"], "--samples"),
+    (["--samples", "ten"], "--samples"),
+    (["--lo", "1/0"], "--lo"),
+    (["--hi", "x"], "--hi"),
+    (["--lo", "2.75", "--hi", "2.24"], "--lo"),
+    (["--lo", "5/2", "--hi", "5/2"], "--lo"),
+])
+def test_curves_bad_range_is_an_input_error(tmp_path, capsys, args, option):
+    assert run_cli(["--out", str(tmp_path), "curves"] + args) == 2
+    err = capsys.readouterr().err
+    errors = [l for l in err.splitlines() if "error" in l]
+    assert len(errors) == 1 and option in errors[0] and "Traceback" not in err
+    assert not (tmp_path / "bound-curves.csv").exists()
+
+
+def test_curves_exact_range(tmp_path, capsys):
+    # fractions and decimals name the same numbers
+    for lo, hi in (("2.24", "2.75"), ("56/25", "11/4")):
+        out = tmp_path / lo.replace("/", "_")
+        assert run_cli(["--out", str(out), "curves", "--samples", "1",
+                        "--lo", lo, "--hi", hi]) == 0
+    assert ((tmp_path / "2.24" / "bound-curves.csv").read_bytes()
+            == (tmp_path / "56_25" / "bound-curves.csv").read_bytes())
+
+
 def test_exit_codes(capsys):
     assert run_cli(["gamma", "thisisnotagraph"]) == 2
     assert run_cli(["gamma", "A?"]) == 2          # disconnected two vertices
@@ -267,7 +309,7 @@ def test_tables(tmp_path, capsys):
     assert len(small.splitlines()) == 113
     # the gamma and lambda endpoints of every row, pinned byte for byte
     assert hashlib.sha256(small).hexdigest() == (
-        "b85a6a1232b0d097f176c6e0ef98f03e467df0f2d0ffdd82d05746229f84d716")
+        "b28b13ca4a7a251e8bfa82a0a513a4d4b8a7f2884112b96b49cac6c6dde1ab5d")
     beta = (tmp_path / "degree-bounds.csv").read_text().splitlines()
     assert len(beta) == 11
 

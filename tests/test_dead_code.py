@@ -2,11 +2,10 @@
 its classes apart from dunder methods, has a caller.
 
 A name counts as used when it appears (as a name, an attribute or an
-imported name) outside its own definition: for top-level definitions
-anywhere in src/, tests/ or perfbench/, for methods in src/ or perfbench/
-only, so that a method the program never calls moves to the tests or goes.
-METHOD_ALLOWLIST names the methods kept for the tests alone, each with its
-reason.
+imported name) outside its own definition, in src/ or perfbench/ only, so
+that a definition the program never calls moves to the tests or goes.
+TOP_LEVEL_ALLOWLIST and METHOD_ALLOWLIST name the definitions kept for the
+tests alone, each with its reason.
 """
 
 import ast
@@ -14,6 +13,19 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+TOP_LEVEL_ALLOWLIST = {
+    # work and cache counters, kept for a telemetry sidecar to read
+    "algebra.py:root_count_info",            # root counts by method
+    "bounds.py:first_lambda_cache_info",     # first lambda_U cache hits
+    "bounds.py:pair_check_info",             # pair checks by verdict kind
+    # paper acceptance checks
+    "spectral.py:kp_infinite_gamma",         # exact limit of gamma(K_p + path)
+    "spectral.py:sp_infinite_gamma",         # exact limit of gamma(S_p + path)
+    "tails.py:infinite_tail_eigendata",      # limit growth rate, eigenvalue, ratio
+    "tails.py:lambda_sandwich_audit",        # lam(H + P_k) < lam(H + P_inf) < lam(H + fork_k)
+    "kernels.py:special_tree_kernels",       # the tree kernels needing elimination
+}
 
 METHOD_ALLOWLIST = {
     # the exact value of the sp infinite-tail limit, a paper acceptance check
@@ -47,8 +59,7 @@ def definitions(tree, methods: bool):
 
 
 def unused_definitions(root: Path, methods: bool = False) -> list:
-    dirs = ("src", "perfbench") if methods else ("src", "tests", "perfbench")
-    files = [f for d in dirs for f in sorted((root / d).rglob("*.py"))]
+    files = [f for d in ("src", "perfbench") for f in sorted((root / d).rglob("*.py"))]
     trees = {f: ast.parse(f.read_text(), filename=str(f)) for f in files}
     total = Counter()
     for tree in trees.values():
@@ -64,7 +75,7 @@ def unused_definitions(root: Path, methods: bool = False) -> list:
 
 
 def test_no_unused_top_level_definitions():
-    assert unused_definitions(ROOT) == []
+    assert sorted(set(unused_definitions(ROOT)) - TOP_LEVEL_ALLOWLIST) == []
 
 
 def test_no_unused_methods():

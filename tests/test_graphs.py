@@ -40,12 +40,10 @@ from perronbalance.graphs import (
     parse_graph6,
     path_graph,
     star_graph,
-    vertex_orbits,
-    write_edge_list,
     write_graph6,
 )
 
-from oracles import induced
+from oracles import induced, vertex_orbits, write_edge_list
 
 RNG = random.Random(2024)
 

@@ -251,9 +251,9 @@ def test_elimination_case1():
     remaining, examined = active_vertex_elimination(kernel, va, beta_tr_upper())
     assert remaining == frozenset()
     assert len(examined) == 2
-    from perronbalance.spectral import ColumnEnclosure, certified_below
+    from perronbalance.spectral import GammaEnclosure, certified_below
     for g in examined:
-        assert not certified_below(ColumnEnclosure(g).refine, BETA_TR)
+        assert not certified_below(GammaEnclosure(g).refine, BETA_TR)
 
 
 def test_elimination_case2_first_step():
@@ -425,7 +425,7 @@ def test_prove_graphs(graph_stage):
     assert any("kernel sweep" in n for n in names)
     assert any("branching tail" in n for n in names)
     assert _proof_digest(cert) == (
-        "12c7c7e48a3fb55a3793b04b1a1acc313540de0b8669d1b3e36c0bf64e482dcf")
+        "1701f9e446e852a4b4c372599d991632c5fc15cf4930e164d0087aab51967a0b")
 
 
 @pytest.mark.slow
@@ -433,7 +433,7 @@ def test_prove_trees(tree_stage):
     cert = prove_conjecture("trees")
     assert cert.passed
     assert _proof_digest(cert) == (
-        "0841801160ae06f1e443f2bd4a4d08c3133ac34bba12794c278d62b53e1c8b51")
+        "3bf79a6b7385acafe613752bbbdf78f04ee2537b3ae4fbe6a57f351fba03dbef")
 
 
 @pytest.mark.slow

@@ -19,7 +19,7 @@ from perronbalance.algebra import (
     RationalInterval,
     SqrtRat,
     _sturm_chain,
-    charpoly_by_interpolation,
+    horner_interval,
     isolate_largest_root,
     refine_root,
 )
@@ -43,17 +43,16 @@ from perronbalance.graphs import (
 from perronbalance.spectral import (
     BETA_STAR,
     BETA_TR,
-    ColumnEnclosure,
     DEFAULT_EPS,
+    GammaEnclosure,
     TableRow,
     LAMBDA_K4_INF,
     LAMBDA_S5_INF,
-    _SUBTREE_PHI,
-    _column_vertex,
     _faddeev_leverrier,
     _power_iteration_hint,
     _row_order,
-    _tree_resolvent,
+    _tree_char_poly,
+    _walk_numerator,
     beta_d,
     certified_below,
     gamma_enclosure,
@@ -61,22 +60,24 @@ from perronbalance.spectral import (
     kp_infinite_gamma,
     lambda_enclosure,
     lambda_le_2_graphs,
-    master_vertex,
     min_gamma_table,
-    perron_enclosure,
     resolvent_data,
     sp_infinite_gamma,
     threshold_enclosure,
     two_sqrt_d_plus_3_exceeds,
-    vertex_orbits,
 )
 
 from oracles import (
+    ColumnEnclosure,
     adjacency_rows,
+    charpoly_by_interpolation,
     connected_graphs,
     induced,
+    master_vertex,
+    perron_enclosure,
     residual_contains_zero,
     resolvent_identity_holds,
+    vertex_orbits,
 )
 
 
@@ -180,25 +181,23 @@ def test_lambda_sqrt_degree_bounds():
 # -- resolvent data: Schwenk's recurrence on trees --------------------------------
 
 def test_tree_resolvent_matches_faddeev_leverrier():
-    # every tree on <= 12 vertices: the char poly and the column the Perron
-    # enclosures read equal the Faddeev-LeVerrier pass
-    for n in range(1, 13):
+    # every tree on <= 14 vertices: the (f, g) pass gives the char poly of
+    # the Faddeev-LeVerrier pass
+    for n in range(1, 15):
         for t in enumerate_trees(n):
-            rd, fl = resolvent_data(t), _faddeev_leverrier(t)
-            j = _column_vertex(t)
-            assert rd.char_poly == fl.char_poly
-            assert rd.column(j) == fl.column(j)
+            assert _tree_char_poly(t) == _faddeev_leverrier(t).char_poly
 
 
 def test_tree_resolvent_every_column_and_identity():
-    # the recurrence rooted at every vertex; resolvent_data takes the other
-    # columns of a tree from the Faddeev-LeVerrier pass
+    # the recurrence rooted at every vertex (relabelled to vertex 0); the
+    # columns of a tree come from the Faddeev-LeVerrier pass
     for n in range(1, 10):
         for t in enumerate_trees(n):
             fl = _faddeev_leverrier(t)
             for j in range(n):
-                char, col = _tree_resolvent(t, j)
-                assert (char, col) == (fl.char_poly, fl.column(j))
+                perm = list(range(n))
+                perm[0], perm[j] = j, 0
+                assert _tree_char_poly(t.relabel(perm)) == fl.char_poly
             rd = resolvent_data(t)
             assert resolvent_identity_holds(rd, adjacency_rows(t))
             assert rd.adjugate == fl.adjugate
@@ -219,15 +218,13 @@ def test_tree_resolvent_small_cases():
     k2 = resolvent_data(path_graph(2))
     assert k2.char_poly == IntPoly([-1, 0, 1])
     assert k2.adjugate == ((x, one), (one, x))
-    # P3: the column vertex is the middle one, not vertex 0
     p3 = path_graph(3)
-    assert _column_vertex(p3) == 1
     rd = resolvent_data.__wrapped__(p3)          # uncached: nothing built yet
     assert rd.n == 3 and rd._adjugate is None
     assert rd.column(1) == (x, x * x, x)
     assert rd.column(0) == (IntPoly([-1, 0, 1]), x, one)
     assert rd._adjugate is None
-    assert _tree_resolvent(p3, 0) == (rd.char_poly, rd.column(0))
+    assert rd.char_poly == IntPoly([0, -2, 0, 1])
 
 
 def test_faddeev_leverrier_column_without_full_matrix():
@@ -240,34 +237,27 @@ def test_faddeev_leverrier_column_without_full_matrix():
     assert resolvent_identity_holds(rd, adjacency_rows(g))
 
 
-def test_tree_resolvent_relabel_reuses_memo():
-    t = attach_path(star_graph(5), 0, 4)         # centre 0 has the top degree
-    perm = [3, 8, 0, 6, 1, 7, 2, 5, 4]
-    u = t.relabel(perm)
-    assert (_column_vertex(t), _column_vertex(u)) == (0, perm[0])
-    cols = {j: _tree_resolvent(t, j)[1] for j in (0, 5, 8)}
-    size = len(_SUBTREE_PHI)
-    ru = resolvent_data.__wrapped__(u)
-    assert ru.char_poly == resolvent_data(t).char_poly
-    for j in (0, 5, 8):
-        got = _tree_resolvent(u, perm[j])[1]
-        if j == 0:
-            assert ru.column(perm[0]) == got
-        assert [got[perm[i]] for i in range(t.n)] == list(cols[j])
-    assert len(_SUBTREE_PHI) == size
+def test_tree_char_poly_relabel_invariant():
+    t = attach_path(star_graph(5), 0, 4)
+    rng = random.Random(71)
+    want = _faddeev_leverrier(t).char_poly
+    for _ in range(20):
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        assert _tree_char_poly(t.relabel(perm)) == want
 
 
 def test_import_leaves_resolvent_memos_empty():
-    # the benchmark's cold-cache check sees only the lru caches, so a memo
-    # filled at import time would go unnoticed
+    # the benchmark's cold-cache check reads these caches, so one filled at
+    # import time would make a cold run warm
     src = str(Path(perronbalance.__file__).resolve().parent.parent)
     code = ("import perronbalance.spectral as s; "
-            "print(s.resolvent_data.cache_info().currsize, len(s._SUBTREE_PHI), "
+            "print(s.resolvent_data.cache_info().currsize, "
             "s.threshold_enclosure.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=60, check=True)
-    assert out.stdout.split() == ["0", "0", "0"]
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_threshold_enclosure_memoised():
@@ -379,47 +369,63 @@ def test_master_weight_lower_bound():
         assert lhs.hi >= norm2_sq.lo * (1 - 1e-6)
 
 
-def _reference_column(g, lam_eps, accept):
-    """The adjugate-column loop in plain Fraction interval arithmetic: the
-    column of the first maximum-degree vertex, evaluated by interval Horner
-    on an eigenvalue enclosure that shrinks by 16 per round."""
-    rd = resolvent_data(g)
-    degs = g.degrees()
-    j = degs.index(max(degs))
-    lam = lambda_enclosure(g, lam_eps)
-    for _ in range(220):
-        ws = []
-        for i in range(g.n):
-            a = b = Fraction(0)
-            for c in reversed(rd.adjugate[i][j].coeffs):
-                ps = (a * lam.lo, a * lam.hi, b * lam.lo, b * lam.hi)
-                a, b = min(ps) + c, max(ps) + c
-            ws.append((a, b))
-        if all(a > 0 for a, _ in ws):
-            got = accept(ws, lam.width == 0)
-            if got is not None:
-                return lam, got
-        lam_eps /= 16
-        lam = refine_root(rd.char_poly, lam, lam_eps)
-    raise AssertionError("reference loop did not settle")
+def _fraction_horner(cs, lam):
+    """Interval Horner in plain Fraction arithmetic, all four products."""
+    a = b = Fraction(0)
+    for c in reversed(cs):
+        ps = (a * lam.lo, a * lam.hi, b * lam.lo, b * lam.hi)
+        a, b = min(ps) + c, max(ps) + c
+    return a, b
+
+
+def _adjugate_sum(g):
+    """Coefficients of 1^T adj(xI - A) 1, summed over every adjugate entry
+    of the Faddeev-LeVerrier pass."""
+    tot = [0] * g.n
+    for col in _faddeev_leverrier(g).adjugate:
+        for e in col:
+            for i, c in enumerate(e.coeffs):
+                tot[i] += c
+    return tot
 
 
 def _reference_gamma(g, eps):
-    def accept(ws, exact):
-        s = (sum(a for a, _ in ws), sum(b for _, b in ws))
-        sq = (sum(a * a for a, _ in ws), sum(b * b for _, b in ws))
-        quots = [x * x / y for x in s for y in sq]
-        iv = (min(quots), max(quots))
-        return iv if exact or iv[1] - iv[0] <= eps else None
-    return _reference_column(g, Fraction(1, 2 ** 30), accept)[1]
+    """W/phi' in plain Fraction interval arithmetic, W the adjugate sum, on
+    an eigenvalue enclosure that shrinks by 16 per round from 2^-30."""
+    char = resolvent_data(g).char_poly
+    walk = _adjugate_sum(g)
+    slope = char.derivative().coeffs
+    lam_eps = Fraction(1, 2 ** 30)
+    lam = lambda_enclosure(g, lam_eps)
+    for _ in range(220):
+        w_lo, w_hi = _fraction_horner(walk, lam)
+        d_lo, d_hi = _fraction_horner(slope, lam)
+        if w_lo > 0 and d_lo > 0:
+            iv = (w_lo / d_hi, w_hi / d_lo)
+            if lam.width == 0 or iv[1] - iv[0] <= eps:
+                return iv
+        lam_eps /= 16
+        lam = refine_root(char, lam, lam_eps)
+    raise AssertionError("reference loop did not settle")
 
 
 def _reference_perron(g, eps=Fraction(1, 2 ** 40)):
-    def accept(ws, exact):
-        if exact or all((b - a) / a <= eps for a, b in ws):
-            return ws
-        return None
-    return _reference_column(g, Fraction(1, 2 ** 40), accept)
+    """The oracle's adjugate-column loop in plain Fraction arithmetic: the
+    column of the first maximum-degree vertex on an eigenvalue enclosure
+    that shrinks by 16 per round."""
+    rd = resolvent_data(g)
+    degs = g.degrees()
+    j = degs.index(max(degs))
+    lam_eps = Fraction(1, 2 ** 40)
+    lam = lambda_enclosure(g, lam_eps)
+    for _ in range(220):
+        ws = [_fraction_horner(rd.adjugate[i][j].coeffs, lam) for i in range(g.n)]
+        if all(a > 0 for a, _ in ws) and (
+                lam.width == 0 or all((b - a) / a <= eps for a, b in ws)):
+            return lam, ws
+        lam_eps /= 16
+        lam = refine_root(rd.char_poly, lam, lam_eps)
+    raise AssertionError("reference loop did not settle")
 
 
 def test_enclosures_match_fraction_reference():
@@ -436,19 +442,71 @@ def test_enclosures_match_fraction_reference():
 
 def test_column_enclosure_continues_as_a_restart_would():
     # a request continues from the last one and gives what a fresh
-    # enclosure gives at the same eps, for gamma and the Perron weights
+    # enclosure gives at the same eps, for gamma and, in the column
+    # oracle, the Perron weights
     graphs = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
     graphs += list(enumerate_trees(9))
     steps = [Fraction(1, 10 ** 4), Fraction(1, 10 ** 6), Fraction(1, 10 ** 6 * 2 ** 8),
              Fraction(1, 10 ** 12), Fraction(1, 10 ** 20)]
     for g in graphs:
-        enc = ColumnEnclosure(g)
+        enc = GammaEnclosure(g)
         perron = ColumnEnclosure(g, DEFAULT_EPS)
         for eps in steps:
             assert enc.refine(eps) == gamma_enclosure(g, eps)
             assert perron.weights(eps) == perron_enclosure(g, eps)
         # a wider request returns the current enclosure, never a wider one
         assert enc.refine(Fraction(1, 10 ** 4)) is enc.refine(steps[-1])
+
+
+def _small_graphs_and_trees():
+    graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+    return graphs + [t for n in range(8, 13) for t in enumerate_trees(n)]
+
+
+def test_walk_numerator_is_the_adjugate_sum():
+    # W from walk counts against the sum of all Faddeev-LeVerrier adjugate
+    # entries, on every connected graph <= 7 and tree <= 12
+    for g in _small_graphs_and_trees():
+        assert _walk_numerator(g, resolvent_data(g).char_poly) == _adjugate_sum(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs())
+def test_walk_numerator_is_the_adjugate_sum_random(g):
+    assert _walk_numerator(g, resolvent_data(g).char_poly) == _adjugate_sum(g)
+
+
+def test_gamma_enclosure_meets_column_oracle():
+    # W/phi' and the adjugate column enclose the same gamma: at the table
+    # width, on every connected graph <= 7 and tree <= 12
+    eps = Fraction(1, 10 ** 6)
+    for g in _small_graphs_and_trees():
+        assert GammaEnclosure(g).refine(eps).intersects(ColumnEnclosure(g).refine(eps))
+
+
+@pytest.mark.parametrize("g, n", [
+    (path_graph(1), 1), (path_graph(2), 2), (complete_graph(4), 4), (cycle_graph(5), 5),
+])
+def test_gamma_enclosure_exact_points(g, n):
+    # lambda_1 is an integer and the enclosure a point at once: K1, K2, K4, C5
+    enc = GammaEnclosure(g)
+    assert enc.lam.iv.lo == enc.lam.iv.hi
+    assert enc.refine(Fraction(1, 10 ** 30)) == RationalInterval(n, n)
+
+
+def test_gamma_enclosure_shares_the_horner_scale():
+    # W and phi' have degree n - 1 and leading coefficient n, so the ratio
+    # of their horner_interval numerators is the ratio of the values
+    for g in (attach_path(complete_graph(4), 0, 2), star_graph(6), path_graph(7)):
+        char = resolvent_data(g).char_poly
+        walk, slope = _walk_numerator(g, char), char.derivative().coeffs
+        assert len(walk) == len(slope) == g.n and walk[-1] == slope[-1] == g.n
+        lo, hi, den = lambda_enclosure(g, Fraction(1, 2 ** 30)).numerators()
+        for x in (lo, hi):
+            w, d = horner_interval(walk, x, x, den), horner_interval(slope, x, x, den)
+            assert w[0] == w[1] and d[0] == d[1]
+            assert Fraction(w[0], d[0]) == (IntPoly(walk).eval(Fraction(x, den))
+                                            / IntPoly(slope).eval(Fraction(x, den)))
 
 
 def test_certified_below_first_round_reuses_the_request(monkeypatch):
@@ -462,7 +520,7 @@ def test_certified_below_first_round_reuses_the_request(monkeypatch):
 
     monkeypatch.setattr(algebra, "refine_root", counting)
     g = attach_path(diamond_graph(), 0, 3)     # ratio 5.180545
-    enc = ColumnEnclosure(g)
+    enc = GammaEnclosure(g)
     first = gamma_enclosure(enc, Fraction(1, 10 ** 6))
     made = len(calls)
     assert certified_below(enc.refine, Fraction(21, 4))
@@ -679,7 +737,7 @@ def test_table_rows_pinned():
             h.update(("%s,%s,%s,%s,%s\n" % (r.graph6, r.gamma.lo, r.gamma.hi,
                                              r.lam.lo, r.lam.hi)).encode())
     assert h.hexdigest() == (
-        "5e14d521c95d7ed7e7c400def7d691abe3f08f2f1dd7b5c773c123af91498576")
+        "fac50bc1743ea5ef4b6682bbab68a9a0aac83bff35db4c9ad595df445a87c971")
 
 
 def test_row_order_is_mid_then_graph6():
@@ -698,12 +756,12 @@ def test_row_order_is_mid_then_graph6():
 
 def test_certified_below_refines():
     g = attach_path(diamond_graph(), 0, 3)     # ratio 5.180545
-    assert certified_below(ColumnEnclosure(g).refine, Fraction(21, 4))
-    assert not certified_below(ColumnEnclosure(g).refine, BETA_STAR)
-    assert not certified_below(ColumnEnclosure(g).refine, Fraction(5))
+    assert certified_below(GammaEnclosure(g).refine, Fraction(21, 4))
+    assert not certified_below(GammaEnclosure(g).refine, BETA_STAR)
+    assert not certified_below(GammaEnclosure(g).refine, Fraction(5))
 
 
 def test_certified_below_exact_equality():
     # rational values hit exactly: the enclosures collapse to the threshold
-    assert not certified_below(ColumnEnclosure(complete_graph(4)).refine, 4)
-    assert not certified_below(ColumnEnclosure(star_graph(5)).refine, Fraction(9, 2))
+    assert not certified_below(GammaEnclosure(complete_graph(4)).refine, 4)
+    assert not certified_below(GammaEnclosure(star_graph(5)).refine, Fraction(9, 2))
