@@ -2,13 +2,16 @@
 exhaustive enumeration of connected graphs, trees, and rooted proof kernels.
 
 Graphs live on at most 64 vertices so each adjacency row fits in one
-machine word.  Enumerations are desk-scale and deterministic: augmentation
-plus canonical-form deduplication, with results sorted by canonical code.
-Canonical forms of trees are sorted subtree codes; other graphs get color
-refinement and then a search for the least adjacency code over the
-orderings the coloring allows.  Both return generators of the automorphism
-group (canonical_form), and the enumerations try one augmentation per orbit
-of the parent's group and keep each representative's canonical ordering.
+machine word.  Enumerations are desk-scale and deterministic, with results
+sorted by canonical code.  Canonical forms of trees are sorted subtree
+codes; other graphs get color refinement and then a search for the least
+adjacency code over the orderings the coloring allows.  Both return
+generators of the automorphism group (canonical_form).  Connected graphs
+come from augmentation plus canonical-form deduplication, trying one
+augmentation per orbit of the parent's group.  Trees are generated as
+centre-rooted canonical level sequences (Wright, Richmond, Odlyzko & McKay,
+1986), one per class, so no candidate is searched for or dropped.  Every
+enumeration keeps each representative's canonical ordering.
 """
 
 from __future__ import annotations
@@ -706,8 +709,8 @@ TREE_ENUM_CAP = 14
 
 # Kept by the enumerations: the canonical ordering of each representative,
 # keyed by (graph, root), and the automorphism generators canonical_form
-# gave for the representatives below the cap with a nontrivial group, which
-# are the parents of the next size.
+# gave for the connected-graph representatives below the cap with a
+# nontrivial group, which are the parents of the next size.
 _ORDERS: dict = {}
 _AUTOMORPHISMS: dict = {}
 
@@ -747,25 +750,20 @@ def _add_class(out: dict, g: Graph, root: Optional[int], item):
     return gens
 
 
-def _augment(parents: Iterable[Graph], cap: int, subsets: bool) -> tuple:
-    """The classes reached by adding one vertex to each parent, sorted by
-    code: joined to each nonempty vertex subset (subsets) or to each single
-    vertex.  Only the candidates least in their orbit under the parent's
-    group are tried; another in the orbit gives an isomorphic graph, after
-    the least one, so each class keeps the first candidate that reaches it,
-    as trying them all would.  Representatives below cap keep their
-    generators for the next size."""
+def _augment(parents: Iterable[Graph]) -> tuple:
+    """The classes reached by joining a new vertex to each nonempty vertex
+    subset of each parent, sorted by code.  Only the subsets least in their
+    orbit under the parent's group are tried; another in the orbit gives an
+    isomorphic graph, after the least one, so each class keeps the first
+    candidate that reaches it, as trying them all would.  Representatives
+    below GRAPH_ENUM_CAP keep their generators for the next size."""
     out: dict[bytes, Graph] = {}
     for g in parents:
-        gens = _AUTOMORPHISMS.get(g, ())
-        if subsets:
-            masks = _orbit_minima(range(1, 1 << g.n), [_mask_action(a) for a in gens])
-        else:
-            masks = [1 << v for v in _orbit_minima(range(g.n), gens)]
-        for mask in masks:
+        gens = [_mask_action(a) for a in _AUTOMORPHISMS.get(g, ())]
+        for mask in _orbit_minima(range(1, 1 << g.n), gens):
             h = g.add_vertex(mask)
             found = _add_class(out, h, None, h)
-            if found is not None and h.n < cap and (kept := tuple(found())):
+            if found is not None and h.n < GRAPH_ENUM_CAP and (kept := tuple(found())):
                 _AUTOMORPHISMS[h] = kept
     return tuple(h for _, h in sorted(out.items()))
 
@@ -777,21 +775,112 @@ def enumerate_connected_graphs(n: int) -> tuple:
     representative.  Every connected graph has a non-cutting vertex, so
     every class is reached."""
     if not (1 <= n <= GRAPH_ENUM_CAP):
-        raise ValueError("connected-graph enumeration capped at %d vertices" % GRAPH_ENUM_CAP)
+        raise ValueError("connected-graph enumeration needs 1 <= n <= %d" % GRAPH_ENUM_CAP)
     if n == 1:
         return (Graph(1, (0,)),)
-    return _augment(enumerate_connected_graphs(n - 1), GRAPH_ENUM_CAP, True)
+    return _augment(enumerate_connected_graphs(n - 1))
+
+
+def _level_successor(seq: list, p: int) -> None:
+    """Beyer-Hedetniemi step at p (seq[p] > 1), in place: with q the parent
+    of p, the last position before p one level up, seq[i] becomes
+    seq[i - (p - q)] for every i >= p."""
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    for i in range(p, len(seq)):
+        seq[i] = seq[i - p + q]
+
+
+def _centre_rooted_sequences(n: int):
+    """The level sequences of the free trees on n vertices, one per tree,
+    rooted at a centre, in decreasing lexicographic order (Wright,
+    Richmond, Odlyzko & McKay, SIAM J. Comput. 15, 1986).  The list is
+    reused: each item holds until the next is asked for.
+
+    A level sequence lists the depths of the vertices in preorder, root at
+    depth 0.  It is canonical when every vertex lists its child subtrees in
+    nonincreasing order of their sequences; rooted trees then correspond
+    one to one to canonical sequences, and in decreasing order the
+    successor of one is _level_successor at its last position above depth 1
+    (Beyer & Hedetniemi, SIAM J. Comput. 9, 1980).  The rule applied at any
+    position p above depth 1 gives the first sequence after all those that
+    share seq[:p + 1]: it is the successor of seq[:p + 1] followed by
+    leaves of the root, the least canonical sequence with that prefix.
+
+    Split a sequence at the root's second child, m, into the first branch
+    seq[1:m] of depth h1 and the rest, of depth h2 (0 if there is no second
+    child).  A taller subtree has the larger sequence, so h1 >= h2, and the
+    root is a centre iff h2 >= h1 - 1.  When h2 = h1 - 1 the first child is
+    the other centre, and the two halves across the central edge, B (the
+    first branch, rooted at the first child) and R (the rest), have equal
+    height; the rooting is kept iff (|B|, B) <= (|R|, R), sizes first and
+    then sequences, which holds for exactly one of the two rootings or, when
+    B = R, for both, which give one sequence.  So the kept sequences are
+    one per free tree.
+
+    The walk starts from the path rooted at its centre, the largest kept
+    sequence (no branch of a centre-rooted tree is deeper than n // 2), and
+    ends at the star, which has no position above depth 1.  A kept sequence
+    steps to its successor.  A rejected one jumps past every sequence with
+    its first branch: those have a rest no larger, hence no taller and of
+    the same size, and fail the same test, so the walk goes on at the
+    successor taken at p = m - 1, the first branch's last position (above
+    depth 1, since a star is kept).
+    """
+    half = n // 2
+    seq = list(range(half + 1)) + list(range(1, n - half))
+    while True:
+        m = 2
+        while m < n and seq[m] != 1:
+            m += 1
+        h1 = max(seq[1:m], default=0)
+        h2 = max(seq[m:], default=0)
+        keep = h2 >= h1 - 1
+        if keep and h2 < h1:
+            first = [d - 1 for d in seq[1:m]]
+            rest = [0] + seq[m:]
+            keep = (len(first), first) <= (len(rest), rest)
+        if keep:
+            yield seq
+            p = n - 1
+            while seq[p] == 1:
+                p -= 1
+            if p == 0:
+                return
+        else:
+            p = m - 1
+        _level_successor(seq, p)
+
+
+def _tree_from_levels(seq: Sequence[int]) -> Graph:
+    """The tree of a level sequence, vertex i at position i: each vertex's
+    parent is the last vertex before it one level up."""
+    adj = [0] * len(seq)
+    last = [0] * len(seq)      # last[d]: the latest vertex at depth d
+    for v in range(1, len(seq)):
+        d = seq[v]
+        u = last[d - 1]
+        last[d] = v
+        adj[v] |= 1 << u
+        adj[u] |= 1 << v
+    return Graph(len(seq), tuple(adj))
 
 
 @lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> tuple:
-    """All trees on n <= 14 vertices, one per isomorphism class: a leaf
-    added at every vertex of each (n-1)-vertex representative."""
+    """All trees on n <= 14 vertices, one per isomorphism class, generated
+    from their centre-rooted level sequences (_centre_rooted_sequences),
+    one sequence per class, with no search.  Each tree takes one canonical
+    form (one _tree_canon pass, see _add_class), which keeps its ordering
+    for canonical_relabel and gives the code the trees are sorted by."""
     if not (1 <= n <= TREE_ENUM_CAP):
-        raise ValueError("tree enumeration capped at %d vertices" % TREE_ENUM_CAP)
-    if n == 1:
-        return (Graph(1, (0,)),)
-    return _augment(enumerate_trees(n - 1), TREE_ENUM_CAP, False)
+        raise ValueError("tree enumeration needs 1 <= n <= %d" % TREE_ENUM_CAP)
+    out: dict[bytes, Graph] = {}
+    for seq in _centre_rooted_sequences(n):
+        g = _tree_from_levels(seq)
+        _add_class(out, g, None, g)
+    return tuple(g for _, g in sorted(out.items()))
 
 
 def _rooted_classes(sources: Iterable[Graph], keep) -> tuple:

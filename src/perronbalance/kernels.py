@@ -395,7 +395,12 @@ def _process_special_tree_kernel(kernel: RootedKernel, beta: Fraction,
     vertex resists, every viable extension goes through it, so the kernel
     is replaced by itself plus a leaf there (recording that single tree)
     and the process repeats.
+
+    The kernel is first relabelled canonically, root at 0: elimination
+    tries the active vertices in label order, so this fixes the order of
+    the examined trees whatever labels the kernel came with.
     """
+    kernel = RootedKernel(canonical_relabel(kernel.graph, kernel.root), 0)
     chain = [kernel]
     examined_graphs: list = []
     outcome = "survivor"

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from operator import mul
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .algebra import (
     IntPoly,
@@ -84,16 +84,18 @@ def resolvent_data(g: Graph) -> ResolventData:
     built column by column on demand.
 
     A tree takes its char poly from Schwenk's recurrence
-    (_tree_char_poly); its adjugate, and everything of any other graph,
-    comes from one integer Faddeev-LeVerrier pass (_faddeev_leverrier),
-    run for a tree only when a column is first asked for (kernel contexts,
-    tail bases).  The char poly is unique, so both routes give the same
-    one.
+    (_tree_char_poly), whose traversal also tells a tree from a
+    disconnected graph with n - 1 edges; its adjugate, and everything of
+    any other graph, comes from one integer Faddeev-LeVerrier pass
+    (_faddeev_leverrier), run for a tree only when a column is first asked
+    for (kernel contexts, tail bases).  The char poly is unique, so both
+    routes give the same one.
     """
-    if not g.is_tree():
+    char = _tree_char_poly(g) if g.edge_count() == g.n - 1 else None
+    if char is None:
         return _faddeev_leverrier(g)
     full = cache(partial(_faddeev_leverrier, g))
-    return ResolventData(_tree_char_poly(g), g.n, lambda v: full().column(v))
+    return ResolventData(char, g.n, lambda v: full().column(v))
 
 
 def _faddeev_leverrier(g: Graph) -> ResolventData:
@@ -150,9 +152,11 @@ def _times(a: IntPoly, b: IntPoly) -> IntPoly:
     return a * b
 
 
-def _tree_char_poly(g: Graph) -> IntPoly:
+def _tree_char_poly(g: Graph) -> Optional[IntPoly]:
     """Characteristic polynomial of a tree by Schwenk's recurrence
-    (Schwenk, LNM 406, 1974; Godsil, Algebraic Combinatorics, ch. 2).
+    (Schwenk, LNM 406, 1974; Godsil, Algebraic Combinatorics, ch. 2), or
+    None when the search from vertex 0 misses a vertex: a graph with n - 1
+    edges is a tree iff it is connected.
 
     Rooted at vertex 0, with T_v the subtree of v and c running over its
     children, f_v = phi(T_v) and g_v = phi(T_v - v) = prod_c f_c satisfy
@@ -166,11 +170,15 @@ def _tree_char_poly(g: Graph) -> IntPoly:
     """
     parent = [-1] * g.n
     order = [0]
+    seen = 1
     for v in order:
         for u in g.neighbors(v):
-            if u != parent[v]:
+            if not seen >> u & 1:
+                seen |= 1 << u
                 parent[u] = v
                 order.append(u)
+    if len(order) < g.n:
+        return None
     prod = [_ONE] * g.n
     acc = [None] * g.n          # S; None while it is the zero polynomial
     for v in reversed(order):
@@ -285,9 +293,10 @@ class GammaEnclosure:
     cancels: gamma lies in [W_lo/phi'_hi, W_hi/phi'_lo] once both lower
     ends are > 0.
 
-    lam starts as lambda_enclosure(g, lam_eps) and narrows in place, 16-fold
-    per round, until a request is met: both lower ends positive (gamma is
-    None until then) and, unless lam is an exact point, the asked width.
+    lam starts as lambda_enclosure(g, lam_eps), which rejects a disconnected
+    g with ValueError, and narrows in place, 16-fold per round, until a
+    request is met: both lower ends positive (gamma is None until then)
+    and, unless lam is an exact point, the asked width.
     At an exact point gamma is defined at once: lambda_1 is simple on a
     connected graph, so phi'(lambda_1) > 0 and W(lambda_1) =
     phi'(lambda_1) gamma > 0.  Elsewhere both enclosures shrink to these
@@ -296,12 +305,11 @@ class GammaEnclosure:
     """
 
     def __init__(self, g: Graph, lam_eps: Fraction = GAMMA_LAMBDA_EPS):
-        if not g.is_connected():
-            raise ValueError("graph is disconnected")
+        iv = lambda_enclosure(g, lam_eps)   # the one connectivity check
         char = resolvent_data(g).char_poly
         self._walk = _walk_numerator(g, char)
         self._slope = char.derivative().coeffs
-        self.lam = RootEnclosure(char, lambda_enclosure(g, lam_eps))
+        self.lam = RootEnclosure(char, iv)
         self._round_eps = lam_eps
         self._rounds = 0
         self._evaluate()

@@ -335,10 +335,12 @@ def test_tables_n(tmp_path, capsys):
     small = (tmp_path / "small-graphs.csv").read_text().splitlines()
     assert len(small) == 1 + 21
     capsys.readouterr()
-    assert run_cli(["--out", str(tmp_path), "tables", "--n", "8"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    for n in ("0", "8"):
+        out = tmp_path / n
+        assert run_cli(["--out", str(out), "tables", "--n", n]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: connected-graph enumeration needs 1 <= n <= 7\n"
+        assert not out.exists()
 
 
 def test_curves(tmp_path, capsys):

@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perronbalance.graphs import (
+    GRAPH_ENUM_CAP,
     MAX_VERTICES,
+    TREE_ENUM_CAP,
     Graph,
     Graph6Error,
     RootedKernel,
     _AUTOMORPHISMS,
     _ORDERS,
     _bits,
+    _centre_rooted_sequences,
     _graph_canon,
     _tree_canon,
     _tree_centers,
@@ -386,21 +389,23 @@ def test_graph_canon_automorphisms_generate_the_group():
 
 
 def test_kept_automorphisms_are_the_search_result():
-    """The enumerations keep the generators canonical_form reports for the
-    representatives with a nontrivial group below the cap, which are the
-    parents of the next size, trees included, and nothing for the last
-    connected-graph size."""
+    """The connected-graph enumeration keeps the generators canonical_form
+    reports for the representatives with a nontrivial group below the cap,
+    which are the parents of the next size, trees among them, and nothing
+    for the last size.  The tree generator keeps none."""
     _AUTOMORPHISMS.clear()
     enumerate_connected_graphs.cache_clear()
-    enumerate_trees.cache_clear()
     parents = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
     assert not any(g in _AUTOMORPHISMS for g in enumerate_connected_graphs(7))
-    parents += [t for n in range(1, 13) for t in enumerate_trees(n)]
     assert sum(t.is_tree() for t in parents if t in _AUTOMORPHISMS) > 0
     for g in parents:
         found = []
         canonical_form(g, None, found)
         assert _AUTOMORPHISMS.get(g, ()) == tuple(found[1])
+    kept = dict(_AUTOMORPHISMS)
+    enumerate_trees.cache_clear()
+    enumerate_trees(9)
+    assert _AUTOMORPHISMS == kept
 
 
 def _classes(keys):
@@ -458,12 +463,14 @@ def _plain_kernels(sources, keep):
 
 
 def test_pruned_enumerations_equal_plain_augmentation():
-    """Same labelled representatives in the same order: graphs <= 7, trees
-    <= 12 and both kernel enumerations."""
+    """Same labelled representatives in the same order for graphs <= 7 and
+    the graph kernels; the same classes in the same order for trees <= 12
+    and the tree kernels, which the tree generator labels its own way."""
     for n in range(1, 8):
         assert enumerate_connected_graphs(n) == _plain_connected_graphs(n), n
     for n in range(1, 13):
-        assert enumerate_trees(n) == _plain_trees(n), n
+        assert [canonical_form(t) for t in enumerate_trees(n)] == \
+            [canonical_form(t) for t in _plain_trees(n)], n
 
     def graph_kernel(k):
         return k.graph.degree(k.root) >= 3 and not (
@@ -471,8 +478,9 @@ def test_pruned_enumerations_equal_plain_augmentation():
 
     assert enumerate_graph_kernels() == _plain_kernels(
         _plain_connected_graphs(6), graph_kernel)
-    assert enumerate_tree_kernels() == _plain_kernels(
-        _plain_trees(10), lambda k: k.graph.degree(k.root) >= 3)
+    plain = _plain_kernels(_plain_trees(10), lambda k: k.graph.degree(k.root) >= 3)
+    assert [k.canonical() for k in enumerate_tree_kernels()] == \
+        [k.canonical() for k in plain]
 
 
 def _fresh_relabel(g, root=None):
@@ -650,11 +658,30 @@ def test_tree_counts():
 
 
 def test_tree_counts_cayley_crosscheck():
-    # sum over classes of n!/|Aut| must equal the labeled count n^(n-2)
-    for n in range(3, 11):
-        total = sum(math.factorial(n) // automorphism_count(t)
-                    for t in enumerate_trees(n))
-        assert total == n ** (n - 2)
+    # distinct codes and sum over classes of n!/|Aut| equal to the labelled
+    # count n^(n-2): every labelled tree lies in exactly one listed class,
+    # so the list is complete and free of repeats; and the generator gives
+    # one level sequence per listed class
+    for n in range(3, TREE_ENUM_CAP + 1):
+        trees = enumerate_trees(n)
+        assert len({canonical_form(t) for t in trees}) == len(trees)
+        total = sum(math.factorial(n) // automorphism_count(t) for t in trees)
+        assert total == n ** (n - 2), n
+        assert sum(1 for _ in _centre_rooted_sequences(n)) == len(trees), n
+
+
+def test_generated_trees_are_trees():
+    for n in range(1, TREE_ENUM_CAP + 1):
+        for t in enumerate_trees(n):
+            assert t.n == n and t.edge_count() == n - 1 and t.is_connected()
+
+
+@pytest.mark.parametrize("enumerate_, cap", [
+    (enumerate_connected_graphs, GRAPH_ENUM_CAP), (enumerate_trees, TREE_ENUM_CAP)])
+def test_enumeration_size_range(enumerate_, cap):
+    for n in (0, cap + 1):
+        with pytest.raises(ValueError, match="needs 1 <= n <= %d$" % cap):
+            enumerate_(n)
 
 
 def test_enumeration_deterministic_and_sorted():

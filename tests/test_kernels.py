@@ -288,6 +288,24 @@ def _direct_pair(enumerated, special) -> list:
     return [k for k in enumerated if k.canonical() not in codes][:2]
 
 
+def test_tree_stage_independent_of_kernel_labels(tree_stage):
+    # the kernels that go through elimination, randomly relabelled, give the
+    # stage JSON of their enumerated representatives: examined trees and
+    # leftovers come in the same order whatever the vertex labels
+    ids = {o.kernel_id for o in tree_stage.outcomes if o.classification != "direct"}
+    special = [k for k in enumerate_tree_kernels() if k.id_string() in ids]
+    assert len(special) == 3
+    want = _stage_doc(tree_kernel_stage(kernels=special))
+    for seed in range(4):
+        rng = random.Random(seed)
+        moved = []
+        for k in special:
+            perm = list(range(k.graph.n))
+            rng.shuffle(perm)
+            moved.append(RootedKernel(k.graph.relabel(perm), perm[k.root]))
+        assert _stage_doc(tree_kernel_stage(kernels=moved)) == want, seed
+
+
 def test_graph_stage_jobs_parity():
     special = exceptional_graph_kernels() + (conjectured_graph_kernel(),)
     kernels = list(special) + _direct_pair(enumerate_graph_kernels(), special)

@@ -156,8 +156,48 @@ def test_lambda_enclosure_builds_no_sturm_chain():
 
 
 def test_lambda_disconnected_rejected():
-    with pytest.raises(ValueError):
-        lambda_enclosure(Graph.from_edges(3, [(0, 1)]))
+    for g in (Graph.from_edges(3, [(0, 1)]),
+              Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])):
+        with pytest.raises(ValueError, match="disconnected"):
+            lambda_enclosure(g)
+        with pytest.raises(ValueError, match="disconnected"):
+            GammaEnclosure(g)
+
+
+def test_one_connectivity_search_per_row(monkeypatch):
+    # a row's GammaEnclosure searches its graph for connectivity once, a
+    # resolvent_data miss on a tree included
+    searched = []
+    search = Graph.is_connected
+    monkeypatch.setattr(Graph, "is_connected",
+                        lambda g: searched.append(g) or search(g))
+    rng = random.Random(31)
+    for h in (attach_path(star_graph(5), 0, 11), attach_path(complete_graph(4), 0, 12)):
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        g = h.relabel(perm)
+        misses = resolvent_data.cache_info().misses
+        GammaEnclosure(g)
+        assert resolvent_data.cache_info().misses == misses + 1
+        assert searched == [g]
+        searched.clear()
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (2, 3), (3, 4), (2, 4)],       # vertex 0 off the triangle
+    [(0, 1), (1, 2), (0, 2), (3, 4)],       # vertex 0 on the triangle
+])
+def test_resolvent_data_disconnected_with_n_minus_1_edges(monkeypatch, edges):
+    # n - 1 edges and no tree: the Faddeev-LeVerrier pass, not the recurrence
+    g = Graph.from_edges(5, edges)
+    sent = []
+    monkeypatch.setattr(spectral, "_faddeev_leverrier",
+                        lambda h: sent.append(h) or _faddeev_leverrier(h))
+    rd = resolvent_data.__wrapped__(g)
+    assert sent == [g]
+    assert _tree_char_poly(g) is None
+    # K2 + K3: (x^2 - 1)(x^3 - 3x - 2)
+    assert rd.char_poly == IntPoly([2, 3, -2, -4, 0, 1])
 
 
 def test_lambda_sqrt_degree_bounds():
