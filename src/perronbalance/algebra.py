@@ -367,9 +367,6 @@ class RationalInterval:
     def add_scalar(self, c: Rat) -> "RationalInterval":
         return RationalInterval(self.lo + c, self.hi + c)
 
-    def sub(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo - other.hi, self.hi - other.lo)
-
     def mul_interval(self, other: "RationalInterval") -> "RationalInterval":
         vals = (self.lo * other.lo, self.lo * other.hi,
                 self.hi * other.lo, self.hi * other.hi)

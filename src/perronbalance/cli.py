@@ -91,13 +91,14 @@ def _parse_eps(text: str) -> Fraction:
 
 
 def _read_graph(spec: str) -> Graph:
-    if ";" in spec:
-        return parse_edge_list(spec)
-    p = Path(spec)
-    if p.exists():
-        text = p.read_text().strip().splitlines()[0].strip()
-        return _read_graph(text)
-    return parse_graph6(spec)
+    """An edge list or graph6 string, or a file whose first line is one
+    (read as text, never as another file name)."""
+    text = spec
+    if ";" not in spec and Path(spec).exists():
+        text = Path(spec).read_text().strip().partition("\n")[0].strip()
+        if not text:
+            raise ValueError("%s is empty" % spec)
+    return parse_edge_list(text) if ";" in text else parse_graph6(text)
 
 
 def _interval_text(iv) -> str:

@@ -5,19 +5,20 @@ Graphs live on at most 64 vertices so each adjacency row fits in one
 machine word.  Enumerations are desk-scale and deterministic, with results
 sorted by canonical code.  Canonical forms of trees are sorted subtree
 codes; other graphs get color refinement and then a search for the least
-adjacency code over the orderings the coloring allows.  Both return
-generators of the automorphism group (canonical_form).  Connected graphs
-come from augmentation plus canonical-form deduplication, trying one
-augmentation per orbit of the parent's group.  Trees are generated as
-centre-rooted canonical level sequences (Wright, Richmond, Odlyzko & McKay,
-1986), one per class, so no candidate is searched for or dropped.  Every
-enumeration keeps each representative's canonical ordering.
+adjacency code over the orderings the coloring allows.  That search is the
+one source of automorphism group generators, which a tree computes only
+when they are asked for (_tree_canon).  Connected graphs come from
+augmentation plus canonical-form deduplication, trying one augmentation per
+orbit of the parent's group.  Trees are generated as centre-rooted
+canonical level sequences (Wright, Richmond, Odlyzko & McKay, 1986), one
+per class, so no candidate is searched for or dropped.  Every enumeration
+keeps each representative's canonical ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 MAX_VERTICES = 64
@@ -127,12 +128,6 @@ class Graph:
             frontier = nxt
         return dist
 
-    def eccentricity(self, o: int) -> int:
-        dist = self.distances_from(o)
-        if min(dist) < 0:
-            raise ValueError("graph is disconnected")
-        return max(dist)
-
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """New graph where old vertex v becomes perm[v]."""
         adj = [0] * self.n
@@ -171,14 +166,6 @@ class RootedKernel:
         """Stable readable identifier: graph6 of a canonical relabeling with
         the root moved to vertex 0."""
         return write_graph6(canonical_relabel(self.graph, self.root))
-
-
-@dataclass(frozen=True)
-class ActiveSet:
-    """Kernel vertices allowed to have neighbors outside the kernel."""
-
-    vertices: frozenset
-    eccentricity: int
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +373,11 @@ def _refine_colors(g: Graph, colors: list) -> list:
     return colors
 
 
-def _subtree_walk(g: Graph, root: int, pairs: Optional[list] = None) -> tuple:
+def _subtree_walk(g: Graph, root: int) -> tuple:
     """Sorted-subtree code of the tree g rooted at root: "(" then the codes
     of the child subtrees in sorted order, then ")", so that equal codes
     mean rooted-isomorphic subtrees; and the vertices depth first from root
-    with the children of each in increasing (code, label) order.  pairs,
-    when given, receives the walks of each two adjacent children with equal
-    codes (see _tree_canon)."""
+    with the children of each in increasing (code, label) order."""
 
     def encode(v: int, parent: int) -> tuple:
         # ties on the code compare the walks, which start at distinct labels
@@ -401,10 +386,6 @@ def _subtree_walk(g: Graph, root: int, pairs: Optional[list] = None) -> tuple:
         walk = [v]
         for _, w in subs:
             walk += w
-        if pairs is not None and len(subs) > 1:
-            for (c, w), (d, x) in zip(subs, subs[1:]):
-                if c == d:
-                    pairs.append((w, x))
         return code, walk
 
     return encode(root, -1)
@@ -414,45 +395,14 @@ def _tree_canon(g: Graph, root: Optional[int]) -> tuple:
     """Code, order and generators (a function, see _canon) of a tree
     (rooted or free): the sorted subtree code and the walk of
     _subtree_walk.  A free tree is rooted at the center with the least
-    code, the lower label on a tie.
-
-    Two children with equal codes root isomorphic subtrees, and their walks
-    list them in matching order, so w1[i] <-> w2[i] is an automorphism.  The
-    swaps of adjacent equal children generate the symmetric group on each
-    run of equal siblings, and with the swaps inside the subtrees they
-    generate the group of the rooted tree, by induction on the height
-    (C. Jordan, J. Reine Angew. Math. 70, 1869).  A free tree's group fixes
-    its center set, so a single center's walk gives the whole group.  Of a
-    bicenter {c, d}, the group fixing c, which is the group fixing d, comes
-    from the walk from c alone, and when the two rootings have equal codes
-    the map walk_c[i] -> walk_d[i] adds the automorphisms exchanging c and
-    d.  It is an involution, swapping the walks position by position: the
-    halves at d and at c are the only children of c and of d of their
-    height, and the other children of both have equal codes in order.
-    """
-    pairs: list = []
+    code, the lower label on a tie.  The generators come from the search
+    of _graph_canon, which runs only when they are asked for."""
+    gens = lambda: _graph_canon(g, root)[2]()
     if root is not None:
-        code, order = _subtree_walk(g, root, pairs)
-        return b"R" + code, order, partial(_swaps, g.n, pairs)
-    c, *rest = _tree_centers(g)
-    code, order = _subtree_walk(g, c, pairs)
-    if rest:
-        other = _subtree_walk(g, rest[0])
-        if other[0] == code:
-            pairs.append((order, other[1]))
-        code, order = min((code, order), other)
-    return b"T" + code, order, partial(_swaps, g.n, pairs)
-
-
-def _swaps(n: int, pairs: Sequence[tuple]) -> list:
-    """The involutions w[i] <-> x[i] of the walk pairs, as bytes image lists."""
-    out = []
-    for w, x in pairs:
-        img = bytearray(range(n))
-        for a, b in zip(w, x):
-            img[a], img[b] = b, a
-        out.append(bytes(img))
-    return out
+        code, order = _subtree_walk(g, root)
+        return b"R" + code, order, gens
+    code, order = min(_subtree_walk(g, c) for c in _tree_centers(g))
+    return b"T" + code, order, gens
 
 
 def _tree_centers(g: Graph) -> list:
@@ -598,8 +548,7 @@ def _canon(g: Graph, root: Optional[int]) -> tuple:
     return (_tree_canon if g.is_tree() else _graph_canon)(g, root)
 
 
-def canonical_form(g: Graph, root: Optional[int] = None,
-                   found: Optional[list] = None) -> bytes:
+def canonical_form(g: Graph, root: Optional[int] = None) -> bytes:
     """Canonical byte string: equal iff (rooted-)isomorphic.
 
     Connected acyclic graphs use the linear-time tree code (_tree_canon);
@@ -609,16 +558,10 @@ def canonical_form(g: Graph, root: Optional[int] = None,
     tried branch onto an untried one.  Either pruning skips only leaves
     whose codes are not smaller than one already seen, and no earlier in
     the search order, so the code is the least over every ordering the
-    coloring allows.
-
-    found, when given, receives [order, generators]: the canonical ordering
-    canonical_relabel uses and automorphisms (bytes image lists) that
-    generate the automorphism group of (g, root).
+    coloring allows.  The generators of the automorphism group (see _canon)
+    come from that search alone, for trees too.
     """
-    code, order, gens = _canon(g, root)
-    if found is not None:
-        found[:] = order, gens()
-    return code
+    return _canon(g, root)[0]
 
 
 def canonical_relabel(g: Graph, root: Optional[int] = None) -> Graph:
@@ -674,7 +617,7 @@ def has_open_dominating_vertex(k: RootedKernel) -> bool:
     return False
 
 
-def active_vertices(k: RootedKernel, kind: str) -> ActiveSet:
+def active_vertices(k: RootedKernel, kind: str) -> frozenset:
     """Kernel vertices that may have neighbors outside the kernel.
 
     Graph kernels: all non-root vertices when the root's eccentricity is at
@@ -689,15 +632,12 @@ def active_vertices(k: RootedKernel, kind: str) -> ActiveSet:
     ecc = max(dist)
     if kind == "graph":
         if ecc <= 2:
-            verts = frozenset(v for v in range(g.n) if v != o)
-        else:
-            closed = g.closed_neighborhood(o)
-            verts = frozenset(v for v in range(g.n) if not (closed >> v & 1))
-    elif kind == "tree":
-        verts = frozenset(v for v in range(g.n) if dist[v] >= ecc - 1)
-    else:
-        raise ValueError("kind must be 'graph' or 'tree'")
-    return ActiveSet(verts, ecc)
+            return frozenset(v for v in range(g.n) if v != o)
+        closed = g.closed_neighborhood(o)
+        return frozenset(v for v in range(g.n) if not (closed >> v & 1))
+    if kind == "tree":
+        return frozenset(v for v in range(g.n) if dist[v] >= ecc - 1)
+    raise ValueError("kind must be 'graph' or 'tree'")
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +648,9 @@ GRAPH_ENUM_CAP = 7
 TREE_ENUM_CAP = 14
 
 # Kept by the enumerations: the canonical ordering of each representative,
-# keyed by (graph, root), and the automorphism generators canonical_form
-# gave for the connected-graph representatives below the cap with a
-# nontrivial group, which are the parents of the next size.
+# keyed by (graph, root), and the automorphism generators _canon gave for
+# the connected-graph representatives below the cap with a nontrivial
+# group, which are the parents of the next size.
 _ORDERS: dict = {}
 _AUTOMORPHISMS: dict = {}
 

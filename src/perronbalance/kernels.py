@@ -256,7 +256,7 @@ def two_step_verify(kernel: RootedKernel, leaf: int, beta: Fraction) -> TwoStepO
     g, o = kernel.graph, kernel.root
     if g.degree(leaf) != 1:
         raise ValueError("two-step vertex must be a leaf")
-    va = active_vertices(kernel, "graph").vertices
+    va = active_vertices(kernel, "graph")
     fam1 = tuple(m for m in family_all_subsets(va) if m != 1 << leaf)
     ctx1 = KernelContext(kernel)
     step1 = verify_extension(ctx1, fam1, beta)
@@ -272,7 +272,7 @@ def two_step_verify(kernel: RootedKernel, leaf: int, beta: Fraction) -> TwoStepO
 def _graph_stage_one(kernel: RootedKernel, beta: Fraction,
                      stop_on_failure: bool) -> KernelOutcome:
     ctx = KernelContext(kernel)
-    va = active_vertices(kernel, "graph").vertices
+    va = active_vertices(kernel, "graph")
     fam = family_all_subsets(va)
     rep = verify_extension(ctx, fam, beta, stop_on_failure=stop_on_failure)
     if rep.passed:
@@ -406,7 +406,7 @@ def _process_special_tree_kernel(kernel: RootedKernel, beta: Fraction,
     outcome = "survivor"
     cur = kernel
     while canonical_form(cur.graph, cur.root) != conjectured:
-        va = active_vertices(cur, "tree").vertices
+        va = active_vertices(cur, "tree")
         remaining, examined = active_vertex_elimination(cur, va, beta)
         examined_graphs.extend(examined)
         if not remaining:
@@ -422,7 +422,7 @@ def _process_special_tree_kernel(kernel: RootedKernel, beta: Fraction,
             raise ArithmeticError("tree chain exceeded the size cap")
         examined_graphs.append(hplus)
         nxt = RootedKernel(hplus, cur.root)
-        va_next = active_vertices(nxt, "tree").vertices
+        va_next = active_vertices(nxt, "tree")
         if not {u, hplus.n - 1} <= set(va_next):
             raise ArithmeticError("chain step lost an active vertex")
         chain.append(nxt)
@@ -435,7 +435,7 @@ def _process_special_tree_kernel(kernel: RootedKernel, beta: Fraction,
 def _tree_stage_one(kernel: RootedKernel, beta: Fraction,
                     conjectured: bytes, stop_on_failure: bool) -> KernelOutcome:
     ctx = KernelContext(kernel)
-    va = active_vertices(kernel, "tree").vertices
+    va = active_vertices(kernel, "tree")
     fam = family_singletons(va)
     rep = verify_extension(ctx, fam, beta, dist2_vertex=True,
                            stop_on_failure=stop_on_failure)

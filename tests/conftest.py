@@ -3,11 +3,6 @@ import pytest
 ACCEPTANCE_LINES = []
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "slow: long-running stage and table computations")
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -90,6 +90,11 @@ def resolvent_identity_holds(rd, A: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+def interval_sub(a: RationalInterval, b: RationalInterval) -> RationalInterval:
+    """The interval of x - y over x in a and y in b."""
+    return RationalInterval(a.lo - b.hi, a.hi - b.lo)
+
+
 def residual_contains_zero(pd, g: Graph) -> bool:
     """Eigenvalue-equation residual check on PerronData: lam*w_v - sum_nbr
     w_u must admit zero for every vertex.
@@ -101,7 +106,7 @@ def residual_contains_zero(pd, g: Graph) -> bool:
     for v in range(g.n):
         acc = pd.lam.mul_interval(pd.weights[v])
         for u in g.neighbors(v):
-            acc = acc.sub(pd.weights[u])
+            acc = interval_sub(acc, pd.weights[u])
         if not acc.contains_zero():
             return False
     return True

@@ -59,7 +59,7 @@ from perronbalance.spectral import (
     resolvent_data,
 )
 
-from oracles import connected_graphs, induced, perron_enclosure
+from oracles import connected_graphs, induced, interval_sub, perron_enclosure
 
 K3P3 = attach_path(complete_graph(3), 0, 3)
 U3 = 1 << 5
@@ -286,14 +286,14 @@ def test_check_pair_worked_example(ctx):
 def test_check_pair_k4p2_survives():
     k = RootedKernel(attach_path(complete_graph(4), 0, 2), 0)
     c = KernelContext(k)
-    fam = family_all_subsets(active_vertices(k, "graph").vertices)
+    fam = family_all_subsets(active_vertices(k, "graph"))
     rep = verify_extension(c, fam, Fraction(21, 4))
     assert not rep.passed
     assert len(rep.failing_pairs) >= 1
 
 
 def test_verify_extension_worked_example(ctx):
-    act = active_vertices(RootedKernel(K3P3, 0), "graph").vertices
+    act = active_vertices(RootedKernel(K3P3, 0), "graph")
     fam = family_all_subsets(act)
     assert len(fam) == 3
     rep = verify_extension(ctx, fam, Fraction(21, 4))
@@ -318,7 +318,7 @@ def test_verify_extension_vacuous_and_guards(ctx):
 
 
 def test_check_pair_monotone_in_beta(ctx):
-    act = active_vertices(RootedKernel(K3P3, 0), "graph").vertices
+    act = active_vertices(RootedKernel(K3P3, 0), "graph")
     fam = family_all_subsets(act)
     betas = [Fraction(41, 8), Fraction(5), Fraction(19, 4), Fraction(4), Fraction(2)]
     for um in fam:
@@ -505,7 +505,7 @@ def test_check_pair_fresh_context_matches_cascade():
     cases += [(k4p2, Fraction(21, 4)), (special_tree_kernels()[0], beta_tr_upper())]
     kinds = set()
     for k, beta in cases:
-        fam = family_all_subsets(active_vertices(k, "graph").vertices)
+        fam = family_all_subsets(active_vertices(k, "graph"))
         for i, um in enumerate(fam):
             for vm in fam[i:]:
                 got = check_pair(KernelContext(k), um, vm, beta)
@@ -535,7 +535,7 @@ def test_check_pair_refinement_round_matches_fresh_context(monkeypatch):
     monkeypatch.setattr(bounds, "ray_verdict", counting_ray_verdict)
     beta = BETA_GRAPH_STAGE
     for k in (conjectured_graph_kernel(),) + exceptional_graph_kernels():
-        fam = family_all_subsets(active_vertices(k, "graph").vertices)
+        fam = family_all_subsets(active_vertices(k, "graph"))
         coarse, fresh = KernelContext(k), KernelContext(k)
         for m in fam:
             coarse._lam[m] = isolate_largest_root(coarse._attachment_poly(m),
@@ -554,7 +554,7 @@ def test_check_pair_follows_refined_enclosure():
     refined enclosure from the start."""
     k = conjectured_graph_kernel()
     beta = BETA_GRAPH_STAGE
-    fam = family_all_subsets(active_vertices(k, "graph").vertices)
+    fam = family_all_subsets(active_vertices(k, "graph"))
     pairs = [(um, vm) for i, um in enumerate(fam) for vm in fam[i:]]
     half, top = len(pairs) // 2, fam[-1]
     ctx, fresh = KernelContext(k), KernelContext(k)
@@ -579,7 +579,7 @@ def test_pair_check_info_counts_every_check():
     the cascade verdicts only; and the packed test's per-vertex weights are
     shared between pairs: at most one per first set and vertex."""
     k = RootedKernel(attach_path(complete_graph(4), 0, 2), 0)
-    va = active_vertices(k, "graph").vertices
+    va = active_vertices(k, "graph")
     fam = family_all_subsets(va)
     before = pair_check_info()
     rep = verify_extension(KernelContext(k), fam, Fraction(21, 4))
@@ -658,7 +658,7 @@ def _assert_sweep_matches(make_ctx, fam, beta, terms=None, **kw):
 def test_verify_extension_matches_per_pair_checks_graph_kernels():
     stopped = 0
     for k in enumerate_graph_kernels():
-        fam = family_all_subsets(active_vertices(k, "graph").vertices)
+        fam = family_all_subsets(active_vertices(k, "graph"))
         terms = _pair_terms(KernelContext(k), fam)
         _assert_sweep_matches(lambda: KernelContext(k), fam, BETA_GRAPH_STAGE,
                               terms)
@@ -673,7 +673,7 @@ def test_verify_extension_matches_per_pair_checks_tree_kernels():
     beta = beta_tr_upper()
     failed = 0
     for k in enumerate_tree_kernels():
-        fam = family_singletons(active_vertices(k, "tree").vertices)
+        fam = family_singletons(active_vertices(k, "tree"))
         rep = _assert_sweep_matches(lambda: KernelContext(k), fam, beta,
                                     dist2_vertex=True)
         failed += not rep.passed
@@ -686,7 +686,7 @@ def test_verify_extension_matches_per_pair_checks_after_refinement():
     beta = BETA_GRAPH_STAGE
     refined = 0
     for k in (conjectured_graph_kernel(),) + exceptional_graph_kernels():
-        fam = family_all_subsets(active_vertices(k, "graph").vertices)
+        fam = family_all_subsets(active_vertices(k, "graph"))
 
         def coarse():
             c = KernelContext(k)
@@ -751,19 +751,19 @@ def test_boundary_reconstruction():
         for idx, v in enumerate(verts):
             acc = lam.mul_interval(pd.weights[v])
             for u in g.neighbors(v):
-                acc = acc.sub(pd.weights[u])
+                acc = interval_sub(acc, pd.weights[u])
             # acc should now equal zero minus nothing: residual of the
             # eigenvalue equation including outside terms
             assert acc.contains_zero() or True
             # restricted form: lam x_v - sum_{u in H} x_u = y_v
             inside = lam.mul_interval(pd.weights[v])
             for u in h.neighbors(idx):
-                inside = inside.sub(pd.weights[verts[u]])
+                inside = interval_sub(inside, pd.weights[verts[u]])
             y = RationalInterval(0, 0)
             for u in g.neighbors(v):
                 if u not in verts:
                     y = y.add(pd.weights[u])
-            assert inside.sub(y).contains_zero()
+            assert interval_sub(inside, y).contains_zero()
         done += 1
 
 
@@ -776,7 +776,7 @@ def test_bound_soundness_on_true_extensions():
     done = 0
     while done < 50:
         k = rng.choice(kernels)
-        act = sorted(active_vertices(k, "graph").vertices)
+        act = sorted(active_vertices(k, "graph"))
         g = k.graph
         nout = rng.randint(1, 3)
         boundary = []

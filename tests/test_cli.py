@@ -51,6 +51,25 @@ def test_gamma_fixture_file(tmp_path, capsys):
     assert "gamma    [6, 6]" in out
 
 
+def test_gamma_empty_or_unreadable_file(tmp_path, capsys):
+    path = tmp_path / "empty.g6"
+    path.write_text("\n")
+    assert run_cli(["gamma", str(path)]) == 2
+    assert capsys.readouterr().err == "input error: %s is empty\n" % path
+    assert run_cli(["gamma", str(tmp_path)]) == 2     # a directory
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_gamma_file_naming_a_file(tmp_path, capsys):
+    # the first line is parsed as a graph, never looked up as a path
+    path = tmp_path / "self.g6"
+    path.write_text(str(path) + "\n")
+    assert run_cli(["gamma", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_gamma_json_valid(tmp_path, capsys):
     assert run_cli(["--out", str(tmp_path), "gamma", "C~"]) == 0
     doc = json.loads((tmp_path / "gamma.json").read_text())

@@ -1,9 +1,12 @@
 """Every top-level function and class of the package, and every method of
 its classes apart from dunder methods, has a caller.
 
-A name counts as used when it appears (as a name, an attribute or an
-imported name) outside its own definition, in src/ or perfbench/ only, so
-that a definition the program never calls moves to the tests or goes.
+A top-level name counts as used when it appears (as a name, an attribute or
+an imported name) outside its own definition, and a method only when it
+appears as an attribute (.name) outside its own body, so that a local
+variable or a field of the same name does not hide it.  Only uses in src/
+or perfbench/ count, so that a definition the program never calls moves to
+the tests or goes.
 TOP_LEVEL_ALLOWLIST and METHOD_ALLOWLIST name the definitions kept for the
 tests alone, each with its reason.
 """
@@ -33,13 +36,15 @@ METHOD_ALLOWLIST = {
 }
 
 
-def referenced_names(node) -> Counter:
+def referenced_names(node, attributes_only: bool = False) -> Counter:
     out = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(sub, ast.Name):
+            out[sub.id] += 1
         elif isinstance(sub, ast.alias):
             out[sub.name] += 1
     return out
@@ -63,13 +68,13 @@ def unused_definitions(root: Path, methods: bool = False) -> list:
     trees = {f: ast.parse(f.read_text(), filename=str(f)) for f in files}
     total = Counter()
     for tree in trees.values():
-        total += referenced_names(tree)
+        total += referenced_names(tree, methods)
     unused = []
     for f, tree in trees.items():
         if root / "src" / "perronbalance" not in f.parents:
             continue
         for qualname, node in definitions(tree, methods):
-            if total[node.name] - referenced_names(node)[node.name] <= 0:
+            if total[node.name] - referenced_names(node, methods)[node.name] <= 0:
                 unused.append("%s:%s" % (f.name, qualname))
     return unused
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perronbalance import graphs
 from perronbalance.graphs import (
     GRAPH_ENUM_CAP,
     MAX_VERTICES,
@@ -18,6 +19,7 @@ from perronbalance.graphs import (
     _AUTOMORPHISMS,
     _ORDERS,
     _bits,
+    _canon,
     _centre_rooted_sequences,
     _graph_canon,
     _tree_canon,
@@ -45,6 +47,7 @@ from perronbalance.graphs import (
     star_graph,
     write_graph6,
 )
+from perronbalance.spectral import BETA_TR, min_gamma_table
 
 from oracles import induced, vertex_orbits, write_edge_list
 
@@ -368,9 +371,10 @@ def _brute_force_group(g):
 
 def test_graph_canon_automorphisms_generate_the_group():
     """On every connected graph <= 6 and every tree <= 8, as enumerated and
-    randomly relabelled, unrooted and at every root, the generators
-    canonical_form reports generate exactly the (root-fixing) automorphism
-    group."""
+    randomly relabelled, unrooted and at every root, the generators _canon
+    reports generate exactly the (root-fixing) automorphism group.  Trees
+    take theirs from the search of _graph_canon too, so this checks the
+    search on every one of them."""
     rng = random.Random(5)
     sources = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
     sources += [t for n in range(1, 9) for t in enumerate_trees(n)]
@@ -381,31 +385,44 @@ def test_graph_canon_automorphisms_generate_the_group():
             group = _brute_force_group(g)
             for root in (None, *range(n)):
                 want = {p for p in group if root is None or p[root] == root}
-                found = []
-                canonical_form(g, root, found)
-                assert _group_closure(found[1], n) == want, (g, root)
+                gens = _canon(g, root)[2]()
+                assert _group_closure(gens, n) == want, (g, root)
                 checked += 1
     assert checked == 2 * sum(g.n + 1 for g in sources)
 
 
 def test_kept_automorphisms_are_the_search_result():
-    """The connected-graph enumeration keeps the generators canonical_form
-    reports for the representatives with a nontrivial group below the cap,
-    which are the parents of the next size, trees among them, and nothing
-    for the last size.  The tree generator keeps none."""
+    """The connected-graph enumeration keeps the generators _canon reports
+    for the representatives with a nontrivial group below the cap, which
+    are the parents of the next size, trees among them, and nothing for the
+    last size.  The tree generator keeps none."""
     _AUTOMORPHISMS.clear()
     enumerate_connected_graphs.cache_clear()
     parents = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
     assert not any(g in _AUTOMORPHISMS for g in enumerate_connected_graphs(7))
     assert sum(t.is_tree() for t in parents if t in _AUTOMORPHISMS) > 0
     for g in parents:
-        found = []
-        canonical_form(g, None, found)
-        assert _AUTOMORPHISMS.get(g, ()) == tuple(found[1])
+        assert _AUTOMORPHISMS.get(g, ()) == tuple(_canon(g, None)[2]())
     kept = dict(_AUTOMORPHISMS)
     enumerate_trees.cache_clear()
     enumerate_trees(9)
     assert _AUTOMORPHISMS == kept
+
+
+def test_tree_generators_stay_lazy(monkeypatch):
+    """A tree's generators come from the search of _graph_canon, run only
+    when asked for: from cold caches, the tree lists, the tree kernels and
+    a tree table ask for none, so they run no search."""
+    searched = []
+    search = graphs._graph_canon
+    monkeypatch.setattr(graphs, "_graph_canon",
+                        lambda g, root: searched.append(g) or search(g, root))
+    for cached in (enumerate_trees, enumerate_tree_kernels, _canon, min_gamma_table):
+        cached.cache_clear()
+    enumerate_trees(12)
+    enumerate_tree_kernels()
+    min_gamma_table(9, "tree", BETA_TR)
+    assert searched == []
 
 
 def _classes(keys):
@@ -572,17 +589,17 @@ def test_open_dominating_example():
 def test_active_vertices_examples():
     k3p3 = attach_path(complete_graph(3), 0, 3)
     act = active_vertices(RootedKernel(k3p3, 0), "graph")
-    assert sorted(act.vertices) == [4, 5]
-    assert act.eccentricity == 3
+    assert sorted(act) == [4, 5]
+    assert max(k3p3.distances_from(0)) == 3
     k4p2 = attach_path(complete_graph(4), 0, 2)
     act = active_vertices(RootedKernel(k4p2, 0), "graph")
-    assert sorted(act.vertices) == [1, 2, 3, 4, 5]
+    assert sorted(act) == [1, 2, 3, 4, 5]
     s5p5 = attach_path(star_graph(5), 0, 5)
     act = active_vertices(RootedKernel(s5p5, 0), "tree")
-    assert sorted(act.vertices) == [8, 9]
+    assert sorted(act) == [8, 9]
     # the 10-vertex star: eccentricity 1, every vertex active, root included
     act = active_vertices(RootedKernel(star_graph(10), 0), "tree")
-    assert act.vertices == frozenset(range(10))
+    assert act == frozenset(range(10))
 
 
 # -- enumerations ------------------------------------------------------------------------

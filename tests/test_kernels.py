@@ -247,7 +247,7 @@ def test_tree_stage_beta_is_certified_upper_bound(tree_stage):
 
 def test_elimination_case1():
     kernel = RootedKernel(attach_path(attach_path(star_graph(4), 0, 2), 0, 4), 0)
-    va = active_vertices(kernel, "tree").vertices
+    va = active_vertices(kernel, "tree")
     remaining, examined = active_vertex_elimination(kernel, va, beta_tr_upper())
     assert remaining == frozenset()
     assert len(examined) == 2
@@ -258,7 +258,7 @@ def test_elimination_case1():
 
 def test_elimination_case2_first_step():
     kernel = RootedKernel(attach_path(star_graph(6), 0, 4), 0)
-    va = active_vertices(kernel, "tree").vertices
+    va = active_vertices(kernel, "tree")
     remaining, examined = active_vertex_elimination(kernel, va, beta_tr_upper())
     # the endpoint of the pendant path resists elimination
     assert len(remaining) == 1
@@ -268,7 +268,7 @@ def test_elimination_case2_first_step():
 
 def test_elimination_case3_survivor_shape():
     kernel = conjectured_tree_kernel()
-    va = active_vertices(kernel, "tree").vertices
+    va = active_vertices(kernel, "tree")
     remaining, examined = active_vertex_elimination(kernel, va, beta_tr_upper())
     assert remaining          # never empties: the kernel survives
 
