@@ -8,8 +8,10 @@ codes; other graphs get color refinement and then a search for the least
 adjacency code over the orderings the coloring allows.  That search is the
 one source of automorphism group generators, which a tree computes only
 when they are asked for (_tree_canon).  Connected graphs come from
-augmentation plus canonical-form deduplication, trying one augmentation per
-orbit of the parent's group.  Trees are generated as centre-rooted
+canonical augmentation (McKay, J. Algorithms 26, 1998): one augmentation
+per orbit of the parent's group, kept only when the new vertex is the
+graph's canonical deletion vertex up to automorphism, so each class is
+accepted once (proof at _augment).  Trees are generated as centre-rooted
 canonical level sequences (Wright, Richmond, Odlyzko & McKay, 1986), one
 per class, so no candidate is searched for or dropped.  Every enumeration
 keeps each representative's canonical ordering.
@@ -679,31 +681,108 @@ def _mask_action(a: Sequence[int]) -> list:
 
 def _add_class(out: dict, g: Graph, root: Optional[int], item):
     """Put item in out under the code of (g, root) unless its class is
-    there already.  A new class keeps its canonical ordering and gives back
-    the function building its generators (see _canon); else None."""
+    there already.  A new class keeps its canonical ordering."""
     code = canonical_form(g, root)
-    if code in out:
-        return None
-    out[code] = item
-    _, order, gens = _canon(g, root)
-    _ORDERS[g, root] = tuple(order)
-    return gens
+    if code not in out:
+        out[code] = item
+        _ORDERS[g, root] = tuple(_canon(g, root)[1])
+
+
+class DuplicateClassError(RuntimeError):
+    """An enumeration that accepts each class once accepted one twice."""
+
+
+def _separates(adj: Sequence[int], u: int) -> bool:
+    """Whether deleting u disconnects the connected graph with rows adj."""
+    rest = (1 << len(adj)) - 1 ^ 1 << u
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        for w in _bits(frontier):
+            reach |= adj[w]
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen != rest
+
+
+def _deletion_ties(adj: Sequence[int]) -> Optional[list]:
+    """The non-cut vertices of the connected graph with rows adj whose
+    invariant (degree, then sorted neighbour degrees) equals the last
+    vertex's, the last one first; None if a non-cut vertex has a larger
+    invariant.  The last vertex is never a cut vertex here: deleting it
+    gives the connected parent."""
+    v = len(adj) - 1
+    deg = [row.bit_count() for row in adj]
+    top = (deg[v], sorted([deg[w] for w in _bits(adj[v])]))
+    ties = [v]
+    for u in range(v):
+        if deg[u] < deg[v]:
+            continue
+        key = (deg[u], sorted([deg[w] for w in _bits(adj[u])]))
+        if key < top or _separates(adj, u):
+            continue
+        if key > top:
+            return None
+        ties.append(u)
+    return ties
 
 
 def _augment(parents: Iterable[Graph]) -> tuple:
-    """The classes reached by joining a new vertex to each nonempty vertex
-    subset of each parent, sorted by code.  Only the subsets least in their
-    orbit under the parent's group are tried; another in the orbit gives an
-    isomorphic graph, after the least one, so each class keeps the first
-    candidate that reaches it, as trying them all would.  Representatives
-    below GRAPH_ENUM_CAP keep their generators for the next size."""
+    """One graph per class of the graphs h = g + v, v a new vertex joined
+    to a nonempty subset of a parent g, sorted by code.
+
+    The parents are one per class of connected graphs on n vertices.  The
+    subsets tried are those least in their orbit under Aut(g).  The
+    canonical deletion vertex m(h) is, among the non-cut vertices of h with
+    the largest invariant (_deletion_ties), the last in h's canonical
+    order; h is accepted iff v lies in the Aut(h)-orbit of m(h).  Any
+    isomorphism h -> h' maps that orbit onto the orbit of m(h'), since the
+    canonical orders of h and h' differ by an isomorphism, and it preserves
+    invariants and cut vertices.  Each connected class on n + 1 vertices is
+    accepted exactly once:
+
+    - existence: H has non-cut vertices, so m(H) exists, and H - m(H) is
+      connected, isomorphic to a parent g by some f.  Some a in Aut(g)
+      maps f(N(m(H))) to the least subset S of its orbit, and a.f extended
+      by m(H) -> v is an isomorphism H -> g + v with mask S that takes
+      m(H) to v, so g + v is tried and accepted;
+    - uniqueness: let h1 = g1 + v1 and h2 = g2 + v2 be accepted and p an
+      isomorphism h1 -> h2.  It maps v1 into the orbit of m(h2), which
+      holds v2, so after an automorphism of h2 p takes v1 to v2.  Then p
+      restricts to an isomorphism g1 -> g2, so g1 = g2 (one parent per
+      class), that restriction is in Aut(g1), and it maps the subset of v1
+      to the subset of v2.  Both are least in one orbit, so h1 = h2.
+
+    So most candidates fall to the invariant test, before any search; a
+    tie with another vertex is settled by the canonical order and, unless
+    v is last, by the orbit of m(h) under the search's generators.
+    Representatives below GRAPH_ENUM_CAP keep their generators for the
+    next size."""
     out: dict[bytes, Graph] = {}
     for g in parents:
+        n = g.n
         gens = [_mask_action(a) for a in _AUTOMORPHISMS.get(g, ())]
-        for mask in _orbit_minima(range(1, 1 << g.n), gens):
-            h = g.add_vertex(mask)
-            found = _add_class(out, h, None, h)
-            if found is not None and h.n < GRAPH_ENUM_CAP and (kept := tuple(found())):
+        for mask in _orbit_minima(range(1, 1 << n), gens):
+            adj = [row | (mask >> u & 1) << n for u, row in enumerate(g.adj)]
+            adj.append(mask)
+            ties = _deletion_ties(adj)
+            if ties is None:
+                continue
+            h = Graph(n + 1, tuple(adj))
+            code = canonical_form(h)
+            _, order, found = _canon(h, None)
+            autos = None
+            if len(ties) > 1:
+                last = max(ties, key=order.index)
+                if last != n:
+                    autos = found()
+                    if not _orbit_closure(1 << last, autos) >> n & 1:
+                        continue
+            if code in out:
+                raise DuplicateClassError("class of %s accepted twice" % write_graph6(h))
+            out[code] = h
+            _ORDERS[h, None] = tuple(order)
+            if n + 1 < GRAPH_ENUM_CAP and (kept := tuple(found() if autos is None else autos)):
                 _AUTOMORPHISMS[h] = kept
     return tuple(h for _, h in sorted(out.items()))
 

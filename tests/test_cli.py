@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import perronbalance
 from perronbalance.cli import main
 from perronbalance.graphs import (
     attach_path,
@@ -24,6 +27,14 @@ SCHEMA = json.loads(schema_text())
 
 def run_cli(args):
     return main(args)
+
+
+def child_env():
+    """The environment for a `python -m perronbalance.cli` child, which
+    imports the package the tests imported."""
+    src = str(Path(perronbalance.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
 
 
 def test_gamma_k4_exact(capsys):
@@ -292,7 +303,7 @@ def _stage_docs_jobs_1_and_2(tmp_path, kind, expect):
         [sys.executable, "-m", "perronbalance.cli", "--jobs", "2",
          "--out", str(tmp_path / "two"), "kernel-stage", kind,
          "--expect", expect],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, env=child_env(), timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert run_cli(["--jobs", "1", "--out", str(tmp_path / "one"),
                     "kernel-stage", kind]) == 0
@@ -378,7 +389,7 @@ def test_prove_cli_subprocess_graphs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "perronbalance.cli", "--out", str(tmp_path),
          "prove", "graphs"],
-        capture_output=True, text=True, timeout=600)
+        capture_output=True, text=True, env=child_env(), timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "overall: PASS" in proc.stdout
     doc = json.loads((tmp_path / "certificate-graphs.json").read_text())

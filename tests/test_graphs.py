@@ -480,11 +480,13 @@ def _plain_kernels(sources, keep):
 
 
 def test_pruned_enumerations_equal_plain_augmentation():
-    """Same labelled representatives in the same order for graphs <= 7 and
-    the graph kernels; the same classes in the same order for trees <= 12
-    and the tree kernels, which the tree generator labels its own way."""
+    """The same classes in the same order for graphs <= 7, trees <= 12 and
+    both kernel lists.  Canonical augmentation keeps the candidate it
+    accepts and the tree generator labels trees its own way, so the
+    labelled representatives may differ from the first ones reached."""
     for n in range(1, 8):
-        assert enumerate_connected_graphs(n) == _plain_connected_graphs(n), n
+        assert [canonical_form(g) for g in enumerate_connected_graphs(n)] == \
+            [canonical_form(g) for g in _plain_connected_graphs(n)], n
     for n in range(1, 13):
         assert [canonical_form(t) for t in enumerate_trees(n)] == \
             [canonical_form(t) for t in _plain_trees(n)], n
@@ -493,8 +495,9 @@ def test_pruned_enumerations_equal_plain_augmentation():
         return k.graph.degree(k.root) >= 3 and not (
             has_strictly_dominating_vertex(k) or has_open_dominating_vertex(k))
 
-    assert enumerate_graph_kernels() == _plain_kernels(
-        _plain_connected_graphs(6), graph_kernel)
+    plain = _plain_kernels(_plain_connected_graphs(6), graph_kernel)
+    assert [k.canonical() for k in enumerate_graph_kernels()] == \
+        [k.canonical() for k in plain]
     plain = _plain_kernels(_plain_trees(10), lambda k: k.graph.degree(k.root) >= 3)
     assert [k.canonical() for k in enumerate_tree_kernels()] == \
         [k.canonical() for k in plain]
@@ -665,6 +668,48 @@ def test_connected_graph_counts_bruteforce_crosscheck():
     for n in range(1, 7):
         assert enumerate_connected_graphs_bruteforce(n) == \
             len(enumerate_connected_graphs(n))
+
+
+def test_connected_graph_counts_labelled_crosscheck():
+    """Orbit-stabiliser, with no augmentation oracle: for n <= 7 the codes
+    are distinct and the sum over the classes of n!/|Aut(G)| is the number
+    of labelled connected graphs (OEIS A001187), so every labelled
+    connected graph lies in exactly one listed class.  |Aut(G)| closes the
+    generators the canonical search returns (at most 7! elements)."""
+    labelled = [1, 1, 4, 38, 728, 26704, 1866256]
+    for n, want in enumerate(labelled, 1):
+        gs = enumerate_connected_graphs(n)
+        assert len({canonical_form(g) for g in gs}) == len(gs), n
+        total = sum(math.factorial(n) // len(_group_closure(_canon(g, None)[2](), n))
+                    for g in gs)
+        assert total == want, n
+
+
+def test_connected_graph_enumeration_search_count(monkeypatch):
+    """From cold caches, the connected graphs on up to 7 vertices cost at
+    most 1,035 canonical searches: one per accepted class that is not a
+    tree, one per tree parent for its generators, and a few for ties on
+    the deletion invariant."""
+    searched = []
+    search = graphs._graph_canon
+    monkeypatch.setattr(graphs, "_graph_canon",
+                        lambda g, root: searched.append(g) or search(g, root))
+    for cached in (enumerate_connected_graphs, _canon):
+        cached.cache_clear()
+    _AUTOMORPHISMS.clear()
+    assert len(enumerate_connected_graphs(7)) == 853
+    assert len(searched) <= 1035
+
+
+def test_augment_raises_on_a_repeated_class(monkeypatch):
+    """A class accepted twice is an error, not a silent drop: with every
+    candidate taken as its own canonical deletion vertex, two candidates
+    from the 3-vertex parents give one class."""
+    monkeypatch.setattr(graphs, "_deletion_ties", lambda adj: [len(adj) - 1])
+    monkeypatch.setattr(graphs, "_ORDERS", {})
+    monkeypatch.setattr(graphs, "_AUTOMORPHISMS", {})
+    with pytest.raises(graphs.DuplicateClassError, match="accepted twice"):
+        graphs._augment(enumerate_connected_graphs(3))
 
 
 def test_tree_counts():
