@@ -976,10 +976,10 @@ class ResolventData:
     adjugate adj(xI - A), entrywise integer polynomials.
 
     The adjugate is read by column: column(j) is the tuple of entries
-    adj[i][j], i = 0..n-1, built by column_of(j) on first request and kept.
-    The full matrix, adjugate[i][j], is assembled from the columns on first
-    access, after which column_of is dropped.  A is symmetric, so is its
-    adjugate, and column j serves as row j.
+    adj[i][j], i = 0..n-1, built by column_of(j) on first request and kept;
+    column_of, and what it holds, is dropped once all n are built.  The
+    full matrix, adjugate[i][j], is assembled from the columns on first
+    access.  A is symmetric, so is its adjugate, and column j serves as row j.
     """
 
     __slots__ = ("char_poly", "n", "_column_of", "_columns", "_adjugate")
@@ -996,6 +996,8 @@ class ResolventData:
         got = self._columns.get(j)
         if got is None:
             got = self._columns[j] = tuple(self._column_of(j))
+            if len(self._columns) == self.n:
+                self._column_of = None
         return got
 
     @property
@@ -1003,7 +1005,6 @@ class ResolventData:
         """The n x n tuple of IntPoly, adjugate[i] = column(i)."""
         if self._adjugate is None:
             self._adjugate = tuple(self.column(j) for j in range(self.n))
-            self._column_of = None
         return self._adjugate
 
 

@@ -26,11 +26,12 @@ samples Q once between each two of its roots (algebra.ray_verdict).
 All pair data come from the partial column sums P*Bt_{u,U}, built once
 per boundary set: the cascade uses them as polynomials, the packed test
 below as integers at a grid point.  The characteristic polynomial of H plus
-a vertex joined to U is the bordered determinant x*P(x) - 1_U^T adj 1_U,
-read off the U x U block of the adjugate, so no resolvent of the larger
-graph and no partial column sum is formed for it.  The first isolation of
-lam_U is shared across kernels through a module-level cache keyed on that
-polynomial and the width.
+a vertex joined to U is the bordered determinant x*P(x) - 1_U^T adj 1_U
+(spectral.bordered_char_poly), read off the U x U block of the adjugate, so
+no resolvent of the larger graph and no partial column sum is formed for
+it.  The first isolation of lam_U comes from the top-root cache of
+spectral (spectral.top_root), keyed on that polynomial and the width and
+shared with the tables' eigenvalues.
 
 Most pairs are settled without forming Q at all.  At a grid point x <= lo
 just below the shift point, the coefficient signs of Q(x + y) are read off
@@ -52,20 +53,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, combinations_with_replacement, zip_longest
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .algebra import (
-    IntPoly,
-    RationalInterval,
-    isolate_largest_root,
-    ray_verdict,
-    refine_root,
-)
+from .algebra import IntPoly, RationalInterval, ray_verdict, refine_root
 from .graphs import RootedKernel, _bits
-from .spectral import _power_iteration_hint, lambda_enclosure, resolvent_data
+from .spectral import (
+    bordered_char_poly,
+    lambda_enclosure,
+    resolvent_data,
+    top_root,
+)
 
 LAMBDA_EPS = Fraction(1, 2 ** 30)
 
@@ -87,21 +87,6 @@ def subset_mask(vertices: Iterable[int]) -> int:
 @lru_cache(maxsize=None)
 def mask_vertices(mask: int) -> tuple:
     return tuple(_bits(mask))
-
-
-# First isolation of each attachment eigenvalue, shared by every kernel
-# context: keyed on (attachment polynomial coefficients, eps), which fix
-# the enclosure whatever the hint, so cospectral H+U share one entry.  A
-# miss seeds the isolation with Newton on that polynomial from the
-# Collatz-Wielandt bound of H+U (spectral._power_iteration_hint), which
-# starts it in its final cell.
-_FIRST_LAMBDA: dict = {}
-_FIRST_LAMBDA_COUNTS = {"hits": 0, "misses": 0}
-
-
-def first_lambda_cache_info() -> dict:
-    """Hit and miss counts and size of the shared first-isolation cache."""
-    return dict(_FIRST_LAMBDA_COUNTS, size=len(_FIRST_LAMBDA))
 
 
 # Pair checks settled by the packed coefficient test (inline in
@@ -348,17 +333,9 @@ class KernelContext:
     # -- attachment eigenvalues -------------------------------------------------
 
     def _attachment_poly(self, mask: int) -> IntPoly:
-        """Characteristic polynomial of H plus one vertex joined to the set:
-        the bordered determinant x*P(x) - 1_U^T adj 1_U, the quadratic form
-        read off the U x U block of the symmetric adjugate as its diagonal
-        plus twice the entries above it, summed coefficientwise in one
-        pass."""
-        vs = mask_vertices(mask)
-        col = self.resolvent.column
-        upper = [col(j)[i].coeffs for k, j in enumerate(vs) for i in vs[:k]]
-        terms = upper + upper + [col(j)[j].coeffs for j in vs]
-        return IntPoly._from_ints([xp - sum(cs) for xp, *cs in zip_longest(
-            (0,) + self.char.coeffs, *terms, fillvalue=0)])
+        """Characteristic polynomial of H plus one vertex joined to the set,
+        by bordering H's resolvent."""
+        return bordered_char_poly(self.resolvent, mask)
 
     def lambda_U(self, mask: int, eps: Fraction | None = None) -> RationalInterval:
         """Top eigenvalue of H with one new vertex joined to the set, with
@@ -366,10 +343,10 @@ class KernelContext:
 
         Without eps, the context's enclosure of the set is returned as it
         stands (never wider than LAMBDA_EPS), at the cost of one lookup.  The
-        first isolation at each eps comes from the shared cache (a hit runs
-        no hint); a tighter eps later refines this context's own, which is
-        how check_pair moves the lower end that verify_extension reads as
-        the set's shift key.
+        first isolation at each eps comes from spectral's shared top-root
+        cache (a hit runs no hint); a tighter eps later refines this
+        context's own, which is how check_pair moves the lower end that
+        verify_extension reads as the set's shift key.
         """
         cur = self._lam.get(mask)
         if cur is not None and (eps is None or cur.width_at_most(eps)):
@@ -379,15 +356,7 @@ class KernelContext:
             raise ValueError("empty boundary set")
         poly = self._attachment_poly(mask)
         if cur is None:
-            key = (poly.coeffs, eps)
-            cur = _FIRST_LAMBDA.get(key)
-            if cur is None:
-                _FIRST_LAMBDA_COUNTS["misses"] += 1
-                cur = isolate_largest_root(poly, eps, hint=_power_iteration_hint(
-                    self.graph.add_vertex(mask), poly))
-                _FIRST_LAMBDA[key] = cur
-            else:
-                _FIRST_LAMBDA_COUNTS["hits"] += 1
+            cur = top_root(poly, eps, partial(self.graph.add_vertex, mask))
         else:
             cur = refine_root(poly, cur, eps)
         self._lam[mask] = cur

@@ -18,9 +18,12 @@ from the walk counts 1^T A^k 1 and the coefficients of phi alone
 (_walk_numerator), for any graph.
 
 phi comes from resolvent_data: for a tree by Schwenk's recurrence in one
-bottom-up pass, and for any other graph by one integer Faddeev-LeVerrier
-pass, which also builds the adjugate columns that kernel contexts and tail
-bases read (for a tree, on first request).
+bottom-up pass, and for any other graph by bordering its last vertex over
+the cached integer Faddeev-LeVerrier pass of the rest (bordered_char_poly),
+which for a table row the level below has made.  The pass of the graph
+itself gives, on first request, the adjugate columns that kernel contexts
+and tail bases read.  One cache (top_root) keeps the first isolation of
+each top eigenvalue at each width, for the tables and the kernel sweeps.
 
 A GammaEnclosure holds the eigenvalue as one algebra.RootEnclosure and
 narrows it in place, so each request continues where the last one
@@ -43,7 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache
+from itertools import zip_longest
 from operator import mul
 from typing import Callable, Optional, Union
 
@@ -58,6 +62,7 @@ from .algebra import (
 )
 from .graphs import (
     Graph,
+    _bits,
     bifork_graph,
     canonical_relabel,
     cycle_graph,
@@ -85,17 +90,26 @@ def resolvent_data(g: Graph) -> ResolventData:
 
     A tree takes its char poly from Schwenk's recurrence
     (_tree_char_poly), whose traversal also tells a tree from a
-    disconnected graph with n - 1 edges; its adjugate, and everything of
-    any other graph, comes from one integer Faddeev-LeVerrier pass
-    (_faddeev_leverrier), run for a tree only when a column is first asked
-    for (kernel contexts, tail bases).  The char poly is unique, so both
-    routes give the same one.
+    disconnected graph with n - 1 edges.  Any other graph borders vertex
+    n - 1 over the Faddeev-LeVerrier pass of g minus that vertex
+    (bordered_char_poly); g has n >= 2 vertices then.  The adjugate comes
+    from the pass of g itself, run only when a column is first asked for
+    (kernel contexts, tail bases).  The char poly is unique, so every
+    route gives the same one.
     """
     char = _tree_char_poly(g) if g.edge_count() == g.n - 1 else None
     if char is None:
-        return _faddeev_leverrier(g)
-    full = cache(partial(_faddeev_leverrier, g))
-    return ResolventData(char, g.n, lambda v: full().column(v))
+        m = g.n - 1
+        below = Graph(m, tuple(row & ~(1 << m) for row in g.adj[:m]))
+        char = bordered_char_poly(_fl_pass(below), g.adj[m])
+    return ResolventData(char, g.n, lambda v: _fl_pass(g).column(v))
+
+
+@lru_cache(maxsize=4096)
+def _fl_pass(g: Graph) -> ResolventData:
+    """The Faddeev-LeVerrier pass of g, kept for the graphs bordered over g
+    and for g's own adjugate columns."""
+    return _faddeev_leverrier(g)
 
 
 def _faddeev_leverrier(g: Graph) -> ResolventData:
@@ -138,6 +152,22 @@ def _faddeev_leverrier(g: Graph) -> ResolventData:
         return [IntPoly._from_ints(flat[i * n + j::step][::-1]) for i in range(n)]
 
     return ResolventData(char, n, column_of)
+
+
+def bordered_char_poly(resolvent: ResolventData, mask: int) -> IntPoly:
+    """Characteristic polynomial of G plus one new vertex joined to the
+    vertex set U given as a bitmask, from the resolvent data of G: the
+    bordered determinant x*phi_G(x) - 1_U^T adj(xI - A_G) 1_U (Schwenk,
+    LNM 406, 1974; Godsil, Algebraic Combinatorics, 1993, ch. 4).  The
+    quadratic form is read off the U x U block of the symmetric adjugate
+    as its diagonal plus twice the entries above it, summed
+    coefficientwise in one pass; an empty U gives x*phi_G."""
+    vs = _bits(mask)
+    col = resolvent.column
+    upper = [col(j)[i].coeffs for k, j in enumerate(vs) for i in vs[:k]]
+    terms = upper + upper + [col(j)[j].coeffs for j in vs]
+    return IntPoly._from_ints([xp - sum(cs) for xp, *cs in zip_longest(
+        (0,) + resolvent.char_poly.coeffs, *terms, fillvalue=0)])
 
 
 _ONE = IntPoly([1])
@@ -268,12 +298,40 @@ def _power_iteration_hint(g: Graph, p: IntPoly) -> float:
 # eigenvalue and gamma enclosures
 # ---------------------------------------------------------------------------
 
+# First isolation of the top eigenvalue, keyed on (char poly coefficients,
+# eps), which fix isolate_largest_root's cell whatever the hint, so
+# cospectral graphs share one entry.
+_TOP_ROOT: dict = {}
+_TOP_ROOT_COUNTS = {"hits": 0, "misses": 0}
+
+
+def top_root_cache_info() -> dict:
+    """Hit and miss counts and size of the shared first-isolation cache."""
+    return dict(_TOP_ROOT_COUNTS, size=len(_TOP_ROOT))
+
+
+def top_root(char: IntPoly, eps: Fraction,
+             graph: Callable[[], Graph]) -> RationalInterval:
+    """Enclosure of width <= eps of the largest root of char, the char poly
+    of the connected graph graph(), from the shared cache.  A miss builds
+    the graph and seeds the isolation with _power_iteration_hint, which
+    starts it in its final cell."""
+    key = (char.coeffs, eps)
+    got = _TOP_ROOT.get(key)
+    if got is None:
+        _TOP_ROOT_COUNTS["misses"] += 1
+        got = _TOP_ROOT[key] = isolate_largest_root(
+            char, eps, hint=_power_iteration_hint(graph(), char))
+    else:
+        _TOP_ROOT_COUNTS["hits"] += 1
+    return got
+
+
 def lambda_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> RationalInterval:
     """Certified enclosure of the largest adjacency eigenvalue."""
     if not g.is_connected():
         raise ValueError("graph is disconnected")
-    char = resolvent_data(g).char_poly
-    return isolate_largest_root(char, eps, hint=_power_iteration_hint(g, char))
+    return top_root(resolvent_data(g).char_poly, eps, lambda: g)
 
 
 GAMMA_LAMBDA_EPS = Fraction(1, 2 ** 30)

@@ -25,7 +25,6 @@ from perronbalance.bounds import (
     check_pair,
     family_all_subsets,
     family_singletons,
-    first_lambda_cache_info,
     grid_index,
     mask_vertices,
     packed_nonneg,
@@ -53,10 +52,16 @@ from perronbalance.kernels import (
     exceptional_graph_kernels,
     special_tree_kernels,
 )
+from perronbalance import spectral
 from perronbalance.spectral import (
+    BETA_STAR,
+    GAMMA_LAMBDA_EPS,
+    _faddeev_leverrier,
     gamma_enclosure,
     lambda_enclosure,
+    min_gamma_table,
     resolvent_data,
+    top_root_cache_info,
 )
 
 from oracles import connected_graphs, induced, interval_sub, perron_enclosure
@@ -157,7 +162,7 @@ def test_attachment_poly_is_bordered_determinant():
     for k in kernels:
         c = KernelContext(k)
         for mask in range(1, 1 << k.graph.n):
-            want = resolvent_data(k.graph.add_vertex(mask)).char_poly
+            want = _faddeev_leverrier(k.graph.add_vertex(mask)).char_poly
             assert c._attachment_poly(mask) == want
 
 
@@ -189,11 +194,11 @@ def test_lambda_u_shared_across_relabelled_kernels():
     mask2 = subset_mask(perm[v] for v in (0, 2, 3))
     assert k2.graph.add_vertex(mask2) != k.graph.add_vertex(mask)
     eps = Fraction(1, 2 ** 33)            # a key no other check uses
-    before = first_lambda_cache_info()
+    before = top_root_cache_info()
     iv = KernelContext(k).lambda_U(mask, eps)
-    mid = first_lambda_cache_info()
+    mid = top_root_cache_info()
     iv2 = KernelContext(k2).lambda_U(mask2, eps)
-    after = first_lambda_cache_info()
+    after = top_root_cache_info()
     assert iv2 == iv and iv.width <= eps
     assert mid["misses"] == before["misses"] + 1
     assert after["hits"] == mid["hits"] + 1
@@ -216,35 +221,39 @@ def _cospectral_extensions():
 def test_lambda_u_shared_across_cospectral_extensions():
     (k, mask), (k2, mask2) = _cospectral_extensions()
     eps = Fraction(1, 2 ** 34)            # a key no other check uses
-    before = first_lambda_cache_info()
+    before = top_root_cache_info()
     iv = KernelContext(k).lambda_U(mask, eps)
-    mid = first_lambda_cache_info()
+    mid = top_root_cache_info()
     iv2 = KernelContext(k2).lambda_U(mask2, eps)
-    after = first_lambda_cache_info()
+    after = top_root_cache_info()
     assert iv2 == iv and iv.width <= eps
     assert (mid["misses"], mid["hits"]) == (before["misses"] + 1, before["hits"])
     assert (after["misses"], after["hits"]) == (mid["misses"], mid["hits"] + 1)
 
 
 def test_lambda_u_hint_in_final_cell_and_first_isolation_hintless(monkeypatch):
-    """The hint lambda_U passes on a miss lies in the LAMBDA_EPS cell of the
-    attachment root or next to it, and the shared entries are the hint-less
-    isolations."""
+    """The hint a miss of the shared top-root cache passes, from a table
+    row's lambda_enclosure or from lambda_U, lies in the LAMBDA_EPS cell of
+    the top root or next to it, and every shared entry, the table ones
+    included, is the hint-less isolation."""
     w = LAMBDA_EPS
+    assert GAMMA_LAMBDA_EPS == w
     hints = {}
 
     def spy(p, eps, hint=None):
         hints[p.coeffs] = hint
         return isolate_largest_root(p, eps, hint)
 
-    monkeypatch.setattr(bounds, "_FIRST_LAMBDA", {})
-    monkeypatch.setattr(bounds, "isolate_largest_root", spy)
+    monkeypatch.setattr(spectral, "_TOP_ROOT", {})
+    monkeypatch.setattr(spectral, "isolate_largest_root", spy)
+    min_gamma_table.__wrapped__(6, "graph", BETA_STAR)
+    tables = len(spectral._TOP_ROOT)
     for k in list(enumerate_graph_kernels())[::5]:
         c = KernelContext(k)
         for mask in range(1, 1 << k.graph.n):
             c.lambda_U(mask)
-    assert len(hints) == len(bounds._FIRST_LAMBDA) > 0
-    for (coeffs, eps), iv in bounds._FIRST_LAMBDA.items():
+    assert len(hints) == len(spectral._TOP_ROOT) > tables > 0
+    for (coeffs, eps), iv in spectral._TOP_ROOT.items():
         want = isolate_largest_root(IntPoly(coeffs), w)
         assert eps == w and iv == want
         assert abs(math.ceil(Fraction(hints[coeffs]) / w) - math.ceil(want.hi / w)) <= 1

@@ -20,8 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TOP_LEVEL_ALLOWLIST = {
     # work and cache counters, kept for a telemetry sidecar to read
     "algebra.py:root_count_info",            # root counts by method
-    "bounds.py:first_lambda_cache_info",     # first lambda_U cache hits
     "bounds.py:pair_check_info",             # pair checks by verdict kind
+    "spectral.py:top_root_cache_info",       # first top-root isolation hits
     # paper acceptance checks
     "spectral.py:kp_infinite_gamma",         # exact limit of gamma(K_p + path)
     "spectral.py:sp_infinite_gamma",         # exact limit of gamma(S_p + path)

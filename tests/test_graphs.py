@@ -701,6 +701,17 @@ def test_connected_graph_enumeration_search_count(monkeypatch):
     assert len(searched) <= 1035
 
 
+def test_connected_graphs_minus_last_vertex_are_representatives():
+    """Each representative on n vertices is a representative on n - 1 plus
+    vertex n - 1, as a labelled graph: the tables border a graph's char poly
+    over the pass of that parent, which the level below has made."""
+    for n in range(2, 8):
+        below = set(enumerate_connected_graphs(n - 1))
+        m = n - 1
+        for g in enumerate_connected_graphs(n):
+            assert Graph(m, tuple(row & ~(1 << m) for row in g.adj[:m])) in below
+
+
 def test_augment_raises_on_a_repeated_class(monkeypatch):
     """A class accepted twice is an error, not a silent drop: with every
     candidate taken as its own canonical deletion vertex, two candidates

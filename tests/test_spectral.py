@@ -54,6 +54,7 @@ from perronbalance.spectral import (
     _tree_char_poly,
     _walk_numerator,
     beta_d,
+    bordered_char_poly,
     certified_below,
     gamma_enclosure,
     gamma_family_closed_form,
@@ -188,16 +189,88 @@ def test_one_connectivity_search_per_row(monkeypatch):
     [(0, 1), (1, 2), (0, 2), (3, 4)],       # vertex 0 on the triangle
 ])
 def test_resolvent_data_disconnected_with_n_minus_1_edges(monkeypatch, edges):
-    # n - 1 edges and no tree: the Faddeev-LeVerrier pass, not the recurrence
+    # n - 1 edges and no tree: bordered over the Faddeev-LeVerrier pass of
+    # g minus its last vertex, not the recurrence
     g = Graph.from_edges(5, edges)
     sent = []
     monkeypatch.setattr(spectral, "_faddeev_leverrier",
                         lambda h: sent.append(h) or _faddeev_leverrier(h))
+    monkeypatch.setattr(spectral, "_fl_pass", spectral._fl_pass.__wrapped__)
     rd = resolvent_data.__wrapped__(g)
-    assert sent == [g]
+    assert sent == [_without_last(g)]
     assert _tree_char_poly(g) is None
     # K2 + K3: (x^2 - 1)(x^3 - 3x - 2)
     assert rd.char_poly == IntPoly([2, 3, -2, -4, 0, 1])
+    assert rd.char_poly == _faddeev_leverrier(g).char_poly
+
+
+def _without_last(g):
+    m = g.n - 1
+    return Graph(m, tuple(row & ~(1 << m) for row in g.adj[:m]))
+
+
+def test_bordered_char_poly_is_the_faddeev_leverrier_char_poly():
+    """Bordering the last vertex over the pass of the rest gives the char
+    poly of the whole graph: every connected graph on <= 7 vertices with
+    each vertex relabelled last in turn, an isolated last vertex (x*phi),
+    and the disconnected graphs with n - 1 edges."""
+    x = IntPoly([0, 1])
+    checked = 0
+    for n in range(2, 8):
+        for g in enumerate_connected_graphs(n):
+            want = _faddeev_leverrier(g).char_poly
+            for v in range(n):
+                perm = list(range(n))
+                perm[v], perm[n - 1] = n - 1, v
+                h = g.relabel(perm)
+                below = _faddeev_leverrier(_without_last(h))
+                assert bordered_char_poly(below, h.adj[n - 1]) == want
+                checked += 1
+            fl = _faddeev_leverrier(g)
+            assert bordered_char_poly(fl, 0) == x * want
+            assert bordered_char_poly(fl, 0) == _faddeev_leverrier(g.add_vertex()).char_poly
+    assert checked == sum(n * len(enumerate_connected_graphs(n)) for n in range(2, 8))
+    for edges in ([(0, 1), (2, 3), (3, 4), (2, 4)], [(0, 1), (1, 2), (0, 2), (3, 4)]):
+        g = Graph.from_edges(5, edges)
+        below = _faddeev_leverrier(_without_last(g))
+        assert bordered_char_poly(below, g.adj[4]) == _faddeev_leverrier(g).char_poly
+
+
+def test_graph_proof_reuses_the_level_below(monkeypatch):
+    """From cold caches, the 6- and 7-vertex graph tables border over the
+    passes of the level below, at most 140 Faddeev-LeVerrier passes in all,
+    and the graph-kernel stage that follows finds all but at most 100 of
+    its first attachment isolations in the top-root cache the tables
+    filled."""
+    from perronbalance import kernels
+    passes = []
+    monkeypatch.setattr(spectral, "_faddeev_leverrier",
+                        lambda h: passes.append(h) or _faddeev_leverrier(h))
+    monkeypatch.setattr(spectral, "_TOP_ROOT", {})
+    monkeypatch.setattr(kernels, "_STAGE_CACHE", {})
+    for cached in (min_gamma_table, resolvent_data, spectral._fl_pass):
+        cached.cache_clear()
+    min_gamma_table(6, "graph", BETA_STAR)
+    min_gamma_table(7, "graph", BETA_STAR)
+    assert len(passes) <= 140
+    before = spectral.top_root_cache_info()
+    stage = kernels.graph_kernel_stage()
+    assert stage.survivors == (kernels.conjectured_graph_kernel().id_string(),)
+    after = spectral.top_root_cache_info()
+    assert after["misses"] - before["misses"] <= 100
+
+
+def test_top_root_cache_checks_connectivity_first():
+    """K_{1,4} and C4 + K1 share the char poly x^5 - 4x^3; with K_{1,4}'s
+    top root cached, the disconnected one is still refused."""
+    star = star_graph(5)
+    c4k1 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    char = resolvent_data(star).char_poly
+    assert char == resolvent_data(c4k1).char_poly == IntPoly([0, 0, 0, -4, 0, 1])
+    assert lambda_enclosure(star) == RationalInterval(2, 2)
+    assert (char.coeffs, DEFAULT_EPS) in spectral._TOP_ROOT
+    with pytest.raises(ValueError, match="disconnected"):
+        lambda_enclosure(c4k1)
 
 
 def test_lambda_sqrt_degree_bounds():
@@ -277,6 +350,20 @@ def test_faddeev_leverrier_column_without_full_matrix():
     assert resolvent_identity_holds(rd, adjacency_rows(g))
 
 
+def test_resolvent_data_drops_the_pass_once_every_column_is_built():
+    # the kept Faddeev-LeVerrier pass lets its packed matrices go with the
+    # last column, as the resolvent data reading it does
+    g = attach_path(complete_graph(4), 0, 3)
+    rd = resolvent_data.__wrapped__(g)
+    fl = spectral._fl_pass(g)
+    for v in range(g.n):
+        assert rd._column_of is not None
+        rd.column(v)
+    assert rd._column_of is None and fl._column_of is None
+    assert rd._adjugate is None
+    assert rd.adjugate == fl.adjugate == _faddeev_leverrier(g).adjugate
+
+
 def test_tree_char_poly_relabel_invariant():
     t = attach_path(star_graph(5), 0, 4)
     rng = random.Random(71)
@@ -293,11 +380,12 @@ def test_import_leaves_resolvent_memos_empty():
     src = str(Path(perronbalance.__file__).resolve().parent.parent)
     code = ("import perronbalance.spectral as s; "
             "print(s.resolvent_data.cache_info().currsize, "
-            "s.threshold_enclosure.cache_info().currsize)")
+            "s.threshold_enclosure.cache_info().currsize, "
+            "s._fl_pass.cache_info().currsize, len(s._TOP_ROOT))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=60, check=True)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "0", "0"]
 
 
 def test_threshold_enclosure_memoised():
