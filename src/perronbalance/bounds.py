@@ -29,9 +29,9 @@ below as integers at a grid point.  The characteristic polynomial of H plus
 a vertex joined to U is the bordered determinant x*P(x) - 1_U^T adj 1_U
 (spectral.bordered_char_poly), read off the U x U block of the adjugate, so
 no resolvent of the larger graph and no partial column sum is formed for
-it.  The first isolation of lam_U comes from the top-root cache of
-spectral (spectral.top_root), keyed on that polynomial and the width and
-shared with the tables' eigenvalues.
+it.  The first isolation of lam_U, at spectral's one width LAMBDA_EPS,
+comes from its top-root cache (spectral.top_root), shared with the tables;
+the context keeps it as one RootEnclosure per set and narrows it in place.
 
 Most pairs are settled without forming Q at all.  At a grid point x <= lo
 just below the shift point, the coefficient signs of Q(x + y) are read off
@@ -58,16 +58,15 @@ from itertools import combinations, combinations_with_replacement, zip_longest
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .algebra import IntPoly, RationalInterval, ray_verdict, refine_root
+from .algebra import IntPoly, RationalInterval, RootEnclosure, ray_verdict
 from .graphs import RootedKernel, _bits
 from .spectral import (
+    LAMBDA_EPS,
     bordered_char_poly,
     lambda_enclosure,
     resolvent_data,
     top_root,
 )
-
-LAMBDA_EPS = Fraction(1, 2 ** 30)
 
 # Upgrading a bound on the restricted vector to the whole graph needs the
 # bound to stay below 2*lam+3 (> 7 when lam > 2); when the closed
@@ -301,7 +300,7 @@ class KernelContext:
         self.resolvent = resolvent_data(kernel.graph)
         self.char = self.resolvent.char_poly
         self._pbt: dict[int, tuple] = {}
-        self._lam: dict[int, RationalInterval] = {}
+        self._lam: dict[int, RootEnclosure] = {}
         self._majorants: dict[tuple, tuple] = {}
         self._grid: dict[tuple, _GridPoint] = {}
 
@@ -332,35 +331,27 @@ class KernelContext:
 
     # -- attachment eigenvalues -------------------------------------------------
 
-    def _attachment_poly(self, mask: int) -> IntPoly:
-        """Characteristic polynomial of H plus one vertex joined to the set,
-        by bordering H's resolvent."""
-        return bordered_char_poly(self.resolvent, mask)
-
     def lambda_U(self, mask: int, eps: Fraction | None = None) -> RationalInterval:
         """Top eigenvalue of H with one new vertex joined to the set, with
-        width at most eps, which is capped at LAMBDA_EPS.
+        width at most eps, and never wider than LAMBDA_EPS.
 
-        Without eps, the context's enclosure of the set is returned as it
-        stands (never wider than LAMBDA_EPS), at the cost of one lookup.  The
-        first isolation at each eps comes from spectral's shared top-root
-        cache (a hit runs no hint); a tighter eps later refines this
-        context's own, which is how check_pair moves the lower end that
-        verify_extension reads as the set's shift key.
+        The set's RootEnclosure holds the char poly bordered over H's
+        resolvent, built once, and starts from spectral's shared top-root
+        cache (a hit runs no hint).  Without eps, or with one it meets, it
+        is returned as it stands; a tighter eps refines it in place, which
+        is how check_pair moves the lower end verify_extension reads as the
+        set's shift key.
         """
-        cur = self._lam.get(mask)
-        if cur is not None and (eps is None or cur.width_at_most(eps)):
-            return cur
-        eps = LAMBDA_EPS if eps is None else min(eps, LAMBDA_EPS)
-        if not mask:
-            raise ValueError("empty boundary set")
-        poly = self._attachment_poly(mask)
-        if cur is None:
-            cur = top_root(poly, eps, partial(self.graph.add_vertex, mask))
-        else:
-            cur = refine_root(poly, cur, eps)
-        self._lam[mask] = cur
-        return cur
+        enc = self._lam.get(mask)
+        if enc is None:
+            if not mask:
+                raise ValueError("empty boundary set")
+            poly = bordered_char_poly(self.resolvent, mask)
+            enc = self._lam[mask] = RootEnclosure(
+                poly, top_root(poly, partial(self.graph.add_vertex, mask)))
+        if eps is not None and not enc.iv.width_at_most(eps):
+            enc.refine(eps)
+        return enc.iv
 
     # -- the certificate polynomial ---------------------------------------------
 
@@ -585,7 +576,7 @@ def bound_curves(ctx: KernelContext, u_mask: int, lam_lo: Fraction,
     emitted as floats for plotting.
     """
     lam_lo, lam_hi = Fraction(lam_lo), Fraction(lam_hi)
-    lam_h = lambda_enclosure(ctx.graph, LAMBDA_EPS)
+    lam_h = lambda_enclosure(ctx.graph)
     if lam_lo <= lam_h.hi:
         raise ValueError("sample range must stay above the kernel eigenvalue")
     p = ctx.char

@@ -83,6 +83,21 @@ def _parse_number(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("expected an exact number like 9/4 or 2.25") from exc
 
 
+EXPECT_KEYS = ("direct", "exceptional", "survivors", "kernels")
+
+
+def _parse_expect(text: str) -> dict:
+    """A comma list like direct=150,survivors=1, read before any kernel runs."""
+    out = {}
+    for item in text.split(","):
+        key, eq, val = (part.strip() for part in item.partition("="))
+        if key not in EXPECT_KEYS or not eq or not val.isdecimal():
+            raise argparse.ArgumentTypeError("bad expectation %r: want key=count, "
+                                             "key one of %s" % (item, ", ".join(EXPECT_KEYS)))
+        out[key] = int(val)
+    return out
+
+
 def _parse_eps(text: str) -> Fraction:
     f = _parse_number(text)
     if f <= 0:
@@ -150,22 +165,15 @@ def cmd_gamma(args) -> int:
     return EXIT_OK
 
 
-def _check_expectations(report, expect: str) -> bool:
+def _check_expectations(report, expect: dict) -> bool:
     counts = report.classification_counts()
-    mapping = {
+    got = {
         "direct": counts["direct"],
         "exceptional": counts["exceptional"],
         "survivors": len(report.survivors),
         "kernels": report.kernel_count,
     }
-    for item in expect.split(","):
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in mapping:
-            raise ValueError("unknown expectation %r" % key)
-        if mapping[key] != int(val):
-            return False
-    return True
+    return all(got[key] == val for key, val in expect.items())
 
 
 def cmd_kernel_stage(args) -> int:
@@ -181,15 +189,9 @@ def cmd_kernel_stage(args) -> int:
           % (report.kernel_count, counts["direct"], counts["exceptional"],
              counts["survivor"]))
     print("wrote %s" % path)
-    if args.expect:
-        try:
-            ok = _check_expectations(report, args.expect)
-        except ValueError as exc:
-            print("input error: %s" % exc, file=sys.stderr)
-            return EXIT_INPUT
-        if not ok:
-            print("expectations not met", file=sys.stderr)
-            return EXIT_FAIL
+    if args.expect and not _check_expectations(report, args.expect):
+        print("expectations not met", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK
 
 
@@ -274,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     ks.add_argument("kind", choices=("graphs", "trees"))
     ks.add_argument("--beta", type=_parse_beta, default=None,
                     help="exact fraction, beta-star, or beta-tr")
-    ks.add_argument("--expect",
+    ks.add_argument("--expect", type=_parse_expect,
                     help="comma list like direct=150,survivors=1")
     ks.set_defaults(func=cmd_kernel_stage)
 

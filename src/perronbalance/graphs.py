@@ -58,6 +58,9 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple]) -> "Graph":
         adj = [0] * n
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("edge %d-%d has an endpoint outside 0..%d"
+                                 % (u, v, n - 1))
             if u == v:
                 raise ValueError("self-loop")
             adj[u] |= 1 << v
@@ -250,7 +253,7 @@ def parse_edge_list(text: str) -> Graph:
             u, _, v = item.partition("-")
             edges.append((int(u), int(v)))
         return Graph.from_edges(n, edges)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ValueError("bad edge-list text: %s" % exc) from exc
 
 

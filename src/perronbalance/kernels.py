@@ -482,9 +482,9 @@ def tree_kernel_stage(beta: Optional[Fraction] = None,
 BRANCH_DISTANCES = {"K4": (1, 2), "S5": (4, 5, 6, 7)}
 
 
-def branch_point_check(base: str, ell: int,
-                       beta: Optional[Fraction] = None) -> tuple:
-    """Verify the first-branch configurations at distance ell.
+def branch_point_check(base: str, ell: int) -> tuple:
+    """Verify the first-branch configurations at distance ell, at the
+    upper end of the base's limit ratio (beta_star_upper, beta_tr_upper).
 
     For the clique case (ell in {1, 2}) the subgraph is the 4-clique, the
     path from the root to the branch vertex, and two further neighbors of
@@ -508,7 +508,7 @@ def branch_point_check(base: str, ell: int,
     if ell not in BRANCH_DISTANCES[base]:
         raise ValueError(cover + "; longer tails are handled by the "
                          "branching-tail certificate")
-    beta = Fraction(upper() if beta is None else beta)
+    beta = upper()
     reports = []
     for triangle in triangles:
         g = attach_path(head, 0, ell)

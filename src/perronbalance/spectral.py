@@ -22,8 +22,9 @@ bottom-up pass, and for any other graph by bordering its last vertex over
 the cached integer Faddeev-LeVerrier pass of the rest (bordered_char_poly),
 which for a table row the level below has made.  The pass of the graph
 itself gives, on first request, the adjugate columns that kernel contexts
-and tail bases read.  One cache (top_root) keeps the first isolation of
-each top eigenvalue at each width, for the tables and the kernel sweeps.
+and tail bases read.  Every first isolation of a top eigenvalue has the one
+width LAMBDA_EPS and sits in one cache (top_root) for all callers, which
+narrow copies of it.
 
 A GammaEnclosure holds the eigenvalue as one algebra.RootEnclosure and
 narrows it in place, so each request continues where the last one
@@ -74,7 +75,7 @@ from .graphs import (
     write_graph6,
 )
 
-DEFAULT_EPS = Fraction(1, 2 ** 40)
+LAMBDA_EPS = Fraction(1, 2 ** 30)
 
 Threshold = Union[int, Fraction, SqrtRat]
 
@@ -298,9 +299,9 @@ def _power_iteration_hint(g: Graph, p: IntPoly) -> float:
 # eigenvalue and gamma enclosures
 # ---------------------------------------------------------------------------
 
-# First isolation of the top eigenvalue, keyed on (char poly coefficients,
-# eps), which fix isolate_largest_root's cell whatever the hint, so
-# cospectral graphs share one entry.
+# First isolation of the top eigenvalue at width LAMBDA_EPS, keyed on the
+# char poly coefficients, which fix isolate_largest_root's cell whatever
+# the hint, so cospectral graphs share one entry.
 _TOP_ROOT: dict = {}
 _TOP_ROOT_COUNTS = {"hits": 0, "misses": 0}
 
@@ -310,31 +311,27 @@ def top_root_cache_info() -> dict:
     return dict(_TOP_ROOT_COUNTS, size=len(_TOP_ROOT))
 
 
-def top_root(char: IntPoly, eps: Fraction,
-             graph: Callable[[], Graph]) -> RationalInterval:
-    """Enclosure of width <= eps of the largest root of char, the char poly
-    of the connected graph graph(), from the shared cache.  A miss builds
-    the graph and seeds the isolation with _power_iteration_hint, which
-    starts it in its final cell."""
-    key = (char.coeffs, eps)
+def top_root(char: IntPoly, graph: Callable[[], Graph]) -> RationalInterval:
+    """Enclosure of width <= LAMBDA_EPS of the largest root of char, the
+    char poly of the connected graph graph(), from the shared cache.  A miss
+    builds the graph and seeds the isolation with _power_iteration_hint,
+    which starts it in its final cell."""
+    key = char.coeffs
     got = _TOP_ROOT.get(key)
     if got is None:
         _TOP_ROOT_COUNTS["misses"] += 1
         got = _TOP_ROOT[key] = isolate_largest_root(
-            char, eps, hint=_power_iteration_hint(graph(), char))
+            char, LAMBDA_EPS, hint=_power_iteration_hint(graph(), char))
     else:
         _TOP_ROOT_COUNTS["hits"] += 1
     return got
 
 
-def lambda_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> RationalInterval:
-    """Certified enclosure of the largest adjacency eigenvalue."""
+def lambda_enclosure(g: Graph) -> RationalInterval:
+    """Certified enclosure, width <= LAMBDA_EPS, of the top eigenvalue."""
     if not g.is_connected():
         raise ValueError("graph is disconnected")
-    return top_root(resolvent_data(g).char_poly, eps, lambda: g)
-
-
-GAMMA_LAMBDA_EPS = Fraction(1, 2 ** 30)
+    return top_root(resolvent_data(g).char_poly, lambda: g)
 
 
 class GammaEnclosure:
@@ -351,7 +348,7 @@ class GammaEnclosure:
     cancels: gamma lies in [W_lo/phi'_hi, W_hi/phi'_lo] once both lower
     ends are > 0.
 
-    lam starts as lambda_enclosure(g, lam_eps), which rejects a disconnected
+    lam starts as lambda_enclosure(g), which rejects a disconnected
     g with ValueError, and narrows in place, 16-fold per round, until a
     request is met: both lower ends positive (gamma is None until then)
     and, unless lam is an exact point, the asked width.
@@ -362,13 +359,13 @@ class GammaEnclosure:
     guard only.
     """
 
-    def __init__(self, g: Graph, lam_eps: Fraction = GAMMA_LAMBDA_EPS):
-        iv = lambda_enclosure(g, lam_eps)   # the one connectivity check
+    def __init__(self, g: Graph):
+        iv = lambda_enclosure(g)   # the one connectivity check
         char = resolvent_data(g).char_poly
         self._walk = _walk_numerator(g, char)
         self._slope = char.derivative().coeffs
         self.lam = RootEnclosure(char, iv)
-        self._round_eps = lam_eps
+        self._round_eps = LAMBDA_EPS
         self._rounds = 0
         self._evaluate()
 
@@ -516,8 +513,8 @@ def lambda_le_2_graphs(n: int) -> list:
 # the degree-based lower bound
 # ---------------------------------------------------------------------------
 
-def beta_d(d: int, eps: Fraction = Fraction(1, 10 ** 9)) -> RationalInterval:
-    """Certified enclosure of the degree-based balance-ratio lower bound.
+def beta_d(d: int) -> RationalInterval:
+    """Certified enclosure, width <= 10^-9, of the degree-based ratio bound.
 
     For master degree d the bound is (3*lam_d + 1)/2 where lam_d is the
     unique root of (1+x)^3 = (d+1)(3x+1) between sqrt(d) and d.
@@ -525,7 +522,7 @@ def beta_d(d: int, eps: Fraction = Fraction(1, 10 ** 9)) -> RationalInterval:
     if d < 3:
         raise ValueError("degree bound needs d >= 3")
     poly = IntPoly([1 - (d + 1), 3 - 3 * (d + 1), 3, 1])   # (1+x)^3 - (d+1)(3x+1)
-    iv = isolate_largest_root(poly, eps * Fraction(2, 3))
+    iv = isolate_largest_root(poly, Fraction(2, 3 * 10 ** 9))
     if not (iv.hi > 1 and iv.lo < d + 1):
         raise ArithmeticError("unexpected root location for degree bound")
     return iv.mul_scalar(3).add_scalar(1).mul_scalar(Fraction(1, 2))

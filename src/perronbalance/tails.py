@@ -85,7 +85,7 @@ class TailContext:
         self.base = base
         self.v = v
         self.o = o
-        lam_h = lambda_enclosure(base, Fraction(1, 2 ** 30))
+        lam_h = lambda_enclosure(base)
         if lam_h.hi < 2:
             raise ValueError("base top eigenvalue certified below 2; "
                              "attach a path segment first")
@@ -267,7 +267,7 @@ def check_gamma_lower(ctx: TailContext, k0: int) -> TailCertificate:
     the limit for every k >= k0.
     """
     hk = attach_path(ctx.base, ctx.v, k0)
-    lam_k = lambda_enclosure(hk, Fraction(1, 2 ** 30))
+    lam_k = lambda_enclosure(hk)
     if lam_k.lo <= 2:
         raise ValueError("tail-length floor must push the eigenvalue above 2")
     tpoly = _t_poly_of_charpoly(resolvent_data(hk).char_poly)
@@ -512,9 +512,8 @@ def j_hat_samples(ctx: TailContext, t_lo: Fraction, t_hi: Fraction,
 def lambda_sandwich_audit(base: Graph, v: int, k: int) -> bool:
     """Certify lam(H + path_k) < lam(H + infinite path) < lam(H + fork_k)."""
     ctx = TailContext(base, v)
-    eps = Fraction(1, 2 ** 40)
-    lam_inf = ctx.lam_inf(eps)
-    path, fork = (RootEnclosure(resolvent_data(h).char_poly, lambda_enclosure(h, eps))
+    lam_inf = ctx.lam_inf(Fraction(1, 2 ** 40))
+    path, fork = (RootEnclosure(resolvent_data(h).char_poly, lambda_enclosure(h))
                   for h in (attach_path(base, v, k), attach_fork(base, v, k, 2)))
     for _ in range(6):
         if path.iv.hi < lam_inf.lo and lam_inf.hi < fork.iv.lo:

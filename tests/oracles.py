@@ -19,7 +19,10 @@ from perronbalance.algebra import (
     root_bound,
 )
 from perronbalance.graphs import Graph, _bits, _canon, _orbit_closure, _orbit_minima
-from perronbalance.spectral import DEFAULT_EPS, lambda_enclosure, resolvent_data
+from perronbalance.spectral import LAMBDA_EPS, lambda_enclosure, resolvent_data
+
+# The width the Perron oracles start their eigenvalue from.
+PERRON_EPS = Fraction(1, 2 ** 40)
 
 
 def prs_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -281,6 +284,12 @@ def charpoly_by_interpolation(A: Sequence[Sequence[int]]) -> IntPoly:
 
 # -- the column-based oracle for gamma and the Perron vector ---------------------
 
+def lambda_narrowed(g: Graph, eps: Fraction) -> RationalInterval:
+    """The first isolation lambda_enclosure(g), narrowed to width eps on a
+    copy, as a caller of spectral does when it needs a tighter enclosure."""
+    return RootEnclosure(resolvent_data(g).char_poly, lambda_enclosure(g)).refine(eps)
+
+
 @dataclass(frozen=True)
 class PerronData:
     """Certified Perron data: eigenvalue enclosure plus entrywise positive
@@ -297,14 +306,15 @@ class ColumnEnclosure:
     it, which at the top eigenvalue is a positive eigenvector (the adjugate
     is positive and of rank one there).
 
-    lam starts as lambda_enclosure(g, lam_eps) and narrows in place, 16-fold
-    per round, until a request is met: every weight positive (gamma is None
-    until then) and, unless lam is an exact point, the asked width.  Weights
+    lam starts as lambda_enclosure(g) refined to lam_eps and narrows in
+    place, 16-fold per round, until a request is met: every weight positive
+    (gamma is None until then) and, unless lam is an exact point, the asked
+    width.  Weights
     are integer pairs (a, b) over scale = den^(n-1), den the common
     denominator of lam's ends: [a/scale, b/scale] is interval Horner.
     """
 
-    def __init__(self, g: Graph, lam_eps: Fraction = Fraction(1, 2 ** 30)):
+    def __init__(self, g: Graph, lam_eps: Fraction = LAMBDA_EPS):
         rd = resolvent_data(g)
         degs = g.degrees()
         self.n = g.n
@@ -312,7 +322,8 @@ class ColumnEnclosure:
         # leading zeros put every entry on the scale of degree n - 1
         self._col = [e.coeffs + (0,) * (g.n - len(e.coeffs))
                      for e in rd.column(self.vertex)]
-        self.lam = RootEnclosure(rd.char_poly, lambda_enclosure(g, lam_eps))
+        self.lam = RootEnclosure(rd.char_poly, lambda_enclosure(g))
+        self.lam.refine(lam_eps)
         self._round_eps = lam_eps
         self._evaluate()
 
@@ -352,10 +363,10 @@ class ColumnEnclosure:
             "adjugate column of vertex %d, unnormalized" % self.vertex)
 
 
-def perron_enclosure(g: Graph, eps: Fraction = DEFAULT_EPS) -> PerronData:
+def perron_enclosure(g: Graph, eps: Fraction = PERRON_EPS) -> PerronData:
     """Perron vector enclosure from the adjugate column of a maximum-degree
     vertex, refined until every entry has relative width <= eps."""
-    return ColumnEnclosure(g, DEFAULT_EPS).weights(eps)
+    return ColumnEnclosure(g, PERRON_EPS).weights(eps)
 
 
 def vertex_orbits(g: Graph) -> list:
@@ -379,7 +390,7 @@ def master_vertex(g: Graph, eps: Fraction = Fraction(1, 2 ** 60)) -> int:
     for orb in orbits:
         for v in orb:
             rep_of[v] = orb[0]
-    enc = ColumnEnclosure(g, DEFAULT_EPS)
+    enc = ColumnEnclosure(g, PERRON_EPS)
     cur = Fraction(1, 2 ** 20)
     for _ in range(6):
         ws = enc.weights(cur).weights

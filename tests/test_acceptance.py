@@ -292,7 +292,7 @@ def test_acceptance_10_property_bundle(acceptance_recorder):
     for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
             gv = gamma_enclosure(g, Fraction(1, 10 ** 6))
-            lam = lambda_enclosure(g, Fraction(1, 2 ** 30))
+            lam = lambda_enclosure(g)
             ok &= gv.hi - 1 >= lam.lo - Fraction(1, 10 ** 5)
     # cycles exact
     for n in range(3, 11):

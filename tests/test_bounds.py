@@ -13,11 +13,11 @@ from perronbalance import bounds
 from perronbalance.algebra import (
     IntPoly,
     RationalInterval,
+    RootEnclosure,
     isolate_largest_root,
     ray_verdict,
 )
 from perronbalance.bounds import (
-    LAMBDA_EPS,
     PACK_BITS,
     KernelContext,
     _PackedSet,
@@ -55,8 +55,9 @@ from perronbalance.kernels import (
 from perronbalance import spectral
 from perronbalance.spectral import (
     BETA_STAR,
-    GAMMA_LAMBDA_EPS,
+    LAMBDA_EPS,
     _faddeev_leverrier,
+    bordered_char_poly,
     gamma_enclosure,
     lambda_enclosure,
     min_gamma_table,
@@ -64,7 +65,13 @@ from perronbalance.spectral import (
     top_root_cache_info,
 )
 
-from oracles import connected_graphs, induced, interval_sub, perron_enclosure
+from oracles import (
+    connected_graphs,
+    induced,
+    interval_sub,
+    lambda_narrowed,
+    perron_enclosure,
+)
 
 K3P3 = attach_path(complete_graph(3), 0, 3)
 U3 = 1 << 5
@@ -157,13 +164,35 @@ def test_c_poly_symmetry_and_cauchy_schwarz():
 
 
 def test_attachment_poly_is_bordered_determinant():
-    kernels = (list(enumerate_graph_kernels())[:8]
-               + list(enumerate_tree_kernels())[:4])
-    for k in kernels:
+    # the polynomial each set's enclosure holds, and bordered_char_poly on
+    # the context's resolvent, is the char poly of H + U
+    for k in list(enumerate_graph_kernels())[:8]:
         c = KernelContext(k)
         for mask in range(1, 1 << k.graph.n):
             want = _faddeev_leverrier(k.graph.add_vertex(mask)).char_poly
-            assert c._attachment_poly(mask) == want
+            c.lambda_U(mask)
+            assert c._lam[mask].poly == want
+    for k in list(enumerate_tree_kernels())[:4]:
+        c = KernelContext(k)
+        for mask in range(1, 1 << k.graph.n):
+            want = _faddeev_leverrier(k.graph.add_vertex(mask)).char_poly
+            assert bordered_char_poly(c.resolvent, mask) == want
+
+
+def test_lambda_u_borders_once_per_set(monkeypatch):
+    """A refinement round narrows the set's enclosure in place: the
+    bordered polynomial is built once per set, not once per request."""
+    built = []
+    monkeypatch.setattr(bounds, "bordered_char_poly",
+                        lambda rd, m: built.append(m) or bordered_char_poly(rd, m))
+    ctx = KernelContext(conjectured_graph_kernel())
+    m = subset_mask([1, 2])
+    first = ctx.lambda_U(m)
+    narrow = ctx.lambda_U(m, LAMBDA_EPS / 2 ** 20)
+    assert built == [m]
+    assert narrow.width <= LAMBDA_EPS / 2 ** 20 < first.width
+    assert first.lo <= narrow.lo and narrow.hi <= first.hi
+    assert ctx.lambda_U(m) == narrow
 
 
 def test_c_poly_is_pbt_inner_product():
@@ -186,14 +215,15 @@ def test_c_poly_is_pbt_inner_product():
                 assert c.c_poly(um, vm) == want
 
 
-def test_lambda_u_shared_across_relabelled_kernels():
+def test_lambda_u_shared_across_relabelled_kernels(monkeypatch):
     k = list(enumerate_graph_kernels())[5]
     perm = [5, 3, 0, 4, 1, 2]
     k2 = RootedKernel(k.graph.relabel(perm), perm[k.root])
     mask = subset_mask([0, 2, 3])
     mask2 = subset_mask(perm[v] for v in (0, 2, 3))
     assert k2.graph.add_vertex(mask2) != k.graph.add_vertex(mask)
-    eps = Fraction(1, 2 ** 33)            # a key no other check uses
+    monkeypatch.setattr(spectral, "_TOP_ROOT", {})
+    eps = Fraction(1, 2 ** 33)            # each context refines its own copy
     before = top_root_cache_info()
     iv = KernelContext(k).lambda_U(mask, eps)
     mid = top_root_cache_info()
@@ -213,14 +243,16 @@ def _cospectral_extensions():
         ctx = KernelContext(k)
         for mask in range(1, 1 << k.graph.n):
             code = canonical_form(k.graph.add_vertex(mask))
-            first = seen.setdefault(ctx._attachment_poly(mask), (code, k, mask))
+            first = seen.setdefault(bordered_char_poly(ctx.resolvent, mask),
+                                    (code, k, mask))
             if first[0] != code:
                 return first[1:], (k, mask)
 
 
-def test_lambda_u_shared_across_cospectral_extensions():
+def test_lambda_u_shared_across_cospectral_extensions(monkeypatch):
     (k, mask), (k2, mask2) = _cospectral_extensions()
-    eps = Fraction(1, 2 ** 34)            # a key no other check uses
+    monkeypatch.setattr(spectral, "_TOP_ROOT", {})
+    eps = Fraction(1, 2 ** 34)            # each context refines its own copy
     before = top_root_cache_info()
     iv = KernelContext(k).lambda_U(mask, eps)
     mid = top_root_cache_info()
@@ -237,11 +269,12 @@ def test_lambda_u_hint_in_final_cell_and_first_isolation_hintless(monkeypatch):
     the top root or next to it, and every shared entry, the table ones
     included, is the hint-less isolation."""
     w = LAMBDA_EPS
-    assert GAMMA_LAMBDA_EPS == w
-    hints = {}
+    assert bounds.LAMBDA_EPS is w
+    hints, widths = {}, set()
 
     def spy(p, eps, hint=None):
         hints[p.coeffs] = hint
+        widths.add(eps)
         return isolate_largest_root(p, eps, hint)
 
     monkeypatch.setattr(spectral, "_TOP_ROOT", {})
@@ -253,9 +286,10 @@ def test_lambda_u_hint_in_final_cell_and_first_isolation_hintless(monkeypatch):
         for mask in range(1, 1 << k.graph.n):
             c.lambda_U(mask)
     assert len(hints) == len(spectral._TOP_ROOT) > tables > 0
-    for (coeffs, eps), iv in spectral._TOP_ROOT.items():
+    assert widths == {w}
+    for coeffs, iv in spectral._TOP_ROOT.items():
         want = isolate_largest_root(IntPoly(coeffs), w)
-        assert eps == w and iv == want
+        assert iv == want
         assert abs(math.ceil(Fraction(hints[coeffs]) / w) - math.ceil(want.hi / w)) <= 1
 
 
@@ -529,10 +563,16 @@ def test_check_pair_fresh_context_matches_cascade():
     assert kinds == {"coefficients", "fail"}
 
 
+def _coarse_enclosure(ctx, m):
+    """Replace the context's enclosure of lam_U with one of width 1/4."""
+    poly = bordered_char_poly(ctx.resolvent, m)
+    ctx._lam[m] = RootEnclosure(poly, isolate_largest_root(poly, Fraction(1, 4)))
+
+
 def test_check_pair_refinement_round_matches_fresh_context(monkeypatch):
     """Attachment eigenvalues isolated only to width 1/4 leave some ray
-    verdicts undecided; check_pair then refines both (lambda_U's refine_root
-    branch) and must reach the verdict kind a fresh context reaches."""
+    verdicts undecided; check_pair then refines both in place (lambda_U
+    with an eps) and must reach the verdict kind a fresh context reaches."""
     undecided = []
 
     def counting_ray_verdict(*args):
@@ -547,8 +587,7 @@ def test_check_pair_refinement_round_matches_fresh_context(monkeypatch):
         fam = family_all_subsets(active_vertices(k, "graph"))
         coarse, fresh = KernelContext(k), KernelContext(k)
         for m in fam:
-            coarse._lam[m] = isolate_largest_root(coarse._attachment_poly(m),
-                                                  Fraction(1, 4))
+            _coarse_enclosure(coarse, m)
         for i, um in enumerate(fam):
             for vm in fam[i:]:
                 got = check_pair(coarse, um, vm, beta)
@@ -700,14 +739,13 @@ def test_verify_extension_matches_per_pair_checks_after_refinement():
         def coarse():
             c = KernelContext(k)
             for m in fam:
-                c._lam[m] = isolate_largest_root(c._attachment_poly(m),
-                                                 Fraction(1, 4))
+                _coarse_enclosure(c, m)
             return c
 
         start = coarse()._lam
         rep = _assert_sweep_matches(coarse, fam, beta)
-        refined += sum(v.shift_point != max(start[v.u_mask].lo,
-                                            start[v.v_mask].lo)
+        refined += sum(v.shift_point != max(start[v.u_mask].iv.lo,
+                                            start[v.v_mask].iv.lo)
                        for v in rep.verdicts)
     assert refined
 
@@ -847,7 +885,7 @@ def test_bound_curves_endpoints(ctx):
 
 
 def test_bound_curves_limit_at_base_eigenvalue(ctx):
-    lam_h = lambda_enclosure(K3P3, Fraction(1, 2 ** 40))
+    lam_h = lambda_narrowed(K3P3, Fraction(1, 2 ** 40))
     g_h = gamma_enclosure(K3P3, Fraction(1, 10 ** 8)).mid_float()
     near = bound_curves(ctx, U3, lam_h.hi + Fraction(1, 10 ** 7),
                         lam_h.hi + Fraction(1, 10 ** 6), 2)

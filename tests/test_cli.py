@@ -165,8 +165,7 @@ def test_gamma_eps_below_lambda_schedule(tmp_path, capsys):
     assert run_cli(["--out", str(tmp_path), "gamma", "E?~o",
                     "--eps", "1/100000000000000000000"]) == 0
     g = parse_graph6("E?~o")
-    want = refine_root(resolvent_data(g).char_poly,
-                       lambda_enclosure(g, Fraction(1, 2 ** 30)), eps)
+    want = refine_root(resolvent_data(g).char_poly, lambda_enclosure(g), eps)
     assert 0 < want.width <= eps
     out = capsys.readouterr().out.splitlines()
     assert "lambda   [%s, %s]" % (want.lo, want.hi) in out
@@ -225,6 +224,15 @@ def test_curves_exact_range(tmp_path, capsys):
             == (tmp_path / "56_25" / "bound-curves.csv").read_bytes())
 
 
+@pytest.mark.parametrize("text, edge", [("3;0-3", "0-3"), ("3;0--1", "0--1"),
+                                        ("3;0-1,1-7", "1-7")])
+def test_gamma_edge_out_of_range_is_named(capsys, text, edge):
+    assert run_cli(["gamma", text]) == 2
+    err = capsys.readouterr().err
+    assert err == ("input error: bad edge-list text: edge %s has an endpoint "
+                   "outside 0..2\n" % edge)
+
+
 def test_exit_codes(capsys):
     assert run_cli(["gamma", "thisisnotagraph"]) == 2
     assert run_cli(["gamma", "A?"]) == 2          # disconnected two vertices
@@ -248,6 +256,25 @@ def test_kernel_stage_expectation_failure(tmp_path, capsys):
     rc = run_cli(["--out", str(tmp_path), "kernel-stage", "graphs",
                   "--beta", "21/4", "--expect", "survivors=2"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("expect, item", [
+    ("direct", "direct"), ("direct=x", "direct=x"), ("direct=", "direct="),
+    ("survivors=1,bogus=2", "bogus=2"), ("direct=150,", "")])
+def test_kernel_stage_bad_expect_exits_before_the_sweep(tmp_path, capsys,
+                                                        monkeypatch, expect, item):
+    # a malformed --expect is a usage error: no kernel runs, no file is written
+    from perronbalance import kernels
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(kernels, "graph_kernel_stage", no_sweep)
+    rc = run_cli(["--out", str(tmp_path / "out"), "kernel-stage", "graphs",
+                  "--expect", expect])
+    assert rc == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "argument --expect" in last and repr(item) in last
+    assert not (tmp_path / "out").exists()
 
 
 def test_kernel_stage_trees(tmp_path, capsys):

@@ -212,6 +212,14 @@ def test_edge_list_roundtrip():
     assert parse_edge_list("3;").n == 3
 
 
+@pytest.mark.parametrize("edges, named", [
+    ([(0, 3)], "edge 0-3"), ([(0, -1)], "edge 0--1"), ([(5, 1)], "edge 5-1")])
+def test_from_edges_rejects_endpoint_out_of_range(edges, named):
+    # an endpoint outside 0..n-1 is named, not an index or shift error
+    with pytest.raises(ValueError, match="^%s has an endpoint outside 0..2$" % named):
+        Graph.from_edges(3, edges)
+
+
 # -- constructions --------------------------------------------------------------
 
 def test_attach_path_counts():

@@ -43,8 +43,8 @@ from perronbalance.graphs import (
 from perronbalance.spectral import (
     BETA_STAR,
     BETA_TR,
-    DEFAULT_EPS,
     GammaEnclosure,
+    LAMBDA_EPS,
     TableRow,
     LAMBDA_K4_INF,
     LAMBDA_S5_INF,
@@ -69,6 +69,7 @@ from perronbalance.spectral import (
 )
 
 from oracles import (
+    PERRON_EPS,
     ColumnEnclosure,
     adjacency_rows,
     charpoly_by_interpolation,
@@ -118,7 +119,7 @@ def _cell(x, w):
 
 
 def test_power_hint_in_final_cell_and_changes_no_enclosure():
-    w = Fraction(1, 2 ** 30)
+    w = LAMBDA_EPS
     for g in _small_connected_graphs_and_trees(7, 11):
         p = resolvent_data(g).char_poly
         hint = _power_iteration_hint(g, p)
@@ -268,7 +269,7 @@ def test_top_root_cache_checks_connectivity_first():
     char = resolvent_data(star).char_poly
     assert char == resolvent_data(c4k1).char_poly == IntPoly([0, 0, 0, -4, 0, 1])
     assert lambda_enclosure(star) == RationalInterval(2, 2)
-    assert (char.coeffs, DEFAULT_EPS) in spectral._TOP_ROOT
+    assert char.coeffs in spectral._TOP_ROOT
     with pytest.raises(ValueError, match="disconnected"):
         lambda_enclosure(c4k1)
 
@@ -284,7 +285,7 @@ def test_lambda_sqrt_degree_bounds():
         except ArithmeticError:
             continue
         d = g.degree(o)
-        lam = lambda_enclosure(g, Fraction(1, 2 ** 30))
+        lam = lambda_enclosure(g)
         sq = SqrtRat(0, 1, d).enclosure(Fraction(1, 2 ** 30))
         assert lam.hi >= sq.lo and lam.lo <= d
         checked += 1
@@ -472,7 +473,7 @@ def test_gamma_bounds_vs_lambda():
     for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
             gv = gamma_enclosure(g, Fraction(1, 10 ** 6))
-            lam = lambda_enclosure(g, Fraction(1, 2 ** 30))
+            lam = lambda_enclosure(g)
             assert gv.hi - 1 >= lam.lo - Fraction(1, 10 ** 5)
             assert gv.lo <= n
 
@@ -523,8 +524,8 @@ def _reference_gamma(g, eps):
     char = resolvent_data(g).char_poly
     walk = _adjugate_sum(g)
     slope = char.derivative().coeffs
-    lam_eps = Fraction(1, 2 ** 30)
-    lam = lambda_enclosure(g, lam_eps)
+    lam_eps = LAMBDA_EPS
+    lam = lambda_enclosure(g)
     for _ in range(220):
         w_lo, w_hi = _fraction_horner(walk, lam)
         d_lo, d_hi = _fraction_horner(slope, lam)
@@ -544,8 +545,8 @@ def _reference_perron(g, eps=Fraction(1, 2 ** 40)):
     rd = resolvent_data(g)
     degs = g.degrees()
     j = degs.index(max(degs))
-    lam_eps = Fraction(1, 2 ** 40)
-    lam = lambda_enclosure(g, lam_eps)
+    lam_eps = PERRON_EPS
+    lam = refine_root(rd.char_poly, lambda_enclosure(g), lam_eps)
     for _ in range(220):
         ws = [_fraction_horner(rd.adjugate[i][j].coeffs, lam) for i in range(g.n)]
         if all(a > 0 for a, _ in ws) and (
@@ -578,7 +579,7 @@ def test_column_enclosure_continues_as_a_restart_would():
              Fraction(1, 10 ** 12), Fraction(1, 10 ** 20)]
     for g in graphs:
         enc = GammaEnclosure(g)
-        perron = ColumnEnclosure(g, DEFAULT_EPS)
+        perron = ColumnEnclosure(g, PERRON_EPS)
         for eps in steps:
             assert enc.refine(eps) == gamma_enclosure(g, eps)
             assert perron.weights(eps) == perron_enclosure(g, eps)
@@ -629,7 +630,7 @@ def test_gamma_enclosure_shares_the_horner_scale():
         char = resolvent_data(g).char_poly
         walk, slope = _walk_numerator(g, char), char.derivative().coeffs
         assert len(walk) == len(slope) == g.n and walk[-1] == slope[-1] == g.n
-        lo, hi, den = lambda_enclosure(g, Fraction(1, 2 ** 30)).numerators()
+        lo, hi, den = lambda_enclosure(g).numerators()
         for x in (lo, hi):
             w, d = horner_interval(walk, x, x, den), horner_interval(slope, x, x, den)
             assert w[0] == w[1] and d[0] == d[1]
@@ -739,7 +740,7 @@ def test_exceptional_gammas():
 def test_lambda_le_2_family_members_have_small_lambda():
     for n in (7, 9):
         for name, g in lambda_le_2_graphs(n):
-            lam = lambda_enclosure(g, Fraction(1, 2 ** 30))
+            lam = lambda_enclosure(g)
             assert lam.hi <= 2 or lam.lo <= 2 <= lam.hi + Fraction(1, 2 ** 20)
 
 
@@ -842,7 +843,7 @@ def test_min_gamma_table_narrows_lambda_to_eps():
     for r in rows:
         g = parse_graph6(r.graph6)
         char = resolvent_data(g).char_poly
-        first = lambda_enclosure(g, Fraction(1, 2 ** 30))
+        first = lambda_enclosure(g)
         assert r.lam.width <= eps and r.gamma.width <= eps
         assert char.sign_at(r.lam.lo) * char.sign_at(r.lam.hi) <= 0
         assert first.lo <= r.lam.hi and r.lam.lo <= first.hi

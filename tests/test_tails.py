@@ -47,7 +47,7 @@ from perronbalance.tails import (
     r_enclosure_of_lambda,
 )
 
-from oracles import interval_sub, perron_enclosure
+from oracles import interval_sub, lambda_narrowed, perron_enclosure
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +170,7 @@ def test_alpha_interpolation_reproduces_finite_perron():
     k = 5
     h = complete_graph(4)
     g = attach_path(h, 0, k)
-    lam = lambda_enclosure(g, Fraction(1, 2 ** 50))
+    lam = lambda_narrowed(g, Fraction(1, 2 ** 50))
     t_iv = r_enclosure_of_lambda(lam.lo, Fraction(1, 2 ** 50))
     t_hi = r_enclosure_of_lambda(lam.hi, Fraction(1, 2 ** 50))
     t = RationalInterval(t_iv.lo, t_hi.hi)
@@ -378,8 +378,8 @@ def test_lambda_monotone_chain_below_limit():
     lam_inf = ctx.lam_inf(Fraction(1, 2 ** 50))
     prev = None
     for k in range(1, 9):
-        lam = lambda_enclosure(attach_path(complete_graph(4), 0, k),
-                               Fraction(1, 2 ** 50))
+        lam = lambda_narrowed(attach_path(complete_graph(4), 0, k),
+                              Fraction(1, 2 ** 50))
         assert lam.hi < lam_inf.lo
         if prev is not None:
             assert lam.lo > prev.hi
